@@ -37,13 +37,26 @@ from .verifier import (
 def _load_params(path: str | None, window_flag: int | None):
     """Parameter sets for a run: from a config file, or the built-in three."""
     if path is None:
-        return default_param_sets(window_flag or 12)
+        return default_param_sets(12 if window_flag is None else window_flag)
     with open(path) as fh:
         cfg = parse_config(fh.read())
     params = params_from_config(cfg)
     # an explicit flag wins; otherwise the file's window, then a default
-    window = window_flag or cfg.get("window") or 12
+    window = cfg.get("window", 12) if window_flag is None else window_flag
     return (("config", params, window),)
+
+
+def _parse_state(text: str, window: int) -> tuple[int, int]:
+    """A lattice state ``t,s`` (0 <= s <= t) inside the window."""
+    try:
+        t, s = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"state {text!r} is not two integers t,s") from None
+    if not 0 <= s <= t:
+        raise ConfigError(f"|{t},{s}> is not a lattice state; need 0 <= s <= t")
+    if t > window:
+        raise ConfigError(f"|{t},{s}> lies outside window {window}")
+    return t, s
 
 
 def cmd_verify(args) -> int:
@@ -109,9 +122,9 @@ def cmd_rep_dump(args) -> int:
 
 def cmd_rep_apply(args) -> int:
     (_, params, window) = _load_params(args.params, args.window)[0]
+    t, s = _parse_state(args.state, window)
     ctx = OperatorContext(params, window)
     op = ctx.eval(parse_expr(args.expr, rank=4))
-    t, s = (int(x) for x in args.state.split(","))
     if (t, s) in op.leaky:
         print(f"state |{t},{s}> is unreliable at window {window}; widen it",
               file=sys.stderr)
@@ -138,6 +151,13 @@ def cmd_rep_probe(args) -> int:
     return 0
 
 
+def _window(text: str) -> int:
+    window = int(text)
+    if window < 0:
+        raise argparse.ArgumentTypeError(f"window must be >= 0, got {window}")
+    return window
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="racah",
@@ -148,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--rank", type=int, default=4)
     v.add_argument("--params", help="flat key=value parameter file")
-    v.add_argument("--window", type=int)
+    v.add_argument("--window", type=_window)
     v.add_argument("--suites", default="all",
                    help="comma list or 'all': " + ", ".join(SUITE_NAMES))
     v.add_argument("--format", choices=("json", "human"), default="json")
@@ -179,17 +199,17 @@ def build_parser() -> argparse.ArgumentParser:
     rsub = rp.add_subparsers(dest="repcmd", required=True)
     d = rsub.add_parser("dump", help="nonzero entries of one generator")
     d.add_argument("--gen", required=True)
-    d.add_argument("--window", type=int)
+    d.add_argument("--window", type=_window)
     d.add_argument("--params")
     d.set_defaults(fn=cmd_rep_dump)
     a = rsub.add_parser("apply", help="apply an expression to a state")
     a.add_argument("--expr", required=True)
     a.add_argument("--state", required=True, help="t,s")
-    a.add_argument("--window", type=int)
+    a.add_argument("--window", type=_window)
     a.add_argument("--params")
     a.set_defaults(fn=cmd_rep_apply)
     pr = rsub.add_parser("probe", help="scan for factor zeros (informational)")
-    pr.add_argument("--window", type=int)
+    pr.add_argument("--window", type=_window)
     pr.add_argument("--params")
     pr.set_defaults(fn=cmd_rep_probe)
 

@@ -358,7 +358,8 @@ def alphabet(rank: int) -> list[Gen]:
 
 
 def build_rewrite_system(rank: int) -> RewriteSystem:
-    """A fresh normal-ordering system for the given rank."""
+    """A fresh normal-ordering system for the given rank, saturated in
+    place; its memo keeps the normal forms the saturation computed."""
     RankConfig(rank)
     gens = alphabet(rank)
     core = [g for g in gens if g.kind in ("P", "D")]
@@ -386,48 +387,56 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
                 rules.append(RewriteRule(
                     (g, d), singleton_elimination(rank, l, d),
                     "eliminate", "singleton count"))
-    rules.extend(_derived_product_rules(rank, gens, rules))
-    return RewriteSystem(rank, gens, rules)
+    rs = RewriteSystem(rank, gens, rules)
+    # base rules first, then the derived ones in word order
+    rs.rules = tuple(rules) + tuple(_derived_product_rules(rs))
+    return rs
 
 
-def _derived_product_rules(rank, gens, base_rules) -> list[RewriteRule]:
-    """Saturate the base rules against the certified product identities.
+def _derived_product_rules(rs: RewriteSystem) -> list[RewriteRule]:
+    """Saturate ``rs`` in place against the certified product identities;
+    returns the rules it adopted, sorted by left-hand side.
 
     Every candidate is an explicit relation-ideal member, so its reduced
     residual is one too; a nonzero residual whose largest word has two
     letters becomes a new rule oriented at that word (every other residual
-    word then sits strictly below it in the measure).  Repeats until no
-    candidate yields a new rule; there are finitely many two-letter words,
-    so this stops.  No confluence claim is made for the result; it is
-    merely a larger sound system.
+    word then sits strictly below it in the measure).  Each round adopts its
+    rules together, and the next round re-reduces only the candidates with
+    a word whose memoized normal form the new rules dropped: an unchanged
+    residual cannot yield a rule, since its largest word is already a rule
+    or failed a test that does not change (length, base-rule key,
+    measure).  Repeats until a round yields no rule; there are finitely many
+    two-letter words, so this stops.  No confluence claim is made for the
+    result; it is merely a larger sound system.
     """
-    if rank < 4:
+    if rs.rank < 4:
         return []
+    rank = rs.rank
     candidates = _ideal_product_candidates(rank)
-    swap_keys = {r.lhs for r in base_rules}
+    swap_keys = {r.lhs for r in rs.rules}
     derived: dict = {}
+    todo = candidates
     while True:
-        rules = list(base_rules) + [derived[k] for k in
-                                    sorted(derived, key=lambda w: tuple(g.sort_key() for g in w))]
-        probe = RewriteSystem(rank, gens, rules)
-        added = 0
-        for cand in candidates:
-            resid = probe.reduce(cand)
+        added = []
+        for cand in todo:
+            resid = rs.reduce(cand)
             if resid.is_zero:
                 continue
-            lhs = max(resid.terms, key=probe.measure)
+            lhs = max(resid.terms, key=rs.measure)
             if len(lhs) != 2 or lhs in derived or lhs in swap_keys:
                 continue
             c = resid.terms[lhs]
             rhs = NCPoly.from_word(rank, lhs) - (1 / c) * resid
-            top = probe.measure(lhs)
-            if any(probe.measure(w) >= top for w in rhs.terms):
+            top = rs.measure(lhs)
+            if any(rs.measure(w) >= top for w in rhs.terms):
                 continue
             derived[lhs] = RewriteRule(lhs, rhs, "swap",
                                        "word order at equal degree")
-            added += 1
+            added.append(derived[lhs])
         if not added:
             break
+        dropped = rs.add_swap_rules(added)
+        todo = [c for c in candidates if not dropped.isdisjoint(c.terms)]
     return [derived[k] for k in
             sorted(derived, key=lambda w: tuple(g.sort_key() for g in w))]
 

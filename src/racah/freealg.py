@@ -304,11 +304,6 @@ class RewriteRule:
     grade_drop: str
 
 
-def inversions(seq) -> int:
-    n = len(seq)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if seq[i] > seq[j])
-
-
 class RewriteSystem:
     """An ordered, terminating set of word-rewrite rules.
 
@@ -396,7 +391,8 @@ class RewriteSystem:
 
     @property
     def steps(self) -> int:
-        """Total rule applications performed by this system so far."""
+        """Rule applications performed by this system since construction,
+        including those made while its rule set was being saturated."""
         return self._steps
 
     # -- redex search / application ----------------------------------------
@@ -509,13 +505,44 @@ class RewriteSystem:
     def reduces_to_zero(self, p: NCPoly) -> bool:
         return self.reduce(p).is_zero
 
-    # -- termination bookkeeping --------------------------------------------
+    # -- saturation ---------------------------------------------------------
 
-    def max_rule_width(self) -> int:
-        width = 1
-        for rule in self.rules:
-            width = max(width, len(rule.rhs.terms))
-        return width
+    def add_swap_rules(self, rules: Iterable[RewriteRule]) -> set[Word]:
+        """Adopt new two-letter swap rules in place; returns the words whose
+        memoized normal forms were dropped.
+
+        A new left-hand side is no key of any existing rule, so in a word
+        that holds no new left-hand side as an adjacent pair the redex
+        search finds what it found before.  An entry is therefore kept
+        unless its word holds a new pair or a word of its first step's
+        result was dropped; the memo stores children before parents, so one
+        pass in its order decides every entry.
+        """
+        rules = tuple(rules)
+        new = set()
+        for rule in rules:
+            ids = tuple(self.generator_order(g) for g in rule.lhs)
+            if (rule.name != "swap" or len(ids) != 2 or ids in self._swap
+                    or ids in self._elim):
+                raise AlgebraError(
+                    f"not a new swap rule: {format_word(rule.lhs)}")
+            self._swap[ids] = self._intern(rule.rhs)
+            new.add(ids)
+        self.rules += rules
+        dropped = set()
+        for w, got in self._nf.items():
+            if any(pair in new for pair in zip(w, w[1:])):
+                dropped.add(w)
+            # only an irreducible word is a term of its own normal form
+            elif w not in got and any(
+                    kw in dropped
+                    for kw, _ in self._apply(w, self._find_redex(w))):
+                dropped.add(w)
+        self._nf = {w: got for w, got in self._nf.items() if w not in dropped}
+        gens = self._id2gen
+        return {tuple(gens[i] for i in w) for w in dropped}
+
+    # -- termination bookkeeping --------------------------------------------
 
     def step_bound(self, p: NCPoly) -> int:
         """A computable ceiling on the rule applications reduce(p) can take.

@@ -79,6 +79,9 @@ class SuiteConfig:
             if s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}")
         for name, params, window in self.param_sets:
+            if window < 0:
+                raise ConfigError(
+                    f"parameter set {name!r} has negative window {window}")
             errs = validate_params(params, window)
             if errs:
                 raise ConfigError(
@@ -518,6 +521,8 @@ def parse_config(text: str) -> dict:
             if not val.lstrip("-").isdigit():
                 raise ConfigError(f"line {lineno}: {key} must be an integer")
             out[key] = int(val)
+            if key == "window" and out[key] < 0:
+                raise ConfigError(f"line {lineno}: window must be >= 0")
         elif key == "suites":
             out[key] = tuple(s.strip() for s in val.split(",") if s.strip())
         else:

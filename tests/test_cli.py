@@ -65,6 +65,52 @@ def test_rep_apply_unreliable_state(capsys, params_file):
     assert "unreliable" in capsys.readouterr().err
 
 
+def test_rep_apply_rejects_non_lattice_state(capsys, params_file):
+    # s > t names no state of the triangular lattice
+    assert main(["rep", "apply", "--expr", "C12", "--state", "2,5",
+                 "--params", params_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a lattice state" in captured.err
+
+
+def test_rep_apply_rejects_state_outside_window(capsys, params_file):
+    assert main(["rep", "apply", "--expr", "C12", "--state", "99,0",
+                 "--params", params_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside window 5" in captured.err
+
+
+def _dumped_states(capsys):
+    return {tuple(line.split()[:2])
+            for line in capsys.readouterr().out.strip().splitlines()}
+
+
+def test_window_zero_flag_is_honoured(capsys, params_file):
+    assert main(["rep", "dump", "--gen", "C12", "--window", "0",
+                 "--params", params_file]) == 0
+    assert _dumped_states(capsys) == {("0", "0")}
+
+
+def test_window_zero_in_config_is_honoured(capsys, tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("c1 = 1/3\nc2 = 1/5\nc3 = 2/7\nc4 = 1/2\nN = 4\nwindow = 0\n")
+    assert main(["rep", "dump", "--gen", "C12", "--params", str(cfg)]) == 0
+    assert _dumped_states(capsys) == {("0", "0")}
+
+
+def test_negative_window_rejected(capsys, tmp_path, params_file):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("c1 = 1/3\nc2 = 1/5\nc3 = 2/7\nc4 = 1/2\nN = 4\nwindow = -1\n")
+    assert main(["verify", "--rank", "4", "--params", str(cfg),
+                 "--suites", "casimirs"]) == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "dump", "--gen", "C12", "--window", "-1",
+              "--params", params_file])
+    assert exc.value.code == 2
+    assert "window must be >= 0" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(capsys, params_file):
     assert main(["verify", "--rank", "3", "--suites", "definitions",
                  "--params", params_file, "--format", "json"]) == 0

@@ -1,13 +1,31 @@
 """Rewrite-engine contracts: worked reductions, idempotence, termination
 accounting, and soundness of every compiled rule against the operators."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import poly_strategy
 from racah import core
 from racah.core import build_rewrite_system, d_poly, gen_C, relation, RelationId
-from racah.freealg import NCPoly, RankMismatchError, UnknownGeneratorError, Gen
+from racah.freealg import (AlgebraError, NCPoly, RankMismatchError,
+                           RewriteSystem, UnknownGeneratorError, Gen)
+
+_spec = importlib.util.spec_from_file_location(
+    "rule_digest", Path(__file__).parents[1] / "scripts" / "rule_digest.py")
+_rule_digest_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_rule_digest_script)
+rule_digest = _rule_digest_script.rule_digest
+
+# scripts/rule_digest.py digests of the compiled rule lists, recorded when
+# every saturation round still reduced all candidates on a fresh system
+GOLDEN_RULE_DIGESTS = {
+    4: "b466cf0a7d06cc6d1000a8093c1e8142e708112ef5bee91720c1e215250b0559",
+    5: "eabb103c4dcb6f7e1033269954e90dd67870d8f6f0d7ad0cb3f2234170ead8b6",
+    6: "890d055fc1f4a86ba908988d44917c29aa1a4497bb527c846b70bc0d501ff165",
+}
 
 
 def test_reduce_zero(rs3):
@@ -111,3 +129,55 @@ def test_degree_grading(rs4):
     assert rs4.degree(Gen("D", (1, 2, 3))) == 2
     assert rs4.degree(Gen("C", (1, 2, 3, 4))) == 1
     assert rs4.degree(Gen("Ga", (0,))) == 2
+
+
+@pytest.mark.parametrize("rank", sorted(GOLDEN_RULE_DIGESTS))
+def test_compiled_rules_match_golden_digest(rank):
+    assert rule_digest(core.rewrite_system(rank).rules) == GOLDEN_RULE_DIGESTS[rank]
+
+
+def test_saturated_memo_matches_fresh_system():
+    # the memo carried through saturation holds only normal forms a system
+    # compiled from the final rules would compute from scratch
+    rs = build_rewrite_system(5)
+    fresh = RewriteSystem(5, core.alphabet(5), rs.rules)
+    assert rs._nf
+    for w, nf in rs._nf.items():
+        assert fresh._normal_form(w) == nf
+
+
+def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
+    base = [r for r in rs4.rules if r.grade_drop != "word order at equal degree"]
+    rule = next(r for r in rs4.rules if r not in base)
+    rs = RewriteSystem(4, core.alphabet(4), base)
+    for cand in core._ideal_product_candidates(4):
+        rs.reduce(cand)
+    before = dict(rs._nf)
+    pair = tuple(rs.generator_order(g) for g in rule.lhs)
+
+    visits: dict = {}
+
+    def visits_pair(w):
+        # does the derivation of w pass through a word holding the pair?
+        if w not in visits:
+            redex = rs._find_redex(w)
+            visits[w] = pair in zip(w, w[1:]) or (redex is not None and any(
+                visits_pair(kw) for kw, _ in rs._apply(w, redex)))
+        return visits[w]
+
+    holders = {w for w in before if pair in zip(w, w[1:])}
+    affected = {w for w in before if visits_pair(w)}
+    dropped = rs.add_swap_rules([rule])
+
+    assert {tuple(rs.generator_order(g) for g in w) for w in dropped} == affected
+    assert holders and affected > holders      # the holders and their ancestors
+    kept = before.keys() - affected
+    assert any(w not in before[w] for w in kept)   # a reducible bystander
+    assert rs._nf.keys() == kept
+    assert all(rs._nf[w] is before[w] for w in kept)
+    assert rs.rules[-1] == rule
+    fresh = RewriteSystem(4, core.alphabet(4), base + [rule])
+    for cand in core._ideal_product_candidates(4):
+        assert rs.reduce(cand) == fresh.reduce(cand)
+    with pytest.raises(AlgebraError):
+        rs.add_swap_rules([rule])

@@ -56,6 +56,14 @@ def test_invalid_params_abort_before_running():
                     suites=("definitions",))
 
 
+def test_negative_window_rejected():
+    with pytest.raises(ConfigError, match="negative window"):
+        SuiteConfig(rank=4, param_sets=(("generic", rep.generic_params(), -1),),
+                    suites=("casimirs",))
+    with pytest.raises(ConfigError, match="window must be >= 0"):
+        parse_config("window = -1")
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         SuiteConfig(rank=4, suites=("nonsense",))
