@@ -15,9 +15,12 @@ from .core import rewrite_system
 from .expr import parse_expr
 from .freealg import AlgebraError, format_poly
 from .representation import (
+    INTEGER_WINDOW,
     OperatorContext,
+    RepParams,
     build_operator,
     default_param_sets,
+    integer_params,
     triangle_states,
     validate_params,
 )
@@ -46,6 +49,20 @@ def _load_params(path: str | None, window_flag: int | None):
     return (("config", params, window),)
 
 
+def _rep_params(args) -> tuple[RepParams, int]:
+    """The one parameter set a ``rep`` command inspects: the file's, or the
+    integer set; an explicit ``--window`` applies to either."""
+    if args.params is None:
+        params = integer_params()
+        window = INTEGER_WINDOW if args.window is None else args.window
+    else:
+        ((_, params, window),) = _load_params(args.params, args.window)
+    errors = validate_params(params, window)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return params, window
+
+
 def _parse_state(text: str, window: int) -> tuple[int, int]:
     """A lattice state ``t,s`` (0 <= s <= t) inside the window."""
     try:
@@ -65,8 +82,7 @@ def cmd_verify(args) -> int:
     param_sets = ()
     if args.rank <= 4:
         param_sets = _load_params(args.params, args.window)
-    cfg = SuiteConfig(rank=args.rank, param_sets=param_sets, suites=suites,
-                      fmt=args.format)
+    cfg = SuiteConfig(rank=args.rank, param_sets=param_sets, suites=suites)
     report = run_suite(cfg)
     sys.stdout.buffer.write(emit_report(report, args.format))
     return report.exit_code
@@ -109,10 +125,7 @@ def cmd_symmetry(args) -> int:
 
 
 def cmd_rep_dump(args) -> int:
-    (_, params, window) = _load_params(args.params, args.window)[0]
-    errors = validate_params(params, window)
-    if errors:
-        raise ConfigError("; ".join(errors))
+    params, window = _rep_params(args)
     op = build_operator(args.gen, params, window)
     for (t, s) in triangle_states(window):
         for (tt, ss), q in sorted(op.column((t, s)).items()):
@@ -121,7 +134,7 @@ def cmd_rep_dump(args) -> int:
 
 
 def cmd_rep_apply(args) -> int:
-    (_, params, window) = _load_params(args.params, args.window)[0]
+    params, window = _rep_params(args)
     t, s = _parse_state(args.state, window)
     ctx = OperatorContext(params, window)
     op = ctx.eval(parse_expr(args.expr, rank=4))
@@ -141,7 +154,7 @@ def cmd_rep_apply(args) -> int:
 def cmd_rep_probe(args) -> int:
     """Scan for parameter-dependent zeros of the raising/lowering factors
     (possible invariant-subspace boundaries).  Informational only."""
-    (_, params, window) = _load_params(args.params, args.window)[0]
+    params, window = _rep_params(args)
     hits = []
     for t in range(window + 1):
         if params.N + 1 - t == 0 or params.N + 2 * params.c2 - t == 0:

@@ -185,6 +185,24 @@ CONTIGUOUS = {
 }
 
 
+def _interval_free_decompositions(rank: int) -> dict[tuple, NCPoly]:
+    C = lambda *s: gen_C(rank, s)
+    table = {(1, 3): C(1, 2, 3) - C(1, 2) - C(2, 3) + C(1) + C(2) + C(3)}
+    if rank == 4:
+        table |= {
+            (2, 4): C(2, 3, 4) - C(2, 3) - C(3, 4) + C(2) + C(3) + C(4),
+            (1, 4): C(1, 2, 3, 4) - C(1, 2, 3) - C(2, 3, 4) + C(1) + C(2, 3) + C(4),
+            (1, 2, 4): C(1, 2, 3, 4) - C(1, 2, 3) + C(1, 2) - C(3, 4) + C(3) + C(4),
+            (1, 3, 4): C(1, 2, 3, 4) - C(2, 3, 4) - C(1, 2) + C(3, 4) + C(1) + C(2),
+        }
+    return table
+
+
+# the interval-free subsets of each rank, eliminated through the
+# decomposition relation
+_DECOMPOSITIONS = {rank: _interval_free_decompositions(rank) for rank in CONTIGUOUS}
+
+
 def decompose_to_basis(rank: int, I) -> NCPoly:
     """Express a subset generator in the contiguous basis (ranks 3 and 4).
 
@@ -197,31 +215,20 @@ def decompose_to_basis(rank: int, I) -> NCPoly:
         raise AlgebraError("contiguous basis is defined for 3 or 4 indices")
     if idx in CONTIGUOUS[rank]:
         return gen_C(rank, idx)
-    C = lambda *s: gen_C(rank, s)
-    if rank == 3:
-        table = {
-            (1, 3): C(1, 2, 3) - C(1, 2) - C(2, 3) + C(1) + C(2) + C(3),
-        }
-    else:
-        table = {
-            (1, 3): C(1, 2, 3) - C(1, 2) - C(2, 3) + C(1) + C(2) + C(3),
-            (2, 4): C(2, 3, 4) - C(2, 3) - C(3, 4) + C(2) + C(3) + C(4),
-            (1, 4): C(1, 2, 3, 4) - C(1, 2, 3) - C(2, 3, 4) + C(1) + C(2, 3) + C(4),
-            (1, 2, 4): C(1, 2, 3, 4) - C(1, 2, 3) + C(1, 2) - C(3, 4) + C(3) + C(4),
-            (1, 3, 4): C(1, 2, 3, 4) - C(2, 3, 4) - C(1, 2) + C(3, 4) + C(1) + C(2),
-        }
-    return table[idx]
+    return _DECOMPOSITIONS[rank][idx]
+
+
+@lru_cache(maxsize=None)
+def _contiguous_image(rank: int, g: Gen) -> NCPoly:
+    """One letter rewritten over contiguous subset generators."""
+    if g.kind == "C":
+        return decompose_to_basis(rank, g.indices)
+    return to_contiguous(expand_to_C(NCPoly.from_word(rank, (g,))))
 
 
 def to_contiguous(p: NCPoly) -> NCPoly:
     """Any polynomial, rewritten over contiguous subset generators only."""
-
-    def image(g: Gen) -> NCPoly:
-        if g.kind == "C":
-            return decompose_to_basis(p.rank, g.indices)
-        return to_contiguous(expand_to_C(NCPoly.from_word(p.rank, (g,))))
-
-    return expand_to_C(p).substitute(image)
+    return p.substitute(lambda g: _contiguous_image(p.rank, g))
 
 
 # -- the pairwise commutator catalog ------------------------------------------

@@ -377,7 +377,7 @@ def build_operator(gen, p: RepParams, window: int,
     The leak flag is set exactly on the states from which the raising
     stencils reach past t = window.
     """
-    name = str(gen) if isinstance(gen, Gen) else str(gen)
+    name = str(gen)
     if states is None:
         states = triangle_states(window)
     ensure_valid(p, window)
@@ -435,6 +435,7 @@ class OperatorContext:
         self.rank = rank
         self.states = triangle_states(window) if rank == 4 else chain_states(window)
         self._gen_ops: dict[str, SparseOperator] = {}
+        self._scalars = {name: fn(params) for name, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
 
@@ -458,15 +459,32 @@ class OperatorContext:
         return out
 
     def eval(self, p: NCPoly) -> SparseOperator:
-        """Evaluate any polynomial; non-contiguous letters are decomposed."""
+        """Evaluate any polynomial; non-contiguous letters are decomposed.
+
+        A scalar letter acts as c*I with no leaks, so it is multiplied into
+        its word's coefficient before any operator is composed.  That is
+        exact, and since a word whose coefficient folds or cancels to zero
+        takes its leak set with it, the reliable states can only grow.
+        """
         if p.rank != self.rank:
             p = NCPoly(self.rank, p.terms)  # relabel the ambient rank
         key = p.key()
         got = self._poly_ops.get(key)
         if got is not None:
             return got
-        q = to_contiguous(p)
-        parts = [(c, self._word_op(word)) for word, c in q.terms.items()]
+        terms: dict[tuple, Fraction] = {}
+        for word, c in to_contiguous(p).terms.items():
+            letters = []
+            for g in word:
+                s = self._scalars.get(str(g))
+                if s is None:
+                    letters.append(g)
+                else:
+                    c *= s
+            if c:
+                w = tuple(letters)
+                terms[w] = terms.get(w, ZERO) + c
+        parts = [(c, self._word_op(w)) for w, c in terms.items() if c]
         out = SparseOperator.linear_combination(self.states, parts)
         self._poly_ops[key] = out
         return out
@@ -499,6 +517,10 @@ def rank1_slice(p: RepParams, window: int) -> Rank1Slice:
 DEFAULT_SEED = 8093
 
 
+# the widest window on which integer_params() is valid
+INTEGER_WINDOW = 4
+
+
 def integer_params() -> RepParams:
     return RepParams(Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(3))
 
@@ -524,9 +546,8 @@ def randomized_params(window: int = 12, seed: int = DEFAULT_SEED) -> RepParams:
 def default_param_sets(window: int = 12, seed: int = DEFAULT_SEED):
     """The three standard suites: small integer parameters on their widest
     valid window, a generic fraction set, and a seeded random set."""
-    integer_window = 4
     return (
-        ("integer", integer_params(), integer_window),
+        ("integer", integer_params(), INTEGER_WINDOW),
         ("generic", generic_params(), window),
         ("randomized", randomized_params(window, seed), window),
     )

@@ -6,6 +6,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import (
     OMEGA_SETS,
@@ -159,9 +162,11 @@ def dihedral_subset_map(g: DihedralElement) -> dict[tuple, tuple]:
     return out
 
 
-def signed_generator_map(g: DihedralElement) -> dict[Gen, tuple[Gen, int]]:
+@lru_cache(maxsize=None)
+def signed_generator_map(g: DihedralElement) -> Mapping[Gen, tuple[Gen, int]]:
     """Letter images with their signs: bijective on the subset generators,
-    sign-flipping on the commutator labels under reflections."""
+    sign-flipping on the commutator labels under reflections.  Built once
+    per element and shared, so the map is read-only."""
     out: dict[Gen, tuple[Gen, int]] = {}
     for I, J in dihedral_subset_map(g).items():
         out[Gen("C", I)] = (Gen("C", J), 1)
@@ -169,7 +174,7 @@ def signed_generator_map(g: DihedralElement) -> dict[Gen, tuple[Gen, int]]:
         out[Gen("Om", (k,))] = (Gen("Om", (g.apply(k),)), 1)
         out[Gen("om", (k,))] = (Gen("om", (g.apply(k),)), 1)
         out[Gen("Ga", (k,))] = (Gen("Ga", (g.apply(k),)), g.gamma_sign)
-    return out
+    return MappingProxyType(out)
 
 
 def act_dihedral(g: DihedralElement, p: NCPoly) -> NCPoly:

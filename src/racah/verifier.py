@@ -71,7 +71,6 @@ class SuiteConfig:
     rank: int
     param_sets: tuple = ()          # (name, RepParams, window) triples
     suites: tuple = SUITE_NAMES
-    fmt: str = "json"
 
     def __post_init__(self):
         RankConfig(self.rank)
@@ -142,6 +141,18 @@ def _witness_text(op: SparseOperator) -> str:
     return f"state |{state[0]},{state[1]}> -> " + " + ".join(parts)
 
 
+def _verdict(op: SparseOperator, ok: bool | None = None) -> tuple[str, str]:
+    """Status and witness of a representation check on ``op``'s reliable
+    states; ``ok`` is its outcome, by default "``op`` vanishes there".
+    Without a reliable state the check decided nothing, so it is
+    inconclusive, never zero-on-window."""
+    if not op.reliable_states():
+        return INCONCLUSIVE, ""
+    if op.is_zero_on_reliable() if ok is None else ok:
+        return ONWINDOW, ""
+    return FAILED, _witness_text(op)
+
+
 class _Runner:
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -151,7 +162,6 @@ class _Runner:
         self.rs = rewrite_system(cfg.rank)
         self.contexts = [(name, OperatorContext(p, w, rank=4))
                          for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
-        self.chain_contexts = [(name, p, w) for name, p, w in cfg.param_sets]
 
     # -- generic relation handling ------------------------------------------
 
@@ -165,14 +175,9 @@ class _Runner:
         if in_rep:
             for name, ctx in self.contexts:
                 op = ctx.eval(poly)
-                if op.is_zero_on_reliable():
-                    self.report.add(suite, rid.family, rid.payload(),
-                                    anchor(rid.family), "representation-eval",
-                                    name, ONWINDOW)
-                else:
-                    self.report.add(suite, rid.family, rid.payload(),
-                                    anchor(rid.family), "representation-eval",
-                                    name, FAILED, _witness_text(op))
+                self.report.add(suite, rid.family, rid.payload(),
+                                anchor(rid.family), "representation-eval",
+                                name, *_verdict(op))
 
     def family_suite(self, suite: str):
         rank = self.cfg.rank
@@ -225,72 +230,59 @@ class _Runner:
             else:
                 for name, ctx in self.contexts:
                     op = ctx.eval(poly)
-                    ok = op.is_zero_on_reliable()
                     self.report.add("casimirs", "casimir_rank1_comm", label,
                                     "the quartic central element commutes with"
                                     " the non-central generators",
                                     "representation-eval", name,
-                                    ONWINDOW if ok else FAILED,
-                                    "" if ok else _witness_text(op))
+                                    *_verdict(op))
         for name, ctx in self.contexts:
             op = ctx.eval(cas)
-            ok = op.is_zero_on_reliable()
             self.report.add("casimirs", "casimir_rank1_zero", "c",
                             "the central element vanishes in this module",
                             "representation-eval", name,
-                            ONWINDOW if ok else FAILED,
-                            "" if ok else _witness_text(op))
+                            *_verdict(op))
         if self.cfg.rank != 4:
             return
         for i in range(5):
             ci = casimir_frak(i)
             for name, ctx in self.contexts:
                 op = ctx.eval(ci)
-                ok = op.is_zero_on_reliable()
                 self.report.add("casimirs", "casimir_pentagon_zero", str(i),
                                 "all five pentagon central elements vanish",
                                 "representation-eval", name,
-                                ONWINDOW if ok else FAILED,
-                                "" if ok else _witness_text(op))
+                                *_verdict(op))
                 Ei = ctx.eval(ci)
                 for sset in CONTIGUOUS[4]:
                     g = ctx.eval(gen_C(4, sset))
                     comm = Ei.compose(g) - g.compose(Ei)
-                    ok = comm.is_zero_on_reliable()
                     lbl = "C" + "".join(str(x) for x in sset)
                     self.report.add("casimirs", "casimir_pentagon_comm",
                                     f"{i},{lbl}",
                                     "each pentagon central element commutes"
                                     " with the ten basis generators",
                                     "representation-eval", name,
-                                    ONWINDOW if ok else FAILED,
-                                    "" if ok else _witness_text(comm))
+                                    *_verdict(comm))
 
     def rank1_suite(self):
         self.family_suite("rank1")
-        for name, p, w in self.chain_contexts:
+        for name, p, w in self.cfg.param_sets:
             sl = rank1_slice(p, w)
-            ok = sl.A.entry((0, 0), (1, 0)) == 1
             self.report.add("rank1", "raising_normalized", "A",
                             "the east coefficient of the first generator is 1",
                             "representation-eval", name,
-                            ONWINDOW if ok else FAILED)
+                            *_verdict(sl.A, sl.A.entry((0, 0), (1, 0)) == 1))
             rels, _ = presentation_rank1(3)
             for k, r in enumerate(rels):
                 op = sl.context.eval(r)
-                ok = op.is_zero_on_reliable()
                 self.report.add("rank1", "presentation_slice", str(k),
                                 anchor("pres_rank1"),
                                 "representation-eval", name,
-                                ONWINDOW if ok else FAILED,
-                                "" if ok else _witness_text(op))
+                                *_verdict(op))
             op = sl.context.eval(casimir_rank1(3))
-            ok = op.is_zero_on_reliable()
             self.report.add("rank1", "casimir_slice", "c",
                             "the central element vanishes on the chain",
                             "representation-eval", name,
-                            ONWINDOW if ok else FAILED,
-                            "" if ok else _witness_text(op))
+                            *_verdict(op))
 
     # -- double-commutator checks ----------------------------------------------
 
@@ -408,11 +400,9 @@ def run_jacobi(rank: int, report: VerificationReport, contexts=()):
         for name, ctx in contexts:
             for payload, poly in rep_samples[:: max(1, len(rep_samples) // 8)]:
                 op = ctx.eval(poly)
-                ok = op.is_zero_on_reliable()
                 report.add("jacobi", "triple", payload, "operator identity",
                            "representation-eval", name,
-                           ONWINDOW if ok else FAILED,
-                           "" if ok else _witness_text(op))
+                           *_verdict(op))
     else:
         seen = {}
         for a, b, c in itertools.combinations(gens, 3):

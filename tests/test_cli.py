@@ -142,3 +142,38 @@ def test_jacobi_command(capsys):
 def test_rep_probe(capsys, params_file):
     assert main(["rep", "probe", "--params", params_file]) == 0
     assert capsys.readouterr().out.strip()
+
+
+# without --params the rep commands inspect the integer set, at the
+# --window given (4 when none is)
+
+def test_rep_dump_window_without_params(capsys):
+    assert main(["rep", "dump", "--gen", "C23", "--window", "2"]) == 0
+    assert max(int(t) for t, _ in _dumped_states(capsys)) == 2
+
+
+def test_rep_apply_window_without_params(capsys):
+    assert main(["rep", "apply", "--expr", "C23", "--state", "3,0",
+                 "--window", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside window 2" in captured.err
+
+
+def test_rep_probe_window_without_params(capsys):
+    # the integer set's west factor N + 1 - t vanishes at t = 4
+    assert main(["rep", "probe"]) == 0
+    assert "t=4" in capsys.readouterr().out
+    assert main(["rep", "probe", "--window", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "no factor zeros in this window"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "dump", "--gen", "C12"],
+    ["rep", "apply", "--expr", "C12", "--state", "0,0"],
+    ["rep", "probe"],
+])
+def test_rep_integer_set_invalid_window(capsys, argv):
+    assert main(argv + ["--window", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n123-s vanishes at s=6" in captured.err

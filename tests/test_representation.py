@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from conftest import poly_strategy
 from racah import core, representation as rep
-from racah.core import gen_C
+from racah.core import gen_C, to_contiguous
 from racah.freealg import Gen, NCPoly, commutator
 from racah.representation import (
     OperatorContext,
@@ -23,6 +23,7 @@ from racah.representation import (
     triangle_states,
     validate_params,
 )
+from racah.verifier import _SUITE_FAMILIES
 
 P_INT = rep.integer_params()
 P_GEN = rep.generic_params()
@@ -208,3 +209,56 @@ def test_randomized_params_deterministic():
 def test_eval_poly_one_shot():
     op = rep.eval_poly(commutator(gen_C(4, (1, 2)), gen_C(4, (3, 4))), P_INT, 4)
     assert op.is_zero_on_reliable()
+
+
+# -- scalar folding keeps every exact statement and only adds reliable states --
+
+def _unfolded(ctx, p):
+    """Reference evaluation: one composed operator per contiguous word, the
+    scalar letters included."""
+    parts = [(c, ctx._word_op(w)) for w, c in to_contiguous(p).terms.items()]
+    return SparseOperator.linear_combination(ctx.states, parts)
+
+
+def _assert_covers(ctx, p):
+    got, ref = ctx.eval(p), _unfolded(ctx, p)
+    assert got.leaky <= ref.leaky
+    for x in ref.reliable_states():
+        assert got.column(x) == ref.column(x), x
+    return got, ref
+
+
+def test_folding_covers_relations():
+    ctx = OperatorContext(P_GEN, 6)
+    gained = 0
+    for suite in ("definitions", "lemmas"):
+        for family in _SUITE_FAMILIES[suite]:
+            for rid in core.enumerate_relations(4, family):
+                got, ref = _assert_covers(ctx, core.relation(rid))
+                gained += len(ref.leaky) - len(got.leaky)
+    assert gained > 0
+
+
+@given(poly_strategy(max_words=3, max_len=3))
+@settings(max_examples=30)
+def test_folding_covers_any_polynomial(ctx_generic, p):
+    _assert_covers(ctx_generic, p)
+
+
+def test_cancelling_raising_words_keep_full_coverage():
+    C = lambda *s: gen_C(4, s)
+    p = (C(1, 2) * C(1, 3) + C(1, 2) * C(2, 3)
+         - C(1, 3) * C(1, 2) - C(2, 3) * C(1, 2))
+    op = OperatorContext(P_GEN, 12).eval(p)
+    assert len(op.reliable_states()) == len(op.states) == 91
+
+
+def test_zero_scalar_word_adds_no_leak(ctx_integer):
+    # c_i = 1 makes C_i = c_i(c_i - 1) act as 0
+    C = lambda *s: gen_C(4, s)
+    op = ctx_integer.eval(C(1) * C(2, 3) * C(2, 3, 4))
+    assert not op.leaky and op.is_zero_on_reliable()
+    plain = ctx_integer.eval(C(1, 2))
+    with_zero = ctx_integer.eval(C(1, 2) + C(2, 3) * C(1))
+    assert with_zero.leaky == plain.leaky
+    assert all(with_zero.column(x) == plain.column(x) for x in plain.states)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from racah import representation as rep
+from racah.core import enumerate_relations, relation
 from racah.verifier import (
     ConfigError,
     InstanceRecord,
@@ -160,3 +161,35 @@ def test_methods_never_disagree():
     for r in report.records:
         if r.method == "representation-eval" and (r.family, r.payload) in proved:
             assert r.status == "zero-on-window"
+
+
+def test_window_without_reliable_state_is_inconclusive():
+    # at window 0 the one state |0,0> leaks under every word that raises
+    # it, so some relations are covered by no reliable state at all
+    sets = rep.default_param_sets(0)
+    report = run_suite(SuiteConfig(rank=4, param_sets=sets,
+                                   suites=("definitions",)))
+    contexts = {name: rep.OperatorContext(p, w) for name, p, w in sets}
+    rids = {(rid.family, rid.payload()): rid
+            for family in ("central", "decomposition", "quad")
+            for rid in enumerate_relations(4, family)}
+    uncovered = 0
+    for r in report.records:
+        if r.method != "representation-eval":
+            continue
+        op = contexts[r.context].eval(relation(rids[r.family, r.payload]))
+        if op.reliable_states():
+            assert r.status == "zero-on-window", r
+        else:
+            assert r.status == "inconclusive", r
+            uncovered += 1
+    assert uncovered
+
+
+def test_window_zero_raising_check_is_inconclusive():
+    # the east coefficient is read on |0,0>, which leaks at window 0
+    sets = (("generic", rep.generic_params(), 0),)
+    report = run_suite(SuiteConfig(rank=4, param_sets=sets, suites=("rank1",)))
+    assert not report.failed
+    (raising,) = [r for r in report.records if r.family == "raising_normalized"]
+    assert raising.status == "inconclusive"
