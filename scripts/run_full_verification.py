@@ -10,10 +10,7 @@ import sys
 import time
 
 from racah.representation import default_param_sets
-from racah.verifier import SuiteConfig, emit_report, run_suite
-
-RANK4_SUITES = ("definitions", "theorem_bigthm", "lemmas", "pentagon",
-                "casimirs", "jacobi", "symmetry", "rank1")
+from racah.verifier import SUITE_NAMES, SuiteConfig, emit_report, run_suite
 
 
 def main() -> int:
@@ -22,7 +19,7 @@ def main() -> int:
 
     for rank, suites, params in (
             (3, ("definitions", "rank1", "jacobi"), default_param_sets()),
-            (4, RANK4_SUITES, default_param_sets()),
+            (4, SUITE_NAMES, default_param_sets()),
             (5, ("theorem_rn", "jacobi"), ()),
             (6, ("theorem_rn",), ()),
     ):

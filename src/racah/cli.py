@@ -43,6 +43,9 @@ def _load_params(path: str | None, window_flag: int | None):
         return default_param_sets(12 if window_flag is None else window_flag)
     with open(path) as fh:
         cfg = parse_config(fh.read())
+    if "suites" in cfg:
+        raise ConfigError("a params file gives parameters, not suites;"
+                          " choose suites with --suites")
     params = params_from_config(cfg)
     # an explicit flag wins; otherwise the file's window, then a default
     window = cfg.get("window", 12) if window_flag is None else window_flag
@@ -82,6 +85,8 @@ def cmd_verify(args) -> int:
     param_sets = ()
     if args.rank <= 4:
         param_sets = _load_params(args.params, args.window)
+    elif args.params is not None:
+        _load_params(args.params, args.window)  # unused, but its keys checked
     cfg = SuiteConfig(rank=args.rank, param_sets=param_sets, suites=suites)
     report = run_suite(cfg)
     sys.stdout.buffer.write(emit_report(report, args.format))

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
     HALF,
@@ -56,6 +57,13 @@ def _perm_sign(seq) -> int:
             if lst[i] > lst[j]:
                 sign = -sign
     return sign
+
+
+def subsets(rank: int):
+    """Nonempty subsets of {1..rank}, by size, then lexicographically."""
+    idx = range(1, rank + 1)
+    for r in range(1, rank + 1):
+        yield from itertools.combinations(idx, r)
 
 
 # -- generator constructors ---------------------------------------------------
@@ -345,22 +353,22 @@ def _ideal_product_candidates(rank: int) -> list[NCPoly]:
 
 # -- rewrite system compilation ------------------------------------------------
 
-def alphabet(rank: int) -> list[Gen]:
-    gens: list[Gen] = []
+def core_generators(rank: int) -> list[Gen]:
+    """The letters the rewrite system orders: singleton shifts, pair
+    shifts, then half-commutators."""
     idx = range(1, rank + 1)
-    for i in idx:
-        gens.append(Gen("P", (i,)))
-    for i, j in itertools.combinations(idx, 2):
-        gens.append(Gen("P", (i, j)))
-    for t in itertools.combinations(idx, 3):
-        gens.append(Gen("D", t))
-    for r in range(1, rank + 1):
-        for s in itertools.combinations(idx, r):
-            gens.append(Gen("C", s))
+    return ([Gen("P", (i,)) for i in idx]
+            + [Gen("P", t) for t in itertools.combinations(idx, 2)]
+            + [Gen("D", t) for t in itertools.combinations(idx, 3)])
+
+
+def alphabet(rank: int) -> list[Gen]:
+    """Every letter at this rank: the core generators, the subset
+    generators, and at 4 indices the pentagon labels."""
+    gens = core_generators(rank) + [Gen("C", s) for s in subsets(rank)]
     if rank == 4:
-        for kind in ("Om", "om", "Ga"):
-            for k in range(5):
-                gens.append(Gen(kind, (k,)))
+        gens += [pentagon_gen(kind, k) for kind in ("Om", "om", "Ga")
+                 for k in range(5)]
     return gens
 
 
@@ -369,8 +377,7 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
     place; its memo keeps the normal forms the saturation computed."""
     RankConfig(rank)
     gens = alphabet(rank)
-    core = [g for g in gens if g.kind in ("P", "D")]
-    core.sort(key=Gen.sort_key)
+    core = sorted(core_generators(rank), key=Gen.sort_key)
     rules: list[RewriteRule] = []
     for g in gens:
         if g.kind in ("P", "D"):
@@ -473,50 +480,37 @@ class RelationId:
         return ",".join(fmt(x) for x in self.indices)
 
 
-ANCHORS = {
-    "central": "[C_I, C_J] = 0 when I lies inside J or is disjoint from it",
-    "decomposition": "C_IJK = C_IJ + C_JK + C_IK - C_I - C_J - C_K",
-    "quad": "(1/2)[C_JK,[C_IJ,C_JK]] = C_IK C_JK - C_JK C_IJ + (C_K-C_J)(C_I-C_IJK)",
-    "quadB": "(1/2)[C_KI,[C_IJ,C_JK]] = C_IJ C_KI - C_KI C_JK + (C_I-C_K)(C_J-C_IJK)",
-    "d_cyclic": "[C_IJ, C_JK] = [C_KI, C_IJ]",
-    "ddef": "[P_ij, P_jk] = 2 D_ijk",
-    "inner_P": "[P_jk, D_ijk] = (P_jk - 2P_j) P_ki - P_ij (P_jk - 2P_k)",
-    "outer_P": "[P_ij, D_jkl] = P_il P_jk - P_jl P_ik",
-    "dd": "[D_ijk, D_jkl] = P_jk (D_jil + D_ilk); right-ordered variant too",
-    "dd_one_overlap": "[D_ijk, D_klm] = P_jk D_lmi - P_ki D_jlm",
-    "dd_disjoint": "[D_ijk, D_lmn] = 0 for disjoint triples",
-    "pdt": "P_il D_ljk + P_jl D_lki + P_kl D_lij + 2 P_l D_ijk = 0",
-    "pd_pair": "[C_kl, D_ijk] + [C_kl, D_ijl] = 0",
-    "pd_flip": "[P_ij, D_jkl] = -[P_ji, D_ikl]",
-    "pd_exchange": "[P_ij, D_jkl] = [P_kl, D_lij]",
-    "pd_cycle": "[P_ij, D_jkl] + [P_kj, D_jli] + [P_lj, D_jik] = 0",
-    "pd_sum": "2 P_i D_jkl + P_ji D_ikl + P_ki D_ilj + P_li D_ijk = 0",
-    "gamma_def": "[Om_{i+2}, Om_{i-2}] = 2 Ga_i",
-    "gamma_sum": "Ga_0 + Ga_1 + Ga_2 + Ga_3 + Ga_4 = 0",
-    "omega_central": "[om_i, om_j] = [om_i, Om_j] = [om_i, Ga_j] = 0",
-    "omega_commute": "[Om_{i-1}, Om_{i+1}] = 0",
-    "omega_gamma_commute": "[Om_i, Ga_i] = 0",
-    "omega_inner": "[Om_i, Ga_{i+2}] = Om_i Om_{i+2} - {Om_i,Om_{i-1}} - Om_i^2"
-                   " + (om_{i+1}+om_{i+2}+om_{i+3}) Om_i"
-                   " + (om_{i+2}-om_{i+3}) Om_{i+2} + om_{i+1}(om_{i+3}-om_{i+2})",
-    "omega_outer": "[Om_i, Ga_{i+1}] = sum_k (-1)^k/2 {Om_{i+k},Om_{i+k-1}}"
-                   " + Om_i Om_{i+3} - om_{i+1}(Om_i+Om_{i+1})"
-                   " - om_{i+2}(Om_{i+2}+Om_{i+3}) - om_{i-1} Om_{i-1}"
-                   " + om_{i+1}om_{i+2} + om_{i+1}om_{i-1} + om_{i+2}om_{i-1}",
-    "pres_rank1": "[A,B] = 2D;  [A,D] = {A,B}+A^2-dA+a;  [D,B] = {A,B}+B^2-dB-b",
-}
-
-
-def anchor(family: str) -> str:
-    return ANCHORS[family]
-
-
 def relation(rid: RelationId) -> NCPoly:
     """The instance's lhs - rhs polynomial (a relation-ideal member)."""
-    builder = _BUILDERS.get(rid.family)
-    if builder is None:
-        raise AlgebraError(f"unknown relation family {rid.family!r}")
-    return builder(rid.rank, *rid.indices)
+    return _family(rid.family).build(rid.rank, *rid.indices)
+
+
+def enumerate_relations(rank: int, family: str) -> list[RelationId]:
+    """Every instance of a family over {1..rank}, deduplicated only by the
+    family's own symmetry; empty at a rank where the family does not exist.
+    Instance counts per family:
+
+    central        pairs {I,J} with I inside J (one per containment) plus
+                   unordered disjoint pairs
+    decomposition  unordered partitions of a >=3 subset into three blocks
+    quad, quadB,
+    d_cyclic       ordered triples of disjoint nonempty subsets
+    ddef           middle index x unordered outer pair (n(n-1)(n-2)/2)
+    inner_P        unordered pair {j,k} x third index
+    outer_P        ordered (i,j) x the remaining unordered pair
+    dd             unordered D pairs sharing two indices, x 2 orientations
+    pdt            one per (l, complementary triple)
+    pd_pair        3 pair-partitions x 2 role orders = 6 at rank 4
+    """
+    return [RelationId(family, rank, tuple(payload))
+            for payload in _family(family).instances(rank)]
+
+
+def _family(name: str) -> "Family":
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise AlgebraError(f"unknown relation family {name!r}") from None
 
 
 def _rel_central(rank, I, J):
@@ -625,38 +619,34 @@ def _rel_pd_sum(rank, i, j, k, l):
             + P(k, i) * D(i, l, j) + P(l, i) * D(i, j, k))
 
 
-def _pent(rank, kind, k):
-    return pentagon_poly(rank, kind, k)
-
-
 def _rel_gamma_def(rank, i):
-    return com(_pent(rank, "Om", i + 2), _pent(rank, "Om", i - 2)) \
-        - 2 * _pent(rank, "Ga", i)
+    return com(pentagon_poly(rank, "Om", i + 2), pentagon_poly(rank, "Om", i - 2)) \
+        - 2 * pentagon_poly(rank, "Ga", i)
 
 
 def _rel_gamma_sum(rank):
     out = NCPoly.zero(rank)
     for i in range(5):
-        out = out + _pent(rank, "Ga", i)
+        out = out + pentagon_poly(rank, "Ga", i)
     return out
 
 
 def _rel_omega_central(rank, i, kind, j):
-    return com(_pent(rank, "om", i), _pent(rank, kind, j))
+    return com(pentagon_poly(rank, "om", i), pentagon_poly(rank, kind, j))
 
 
 def _rel_omega_commute(rank, i):
-    return com(_pent(rank, "Om", i - 1), _pent(rank, "Om", i + 1))
+    return com(pentagon_poly(rank, "Om", i - 1), pentagon_poly(rank, "Om", i + 1))
 
 
 def _rel_omega_gamma_commute(rank, i):
-    return com(_pent(rank, "Om", i), _pent(rank, "Ga", i))
+    return com(pentagon_poly(rank, "Om", i), pentagon_poly(rank, "Ga", i))
 
 
 def _rel_omega_inner(rank, i):
-    Om = lambda k: _pent(rank, "Om", k)
-    om = lambda k: _pent(rank, "om", k)
-    lhs = com(Om(i), _pent(rank, "Ga", i + 2))
+    Om = lambda k: pentagon_poly(rank, "Om", k)
+    om = lambda k: pentagon_poly(rank, "om", k)
+    lhs = com(Om(i), pentagon_poly(rank, "Ga", i + 2))
     rhs = (Om(i) * Om(i + 2) - acom(Om(i), Om(i - 1)) - Om(i) * Om(i)
            + (om(i + 1) + om(i + 2) + om(i + 3)) * Om(i)
            + (om(i + 2) - om(i + 3)) * Om(i + 2)
@@ -665,9 +655,9 @@ def _rel_omega_inner(rank, i):
 
 
 def _rel_omega_outer(rank, i):
-    Om = lambda k: _pent(rank, "Om", k)
-    om = lambda k: _pent(rank, "om", k)
-    lhs = com(Om(i), _pent(rank, "Ga", i + 1))
+    Om = lambda k: pentagon_poly(rank, "Om", k)
+    om = lambda k: pentagon_poly(rank, "om", k)
+    lhs = com(Om(i), pentagon_poly(rank, "Ga", i + 1))
     rhs = NCPoly.zero(rank)
     for k in range(5):
         sign = Fraction(1 if k % 2 == 0 else -1, 2)
@@ -713,50 +703,13 @@ def _rel_pres_rank1(rank, which):
     return presentation_rank1(rank)[0][which]
 
 
-_BUILDERS = {
-    "central": _rel_central,
-    "decomposition": _rel_decomposition,
-    "quad": _rel_quad,
-    "quadB": _rel_quadB,
-    "d_cyclic": _rel_d_cyclic,
-    "ddef": _rel_ddef,
-    "inner_P": _rel_inner,
-    "outer_P": _rel_outer,
-    "dd": _rel_dd,
-    "dd_one_overlap": _rel_dd_one_overlap,
-    "dd_disjoint": _rel_dd_disjoint,
-    "pdt": _rel_pdt,
-    "pd_pair": _rel_pd_pair,
-    "pd_flip": _rel_pd_flip,
-    "pd_exchange": _rel_pd_exchange,
-    "pd_cycle": _rel_pd_cycle,
-    "pd_sum": _rel_pd_sum,
-    "gamma_def": _rel_gamma_def,
-    "gamma_sum": _rel_gamma_sum,
-    "omega_central": _rel_omega_central,
-    "omega_commute": _rel_omega_commute,
-    "omega_gamma_commute": _rel_omega_gamma_commute,
-    "omega_inner": _rel_omega_inner,
-    "omega_outer": _rel_omega_outer,
-    "pres_rank1": _rel_pres_rank1,
-}
-
-PENTAGON_FAMILIES = ("gamma_def", "gamma_sum", "omega_central",
-                     "omega_commute", "omega_gamma_commute",
-                     "omega_inner", "omega_outer")
-
-
-# -- exhaustive instance enumeration -------------------------------------------
-
-def _subsets(rank: int):
-    idx = range(1, rank + 1)
-    for r in range(1, rank + 1):
-        yield from itertools.combinations(idx, r)
-
+# -- instance enumeration --------------------------------------------------------
+# Each enumerator yields the payloads of its families over {1..rank}, and
+# nothing at a rank where they do not exist.
 
 def _disjoint_triples(rank: int):
     """Ordered triples of pairwise-disjoint nonempty subsets."""
-    subs = list(_subsets(rank))
+    subs = list(subsets(rank))
     for I in subs:
         for J in subs:
             if set(I) & set(J):
@@ -767,122 +720,165 @@ def _disjoint_triples(rank: int):
                 yield I, J, K
 
 
-def enumerate_relations(rank: int, family: str) -> list[RelationId]:
-    """Every instance of a family over {1..rank}, deduplicated only by the
-    family's own symmetry.  Instance counts per family:
+def _nested_or_disjoint_pairs(rank: int):
+    for I, J in itertools.combinations(subsets(rank), 2):
+        si, sj = set(I), set(J)
+        if si <= sj or sj <= si or not (si & sj):
+            yield I, J
 
-    central        pairs {I,J} with I inside J (one per containment) plus
-                   unordered disjoint pairs
-    decomposition  unordered partitions of a >=3 subset into three blocks
-    quad, quadB,
-    d_cyclic       ordered triples of disjoint nonempty subsets
-    ddef           middle index x unordered outer pair (n(n-1)(n-2)/2)
-    inner_P        unordered pair {j,k} x third index
-    outer_P        ordered (i,j) x the remaining unordered pair
-    dd             unordered D pairs sharing two indices, x 2 orientations
-    pdt            one per (l, complementary triple)
-    pd_pair        3 pair-partitions x 2 role orders = 6 at rank 4
-    """
-    out: list[RelationId] = []
-    idx = list(range(1, rank + 1))
 
-    def rid(*payload):
-        out.append(RelationId(family, rank, tuple(payload)))
+def _three_block_partitions(rank: int):
+    seen = set()
+    for triple in _disjoint_triples(rank):
+        key = frozenset(triple)
+        if key not in seen:
+            seen.add(key)
+            yield triple
 
-    if family == "central":
-        subs = list(_subsets(rank))
-        for a in range(len(subs)):
-            for b in range(a + 1, len(subs)):
-                I, J = subs[a], subs[b]
-                si, sj = set(I), set(J)
-                if si <= sj or sj <= si or not (si & sj):
-                    rid(I, J)
-    elif family == "decomposition":
-        seen = set()
-        for I, J, K in _disjoint_triples(rank):
-            key = frozenset((I, J, K))
-            if key not in seen:
-                seen.add(key)
-                rid(I, J, K)
-    elif family in ("quad", "quadB", "d_cyclic"):
-        for I, J, K in _disjoint_triples(rank):
-            rid(I, J, K)
-    elif family == "ddef":
-        for j in idx:
-            rest = [i for i in idx if i != j]
-            for i, k in itertools.combinations(rest, 2):
-                rid(i, j, k)
-    elif family == "inner_P":
-        for j, k in itertools.combinations(idx, 2):
-            for i in idx:
-                if i not in (j, k):
-                    rid(i, j, k)
-    elif family == "outer_P":
+
+def _apex_pairs(rank: int):
+    idx = range(1, rank + 1)
+    for j in idx:
+        for i, k in itertools.combinations([i for i in idx if i != j], 2):
+            yield i, j, k
+
+
+def _pairs_and_third(rank: int):
+    idx = range(1, rank + 1)
+    for j, k in itertools.combinations(idx, 2):
         for i in idx:
-            for j in idx:
-                if i == j:
-                    continue
-                rest = [x for x in idx if x not in (i, j)]
-                for k, l in itertools.combinations(rest, 2):
-                    rid(i, j, k, l)
-    elif family == "dd":
-        for A, B in itertools.combinations(itertools.combinations(idx, 3), 2):
-            shared = sorted(set(A) & set(B))
-            if len(shared) != 2:
-                continue
-            j, k = shared
-            (i,) = set(A) - set(B)
-            (l,) = set(B) - set(A)
-            for orient in ("left", "right"):
-                rid(i, j, k, l, orient)
-    elif family == "dd_one_overlap":
-        for A, B in itertools.permutations(itertools.combinations(idx, 3), 2):
-            shared = set(A) & set(B)
-            if len(shared) != 1:
-                continue
-            (x,) = shared
-            i, j = sorted(set(A) - shared)
-            l, m = sorted(set(B) - shared)
-            rid(i, j, x, l, m)
-    elif family == "dd_disjoint":
-        for A, B in itertools.combinations(itertools.combinations(idx, 3), 2):
-            if set(A) & set(B):
-                continue
-            rid(*A, *B)
-    elif family == "pdt":
-        for l in idx:
-            for tri in itertools.combinations([x for x in idx if x != l], 3):
-                rid(l, *tri)
-    elif family in ("pd_pair", "pd_flip", "pd_exchange", "pd_cycle"):
-        for i, j in itertools.permutations(idx, 2):
-            rest = [x for x in idx if x not in (i, j)]
-            for k, l in itertools.combinations(rest, 2):
-                if family == "pd_pair" and (i, j) != tuple(sorted((i, j))):
-                    continue  # symmetric in the first pair
-                rid(i, j, k, l)
-    elif family == "pd_sum":
-        for i in idx:
-            for tri in itertools.combinations([x for x in idx if x != i], 3):
-                rid(i, *tri)
-    elif family == "gamma_sum":
-        rid()
-    elif family == "omega_central":
-        for i in range(5):
-            for kind in ("om", "Om", "Ga"):
-                for j in range(5):
-                    if kind == "om" and j <= i:
-                        continue
-                    rid(i, kind, j)
-    elif family in ("gamma_def", "omega_commute", "omega_gamma_commute",
-                    "omega_inner", "omega_outer"):
-        for i in range(5):
-            rid(i)
-    elif family == "pres_rank1":
-        for which in range(3):
-            rid(which)
-    else:
-        raise AlgebraError(f"unknown relation family {family!r}")
-    return out
+            if i not in (j, k):
+                yield i, j, k
+
+
+def _ordered_pairs_and_pair(rank: int):
+    idx = range(1, rank + 1)
+    for i, j in itertools.permutations(idx, 2):
+        rest = [x for x in idx if x not in (i, j)]
+        for k, l in itertools.combinations(rest, 2):
+            yield i, j, k, l
+
+
+def _unordered_pairs_and_pair(rank: int):
+    # symmetric in the first pair
+    return (q for q in _ordered_pairs_and_pair(rank) if q[0] < q[1])
+
+
+def _points_and_triple(rank: int):
+    idx = range(1, rank + 1)
+    for l in idx:
+        for tri in itertools.combinations([x for x in idx if x != l], 3):
+            yield (l, *tri)
+
+
+def _d_pairs_sharing_two(rank: int):
+    triples = itertools.combinations(range(1, rank + 1), 3)
+    for A, B in itertools.combinations(triples, 2):
+        shared = sorted(set(A) & set(B))
+        if len(shared) != 2:
+            continue
+        j, k = shared
+        (i,) = set(A) - set(B)
+        (l,) = set(B) - set(A)
+        for orient in ("left", "right"):
+            yield i, j, k, l, orient
+
+
+def _d_pairs_sharing_one(rank: int):
+    triples = itertools.combinations(range(1, rank + 1), 3)
+    for A, B in itertools.permutations(triples, 2):
+        shared = set(A) & set(B)
+        if len(shared) != 1:
+            continue
+        (x,) = shared
+        i, j = sorted(set(A) - shared)
+        l, m = sorted(set(B) - shared)
+        yield i, j, x, l, m
+
+
+def _disjoint_d_pairs(rank: int):
+    triples = itertools.combinations(range(1, rank + 1), 3)
+    for A, B in itertools.combinations(triples, 2):
+        if not set(A) & set(B):
+            yield (*A, *B)
+
+
+def _at_rank_4(payloads: tuple):
+    """The pentagon families exist only at 4 indices."""
+    return lambda rank: payloads if rank == 4 else ()
+
+
+_VERTICES = tuple((i,) for i in range(5))
+_OMEGA_PAIRS = tuple((i, kind, j) for i in range(5) for kind in ("om", "Om", "Ga")
+                     for j in range(5) if kind != "om" or j > i)
+
+
+class Family(NamedTuple):
+    anchor: str                                    # the relation as stated
+    build: Callable[..., NCPoly]                   # (rank, *payload) -> lhs - rhs
+    instances: Callable[[int], Iterable[tuple]]    # rank -> payloads
+
+
+# The one declaration of every relation family, in catalog order.
+FAMILIES: dict[str, Family] = {
+    "central": Family("[C_I, C_J] = 0 when I lies inside J or is disjoint"
+                      " from it", _rel_central, _nested_or_disjoint_pairs),
+    "decomposition": Family("C_IJK = C_IJ + C_JK + C_IK - C_I - C_J - C_K",
+                            _rel_decomposition, _three_block_partitions),
+    "quad": Family("(1/2)[C_JK,[C_IJ,C_JK]] = C_IK C_JK - C_JK C_IJ"
+                   " + (C_K-C_J)(C_I-C_IJK)", _rel_quad, _disjoint_triples),
+    "quadB": Family("(1/2)[C_KI,[C_IJ,C_JK]] = C_IJ C_KI - C_KI C_JK"
+                    " + (C_I-C_K)(C_J-C_IJK)", _rel_quadB, _disjoint_triples),
+    "d_cyclic": Family("[C_IJ, C_JK] = [C_KI, C_IJ]",
+                       _rel_d_cyclic, _disjoint_triples),
+    "ddef": Family("[P_ij, P_jk] = 2 D_ijk", _rel_ddef, _apex_pairs),
+    "inner_P": Family("[P_jk, D_ijk] = (P_jk - 2P_j) P_ki - P_ij (P_jk - 2P_k)",
+                      _rel_inner, _pairs_and_third),
+    "outer_P": Family("[P_ij, D_jkl] = P_il P_jk - P_jl P_ik",
+                      _rel_outer, _ordered_pairs_and_pair),
+    "dd": Family("[D_ijk, D_jkl] = P_jk (D_jil + D_ilk); right-ordered"
+                 " variant too", _rel_dd, _d_pairs_sharing_two),
+    "pdt": Family("P_il D_ljk + P_jl D_lki + P_kl D_lij + 2 P_l D_ijk = 0",
+                  _rel_pdt, _points_and_triple),
+    "pd_pair": Family("[C_kl, D_ijk] + [C_kl, D_ijl] = 0",
+                      _rel_pd_pair, _unordered_pairs_and_pair),
+    "pd_flip": Family("[P_ij, D_jkl] = -[P_ji, D_ikl]",
+                      _rel_pd_flip, _ordered_pairs_and_pair),
+    "pd_exchange": Family("[P_ij, D_jkl] = [P_kl, D_lij]",
+                          _rel_pd_exchange, _ordered_pairs_and_pair),
+    "pd_cycle": Family("[P_ij, D_jkl] + [P_kj, D_jli] + [P_lj, D_jik] = 0",
+                       _rel_pd_cycle, _ordered_pairs_and_pair),
+    "pd_sum": Family("2 P_i D_jkl + P_ji D_ikl + P_ki D_ilj + P_li D_ijk = 0",
+                     _rel_pd_sum, _points_and_triple),
+    "pres_rank1": Family("[A,B] = 2D;  [A,D] = {A,B}+A^2-dA+a;"
+                         "  [D,B] = {A,B}+B^2-dB-b",
+                         _rel_pres_rank1, lambda rank: ((0,), (1,), (2,))),
+    "dd_one_overlap": Family("[D_ijk, D_klm] = P_jk D_lmi - P_ki D_jlm",
+                             _rel_dd_one_overlap, _d_pairs_sharing_one),
+    "dd_disjoint": Family("[D_ijk, D_lmn] = 0 for disjoint triples",
+                          _rel_dd_disjoint, _disjoint_d_pairs),
+    "gamma_def": Family("[Om_{i+2}, Om_{i-2}] = 2 Ga_i",
+                        _rel_gamma_def, _at_rank_4(_VERTICES)),
+    "gamma_sum": Family("Ga_0 + Ga_1 + Ga_2 + Ga_3 + Ga_4 = 0",
+                        _rel_gamma_sum, _at_rank_4(((),))),
+    "omega_central": Family("[om_i, om_j] = [om_i, Om_j] = [om_i, Ga_j] = 0",
+                            _rel_omega_central, _at_rank_4(_OMEGA_PAIRS)),
+    "omega_commute": Family("[Om_{i-1}, Om_{i+1}] = 0",
+                            _rel_omega_commute, _at_rank_4(_VERTICES)),
+    "omega_gamma_commute": Family("[Om_i, Ga_i] = 0", _rel_omega_gamma_commute,
+                                  _at_rank_4(_VERTICES)),
+    "omega_inner": Family(
+        "[Om_i, Ga_{i+2}] = Om_i Om_{i+2} - {Om_i,Om_{i-1}} - Om_i^2"
+        " + (om_{i+1}+om_{i+2}+om_{i+3}) Om_i"
+        " + (om_{i+2}-om_{i+3}) Om_{i+2} + om_{i+1}(om_{i+3}-om_{i+2})",
+        _rel_omega_inner, _at_rank_4(_VERTICES)),
+    "omega_outer": Family(
+        "[Om_i, Ga_{i+1}] = sum_k (-1)^k/2 {Om_{i+k},Om_{i+k-1}}"
+        " + Om_i Om_{i+3} - om_{i+1}(Om_i+Om_{i+1})"
+        " - om_{i+2}(Om_{i+2}+Om_{i+3}) - om_{i-1} Om_{i-1}"
+        " + om_{i+1}om_{i+2} + om_{i+1}om_{i-1} + om_{i+2}om_{i-1}",
+        _rel_omega_outer, _at_rank_4(_VERTICES)),
+}
 
 
 # -- Casimir elements ------------------------------------------------------------

@@ -242,6 +242,8 @@ class SparseOperator:
                            parts) -> "SparseOperator":
         """Exact sum of (coefficient, operator) pairs in one pass."""
         parts = [(Fraction(c), op) for c, op in parts]
+        if any(op.states != states for _, op in parts):
+            raise AlgebraError("operators live on different windows")
         den = 1
         for c, op in parts:
             d = op.den * c.denominator
@@ -293,39 +295,16 @@ class SparseOperator:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.states != other.states:
-            raise AlgebraError("operators live on different windows")
-        leaky = self.leaky | other.leaky
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        cols: dict[State, dict[State, int]] = {}
-        for x in self.states:
-            if x in leaky:
-                continue
-            col: dict[State, int] = {}
-            for y, v in self.cols.get(x, {}).items():
-                col[y] = col.get(y, 0) + v * fa
-            for y, v in other.cols.get(x, {}).items():
-                col[y] = col.get(y, 0) + v * fb
-            if col:
-                cols[x] = col
-        return SparseOperator(self.states, den, cols, frozenset(leaky))
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(
-            self.states, self.den,
-            {x: {y: -v for y, v in col.items()} for x, col in self.cols.items()},
-            self.leaky)
+        return self.linear_combination(self.states, ((1, self), (1, other)))
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-other)
+        return self.linear_combination(self.states, ((1, self), (-1, other)))
+
+    def __neg__(self) -> "SparseOperator":
+        return self.linear_combination(self.states, ((-1, self),))
 
     def __mul__(self, q) -> "SparseOperator":
-        q = Fraction(q)
-        cols = {x: {y: v * q.numerator for y, v in col.items()}
-                for x, col in self.cols.items()}
-        return SparseOperator(self.states, self.den * q.denominator, cols,
-                              self.leaky)
+        return self.linear_combination(self.states, ((q, self),))
 
     __rmul__ = __mul__
 

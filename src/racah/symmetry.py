@@ -18,6 +18,7 @@ from .core import (
     expand_to_C,
     gen_C,
     rewrite_system,
+    subsets,
 )
 from .freealg import AlgebraError, Gen, NCPoly
 
@@ -122,8 +123,7 @@ class IndexPermutation:
 
 # -- the dihedral action on subset generators ------------------------------------
 
-_ALL_SUBSETS_4 = tuple(tuple(s) for r in range(1, 5)
-                       for s in itertools.combinations((1, 2, 3, 4), r))
+_ALL_SUBSETS_4 = tuple(subsets(4))
 
 _PENTAGON_OF_SET = ({v: ("Om", k) for k, v in OMEGA_SETS.items()}
                     | {v: ("om", k) for k, v in SMALL_OMEGA_SETS.items()})
@@ -250,25 +250,34 @@ def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return els
 
 
+def _generators(group: str) -> set[tuple[int, ...]]:
+    """Generating permutations of the 15 subset generators: one rotation
+    and one reflection for d5, the three adjacent index swaps for p4, all
+    five for both."""
+    gens: set[tuple[int, ...]] = set()
+    if group in ("d5", "both"):
+        gens |= {dihedral_perm15(DihedralElement.rotation(1)),
+                 dihedral_perm15(DihedralElement.reflection(0))}
+    if group in ("p4", "both"):
+        gens |= {permutation_perm15(IndexPermutation.transposition(4, a, a + 1))
+                 for a in (1, 2, 3)}
+    if not gens:
+        raise AlgebraError(f"unknown group {group!r}; use d5, p4 or both")
+    return gens
+
+
 def dihedral_group_order() -> int:
-    return len(_mulclose({dihedral_perm15(DihedralElement.rotation(1)),
-                          dihedral_perm15(DihedralElement.reflection(0))}))
+    return len(_mulclose(_generators("d5")))
 
 
 def permutation_group_order() -> int:
-    gens = {permutation_perm15(IndexPermutation.transposition(4, a, a + 1))
-            for a in (1, 2, 3)}
-    return len(_mulclose(gens))
+    return len(_mulclose(_generators("p4")))
 
 
 def closure_order() -> int:
     """Order of the group the two actions generate on the 15 subset
     generators (the commutator-label signs ride along separately)."""
-    gens = {dihedral_perm15(DihedralElement.rotation(1)),
-            dihedral_perm15(DihedralElement.reflection(0))}
-    gens |= {permutation_perm15(IndexPermutation.transposition(4, a, a + 1))
-             for a in (1, 2, 3)}
-    return len(_mulclose(gens))
+    return len(_mulclose(_generators("both")))
 
 
 def orbit(symbol: Gen, group: str) -> list[str]:
@@ -280,28 +289,9 @@ def orbit(symbol: Gen, group: str) -> list[str]:
         start = _SET_OF_PENTAGON[(symbol.kind, symbol.indices[0])]
     else:
         start = symbol.indices
-    perms: set[tuple[int, ...]] = set()
-    if group in ("d5", "both"):
-        perms |= {dihedral_perm15(DihedralElement.rotation(1)),
-                  dihedral_perm15(DihedralElement.reflection(0))}
-    if group in ("p4", "both"):
-        perms |= {permutation_perm15(IndexPermutation.transposition(4, a, a + 1))
-                  for a in (1, 2, 3)}
-    if not perms:
-        raise AlgebraError(f"unknown group {group!r}; use d5, p4 or both")
-    pos = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
-    seen = {pos[start]}
-    frontier = [pos[start]]
-    while frontier:
-        new = []
-        for k in frontier:
-            for perm in perms:
-                j = perm[k]
-                if j not in seen:
-                    seen.add(j)
-                    new.append(j)
-        frontier = new
-    return sorted("C" + "".join(str(i) for i in _ALL_SUBSETS_4[k]) for k in seen)
+    k = _ALL_SUBSETS_4.index(start)
+    images = {perm[k] for perm in _mulclose(_generators(group))}
+    return sorted("C" + "".join(str(i) for i in _ALL_SUBSETS_4[j]) for j in images)
 
 
 # -- invariance of relation suites ---------------------------------------------------

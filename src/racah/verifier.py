@@ -18,13 +18,13 @@ from fractions import Fraction
 from . import symmetry
 from .core import (
     CONTIGUOUS,
-    PENTAGON_FAMILIES,
+    FAMILIES,
     RankConfig,
     RelationId,
-    anchor,
     casimir_frak,
     casimir_rank1,
     catalog_commutator,
+    core_generators,
     d_poly,
     enumerate_relations,
     gen_C,
@@ -47,16 +47,14 @@ class ConfigError(AlgebraError):
     pass
 
 
-SUITE_NAMES = ("definitions", "theorem_bigthm", "theorem_rn", "lemmas",
-               "pentagon", "casimirs", "jacobi", "symmetry", "rank1")
-
 _SUITE_FAMILIES = {
     "definitions": ("central", "decomposition", "quad"),
     "theorem_bigthm": ("ddef", "inner_P", "outer_P", "dd", "pdt"),
     "theorem_rn": ("dd_one_overlap", "dd_disjoint"),
     "lemmas": ("d_cyclic", "quadB", "pd_pair", "outer_P", "dd",
                "pd_flip", "pd_exchange", "pd_cycle", "pd_sum"),
-    "pentagon": PENTAGON_FAMILIES,
+    "pentagon": ("gamma_def", "gamma_sum", "omega_central", "omega_commute",
+                 "omega_gamma_commute", "omega_inner", "omega_outer"),
     "rank1": ("pres_rank1",),
 }
 
@@ -64,28 +62,6 @@ PROVED = "proved-zero"
 ONWINDOW = "zero-on-window"
 INCONCLUSIVE = "inconclusive"
 FAILED = "FAILED"
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    rank: int
-    param_sets: tuple = ()          # (name, RepParams, window) triples
-    suites: tuple = SUITE_NAMES
-
-    def __post_init__(self):
-        RankConfig(self.rank)
-        for s in self.suites:
-            if s not in SUITE_NAMES:
-                raise ConfigError(f"unknown suite {s!r}")
-        for name, params, window in self.param_sets:
-            if window < 0:
-                raise ConfigError(
-                    f"parameter set {name!r} has negative window {window}")
-            errs = validate_params(params, window)
-            if errs:
-                raise ConfigError(
-                    f"parameter set {name!r} invalid at window {window}: "
-                    + "; ".join(errs))
 
 
 @dataclass(frozen=True)
@@ -165,57 +141,47 @@ class _Runner:
 
     # -- generic relation handling ------------------------------------------
 
-    def relation_instance(self, suite: str, rid: RelationId,
-                          symbolic: bool = True, in_rep: bool = True):
+    def relation_instance(self, suite: str, rid: RelationId):
         poly = relation(rid)
-        if symbolic:
-            status = PROVED if self.rs.reduce(poly).is_zero else INCONCLUSIVE
-            self.report.add(suite, rid.family, rid.payload(), anchor(rid.family),
-                            "symbolic-reduce", "", status)
-        if in_rep:
-            for name, ctx in self.contexts:
-                op = ctx.eval(poly)
-                self.report.add(suite, rid.family, rid.payload(),
-                                anchor(rid.family), "representation-eval",
-                                name, *_verdict(op))
+        anchor = FAMILIES[rid.family].anchor
+        status = PROVED if self.rs.reduce(poly).is_zero else INCONCLUSIVE
+        self.report.add(suite, rid.family, rid.payload(), anchor,
+                        "symbolic-reduce", "", status)
+        for name, ctx in self.contexts:
+            op = ctx.eval(poly)
+            self.report.add(suite, rid.family, rid.payload(), anchor,
+                            "representation-eval", name, *_verdict(op))
 
     def family_suite(self, suite: str):
-        rank = self.cfg.rank
-        in_rep = rank <= 4 and bool(self.contexts)
         for family in _SUITE_FAMILIES[suite]:
-            if family in PENTAGON_FAMILIES and rank != 4:
-                continue
-            for rid in enumerate_relations(rank, family):
-                self.relation_instance(suite, rid, in_rep=in_rep)
+            for rid in enumerate_relations(self.cfg.rank, family):
+                self.relation_instance(suite, rid)
 
     # -- special suites -------------------------------------------------------
 
-    def pentagon_suite(self):
+    def pentagon_suite(self, suite: str):
         if self.cfg.rank != 4:
             return
-        self.family_suite("pentagon")
-        suite = []
-        for family in PENTAGON_FAMILIES:
-            for rid in enumerate_relations(4, family):
-                suite.append((f"{family}[{rid.payload()}]", relation(rid)))
+        self.family_suite(suite)
+        relations = [(f"{family}[{rid.payload()}]", relation(rid))
+                     for family in _SUITE_FAMILIES[suite]
+                     for rid in enumerate_relations(4, family)]
         for group in ("D5", "P4"):
-            recs = symmetry.verify_relation_invariance(group, suite)
+            recs = symmetry.verify_relation_invariance(group, relations)
             bad = [r for r in recs if not r.ok]
             self.report.add(
-                "pentagon", f"invariance-{group.lower()}", f"{len(recs)} images",
+                suite, f"invariance-{group.lower()}", f"{len(recs)} images",
                 "group images of each relation stay inside the relation suite",
                 "symbolic-reduce", "",
                 FAILED if bad else PROVED,
                 "; ".join(f"{r.element} x {r.relation}" for r in bad[:3]))
         order = symmetry.closure_order()
         self.report.add(
-            "pentagon", "closure", f"order={order}",
+            suite, "closure", f"order={order}",
             "the two symmetry actions together generate a group of order 120",
             "symbolic-reduce", "", PROVED if order == 120 else FAILED)
 
-    def casimir_suite(self):
-        if self.cfg.rank < 3:
-            return
+    def casimir_suite(self, suite: str):
         cas = casimir_rank1(self.cfg.rank)
         partners = (("C12", gen_C(self.cfg.rank, (1, 2))),
                     ("C23", gen_C(self.cfg.rank, (2, 3))),
@@ -223,21 +189,21 @@ class _Runner:
         for label, g in partners:
             poly = commutator(cas, g)
             if self.rs.reduce(poly).is_zero:
-                self.report.add("casimirs", "casimir_rank1_comm", label,
+                self.report.add(suite, "casimir_rank1_comm", label,
                                 "the quartic central element commutes with the"
                                 " non-central generators",
                                 "symbolic-reduce", "", PROVED)
             else:
                 for name, ctx in self.contexts:
                     op = ctx.eval(poly)
-                    self.report.add("casimirs", "casimir_rank1_comm", label,
+                    self.report.add(suite, "casimir_rank1_comm", label,
                                     "the quartic central element commutes with"
                                     " the non-central generators",
                                     "representation-eval", name,
                                     *_verdict(op))
         for name, ctx in self.contexts:
             op = ctx.eval(cas)
-            self.report.add("casimirs", "casimir_rank1_zero", "c",
+            self.report.add(suite, "casimir_rank1_zero", "c",
                             "the central element vanishes in this module",
                             "representation-eval", name,
                             *_verdict(op))
@@ -247,7 +213,7 @@ class _Runner:
             ci = casimir_frak(i)
             for name, ctx in self.contexts:
                 op = ctx.eval(ci)
-                self.report.add("casimirs", "casimir_pentagon_zero", str(i),
+                self.report.add(suite, "casimir_pentagon_zero", str(i),
                                 "all five pentagon central elements vanish",
                                 "representation-eval", name,
                                 *_verdict(op))
@@ -256,46 +222,46 @@ class _Runner:
                     g = ctx.eval(gen_C(4, sset))
                     comm = Ei.compose(g) - g.compose(Ei)
                     lbl = "C" + "".join(str(x) for x in sset)
-                    self.report.add("casimirs", "casimir_pentagon_comm",
+                    self.report.add(suite, "casimir_pentagon_comm",
                                     f"{i},{lbl}",
                                     "each pentagon central element commutes"
                                     " with the ten basis generators",
                                     "representation-eval", name,
                                     *_verdict(comm))
 
-    def rank1_suite(self):
-        self.family_suite("rank1")
+    def rank1_suite(self, suite: str):
+        self.family_suite(suite)
         for name, p, w in self.cfg.param_sets:
             sl = rank1_slice(p, w)
-            self.report.add("rank1", "raising_normalized", "A",
+            self.report.add(suite, "raising_normalized", "A",
                             "the east coefficient of the first generator is 1",
                             "representation-eval", name,
                             *_verdict(sl.A, sl.A.entry((0, 0), (1, 0)) == 1))
             rels, _ = presentation_rank1(3)
             for k, r in enumerate(rels):
                 op = sl.context.eval(r)
-                self.report.add("rank1", "presentation_slice", str(k),
-                                anchor("pres_rank1"),
+                self.report.add(suite, "presentation_slice", str(k),
+                                FAMILIES["pres_rank1"].anchor,
                                 "representation-eval", name,
                                 *_verdict(op))
             op = sl.context.eval(casimir_rank1(3))
-            self.report.add("rank1", "casimir_slice", "c",
+            self.report.add(suite, "casimir_slice", "c",
                             "the central element vanishes on the chain",
                             "representation-eval", name,
                             *_verdict(op))
 
     # -- double-commutator checks ----------------------------------------------
 
-    def jacobi_suite(self):
+    def jacobi_suite(self, suite: str):
         run_jacobi(self.cfg.rank, self.report, self.contexts)
 
-    def symmetry_suite(self):
+    def symmetry_suite(self, suite: str):
         if self.cfg.rank != 4:
             return
         for label, order, want in (("d5", symmetry.dihedral_group_order(), 10),
                                    ("p4", symmetry.permutation_group_order(), 24),
                                    ("combined", symmetry.closure_order(), 120)):
-            self.report.add("symmetry", "group_order", f"{label}={order}",
+            self.report.add(suite, "group_order", f"{label}={order}",
                             "pentagon action order 10, relabeling order 24,"
                             " combined order 120",
                             "symbolic-reduce", "",
@@ -303,19 +269,46 @@ class _Runner:
 
     def run(self) -> VerificationReport:
         for suite in self.cfg.suites:
-            if suite in ("definitions", "theorem_bigthm", "theorem_rn", "lemmas"):
-                self.family_suite(suite)
-            elif suite == "pentagon":
-                self.pentagon_suite()
-            elif suite == "casimirs":
-                self.casimir_suite()
-            elif suite == "rank1":
-                self.rank1_suite()
-            elif suite == "jacobi":
-                self.jacobi_suite()
-            elif suite == "symmetry":
-                self.symmetry_suite()
+            _SUITES[suite](self, suite)
         return self.report.finish()
+
+
+# every suite with the runner method that runs it, in report order
+_SUITES = {
+    "definitions": _Runner.family_suite,
+    "theorem_bigthm": _Runner.family_suite,
+    "theorem_rn": _Runner.family_suite,
+    "lemmas": _Runner.family_suite,
+    "pentagon": _Runner.pentagon_suite,
+    "casimirs": _Runner.casimir_suite,
+    "jacobi": _Runner.jacobi_suite,
+    "symmetry": _Runner.symmetry_suite,
+    "rank1": _Runner.rank1_suite,
+}
+
+SUITE_NAMES = tuple(_SUITES)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    rank: int
+    param_sets: tuple = ()          # (name, RepParams, window) triples
+    suites: tuple = SUITE_NAMES
+
+    def __post_init__(self):
+        RankConfig(self.rank)
+        for s in self.suites:
+            if s not in SUITE_NAMES:
+                raise ConfigError(f"unknown suite {s!r}")
+        for name, params, window in self.param_sets:
+            if window < 0:
+                raise ConfigError(
+                    f"parameter set {name!r} has negative window {window}")
+            errs = validate_params(params, window)
+            if errs:
+                raise ConfigError(
+                    f"parameter set {name!r} invalid at window {window}: "
+                    + "; ".join(errs))
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -323,14 +316,6 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 # -- double-commutator machinery ---------------------------------------------------
-
-def core_generators(rank: int) -> list[Gen]:
-    idx = range(1, rank + 1)
-    out = [Gen("P", (i,)) for i in idx]
-    out += [Gen("P", t) for t in itertools.combinations(idx, 2)]
-    out += [Gen("D", t) for t in itertools.combinations(idx, 3)]
-    return out
-
 
 def substituted_defect(rank: int, a: Gen, b: Gen, c: Gen) -> NCPoly:
     """The cyclic double-commutator sum with the inner commutators replaced
@@ -431,20 +416,9 @@ def jacobi_suite(rank: int) -> VerificationReport:
 # -- relation catalog export ----------------------------------------------------
 
 def relation_catalog(rank: int) -> list[dict]:
-    rows = []
-    families = ["central", "decomposition", "quad", "quadB", "d_cyclic",
-                "ddef", "inner_P", "outer_P", "dd", "pdt",
-                "pd_pair", "pd_flip", "pd_exchange", "pd_cycle", "pd_sum",
-                "pres_rank1"]
-    if rank >= 5:
-        families += ["dd_one_overlap", "dd_disjoint"]
-    if rank == 4:
-        families += list(PENTAGON_FAMILIES)
-    for family in families:
-        for rid in enumerate_relations(rank, family):
-            rows.append({"family": family, "payload": rid.payload(),
-                         "anchor": anchor(family)})
-    return rows
+    return [{"family": family, "payload": rid.payload(), "anchor": fam.anchor}
+            for family, fam in FAMILIES.items()
+            for rid in enumerate_relations(rank, family)]
 
 
 # -- serialization ----------------------------------------------------------------
@@ -496,7 +470,9 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_config(text: str) -> dict:
     """Flat key = value lines; '#' starts a comment.  Keys: c1..c4, N as
-    exact rationals, window (integer), suites (comma list), seed (integer)."""
+    exact rationals, window (integer), suites (comma list; the CLI rejects
+    it, because its suites come from ``--suites`` alone).  There is no seed
+    key: the file gives its parameters explicitly, so no seed is drawn from."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -507,12 +483,16 @@ def parse_config(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key in ("c1", "c2", "c3", "c4", "N"):
             out[key] = parse_rational(val)
-        elif key in ("window", "seed"):
+        elif key == "window":
             if not val.lstrip("-").isdigit():
-                raise ConfigError(f"line {lineno}: {key} must be an integer")
+                raise ConfigError(f"line {lineno}: window must be an integer")
             out[key] = int(val)
-            if key == "window" and out[key] < 0:
+            if out[key] < 0:
                 raise ConfigError(f"line {lineno}: window must be >= 0")
+        elif key == "seed":
+            raise ConfigError(
+                f"line {lineno}: a params file gives explicit parameters,"
+                " so there is no seed to draw them from; remove the seed key")
         elif key == "suites":
             out[key] = tuple(s.strip() for s in val.split(",") if s.strip())
         else:

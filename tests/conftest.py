@@ -1,11 +1,10 @@
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from racah import core
-from racah.freealg import Gen, NCPoly
+from racah.freealg import NCPoly
 from racah.representation import OperatorContext, default_param_sets
 
 settings.register_profile(
@@ -44,25 +43,6 @@ def ctx_generic(contexts):
     return contexts[1][1]
 
 
-def core_alphabet(rank):
-    idx = range(1, rank + 1)
-    out = [Gen("P", (i,)) for i in idx]
-    out += [Gen("P", t) for t in itertools.combinations(idx, 2)]
-    out += [Gen("D", t) for t in itertools.combinations(idx, 3)]
-    return out
-
-
-def full_alphabet(rank):
-    out = core_alphabet(rank)
-    idx = range(1, rank + 1)
-    for r in range(1, rank + 1):
-        out += [Gen("C", s) for s in itertools.combinations(idx, r)]
-    if rank == 4:
-        for kind in ("Om", "om", "Ga"):
-            out += [Gen(kind, (k,)) for k in range(5)]
-    return out
-
-
 COEFFS = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + \
          [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
 
@@ -70,7 +50,7 @@ COEFFS = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + \
 def poly_strategy(rank=4, alphabet=None, max_words=3, max_len=3):
     import hypothesis.strategies as st
 
-    gens = alphabet if alphabet is not None else full_alphabet(rank)
+    gens = alphabet if alphabet is not None else core.alphabet(rank)
     words = st.lists(st.sampled_from(gens), min_size=0, max_size=max_len) \
         .map(tuple)
     term = st.tuples(words, st.sampled_from(COEFFS))

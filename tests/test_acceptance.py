@@ -11,6 +11,7 @@ from racah.core import (
     build_rewrite_system,
     casimir_frak,
     casimir_rank1,
+    core_generators,
     d_poly,
     enumerate_relations,
     gen_C,
@@ -29,7 +30,6 @@ from racah.representation import (
 )
 from racah.verifier import (
     SuiteConfig,
-    core_generators,
     emit_report,
     jacobi_suite,
     run_suite,

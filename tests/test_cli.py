@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,3 +178,44 @@ def test_rep_integer_set_invalid_window(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "n123-s vanishes at s=6" in captured.err
+
+
+# sha256 of `list-relations --rank r`: the catalog's text must not change
+# when the way its families are declared does
+LIST_RELATIONS_SHA256 = {
+    3: "18e8b0b85d067a34facdb6fee707c37c2a3a28e8cd812f77979788877d043dc3",
+    4: "f58ab4114da51b06a09761042f94408acf836b0c0fa9ef9a63e7cf174d6043b0",
+    5: "ebdf0e1f11f9be2fc94d435ebcd46372512b03c8a5e46a9d5eea4f1342ded15e",
+    6: "947b5f976b79a1c100ef0bea5fd4cd8fe933ff4a2cf77dfa0621228c3e279629",
+    7: "026f19f0728612ea3a485cf5a256d863255d627e4562c91566c99ec67d72be7a",
+}
+
+
+@pytest.mark.parametrize("rank", sorted(LIST_RELATIONS_SHA256))
+def test_list_relations_golden(capsys, rank):
+    assert main(["list-relations", "--rank", str(rank)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == LIST_RELATIONS_SHA256[rank]
+
+
+# suites come from --suites alone; a file's suites key (even an empty one)
+# exits 2 at every rank rather than choosing, or silently skipping, suites
+@pytest.mark.parametrize("rank, line", [("3", "suites = rank1"),
+                                        ("3", "suites ="),
+                                        ("5", "suites = rank1")])
+def test_verify_rejects_suites_in_params_file(capsys, tmp_path, params_file,
+                                              rank, line):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(open(params_file).read() + line + "\n")
+    assert main(["verify", "--rank", rank, "--params", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--suites" in captured.err
+
+
+def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(open(params_file).read() + "seed = 1\n")
+    assert main(["verify", "--rank", "3", "--params", str(cfg),
+                 "--suites", "rank1"]) == 2
+    assert "seed" in capsys.readouterr().err

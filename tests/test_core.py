@@ -238,7 +238,7 @@ def test_instance_counts():
         "d_cyclic": 60, "ddef": 12, "inner_P": 12, "outer_P": 12, "dd": 12,
         "pdt": 4, "pd_pair": 6, "pd_flip": 12, "pd_exchange": 12,
         "pd_cycle": 12, "pd_sum": 4, "gamma_def": 5, "gamma_sum": 1,
-        "omega_commute": 5, "omega_gamma_commute": 5, "omega_inner": 5,
+        "omega_central": 60, "omega_commute": 5, "omega_gamma_commute": 5, "omega_inner": 5,
         "omega_outer": 5, "pres_rank1": 3,
     }
     for family, count in want.items():
@@ -249,3 +249,15 @@ def test_instance_counts():
     assert len(enumerate_relations(5, "dd_one_overlap")) == 30
     assert len(enumerate_relations(5, "dd_disjoint")) == 0
     assert len(enumerate_relations(6, "dd_disjoint")) == 10
+
+
+def test_families_exist_only_at_their_ranks():
+    for family in ("gamma_def", "gamma_sum", "omega_central", "omega_inner"):
+        for rank in (3, 5, 6):
+            assert enumerate_relations(rank, family) == [], (family, rank)
+    for rank in (3, 4):
+        assert enumerate_relations(rank, "dd_one_overlap") == []
+    with pytest.raises(AlgebraError):
+        enumerate_relations(4, "nonsense")
+    with pytest.raises(AlgebraError):
+        core.relation(core.RelationId("nonsense", 4, ()))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from conftest import poly_strategy
 from racah import core, representation as rep
 from racah.core import gen_C, to_contiguous
-from racah.freealg import Gen, NCPoly, commutator
+from racah.freealg import AlgebraError, Gen, NCPoly, commutator
 from racah.representation import (
     OperatorContext,
     ParamError,
@@ -199,6 +199,17 @@ def test_operator_arithmetic_exact():
     assert (s * Fraction(6, 5)).entry((0, 0), (0, 0)) == 1
     assert (a - a).is_zero_on_reliable()
     assert a.compose(b).entry((2, 2), (2, 2)) == Fraction(1, 9)
+
+
+def test_linear_combination_rejects_mixed_windows():
+    small = SparseOperator.identity(triangle_states(2))
+    large = SparseOperator.identity(triangle_states(3))
+    with pytest.raises(AlgebraError, match="different windows"):
+        SparseOperator.linear_combination(small.states, [(1, small), (1, large)])
+    with pytest.raises(AlgebraError, match="different windows"):
+        SparseOperator.linear_combination(small.states, [(2, large)])
+    with pytest.raises(AlgebraError, match="different windows"):
+        small - large
 
 
 def test_randomized_params_deterministic():

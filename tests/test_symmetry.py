@@ -7,6 +7,7 @@ from conftest import poly_strategy
 from racah import core, symmetry as sym
 from racah.core import casimir_frak, d_poly, enumerate_relations, gen_C, relation
 from racah.freealg import AlgebraError, Gen, NCPoly
+from racah.verifier import _SUITE_FAMILIES
 
 
 def pent(kind, k):
@@ -150,7 +151,7 @@ def test_orbits():
 
 def pentagon_suite():
     out = []
-    for family in core.PENTAGON_FAMILIES:
+    for family in _SUITE_FAMILIES["pentagon"]:
         for rid in enumerate_relations(4, family):
             out.append((f"{family}[{rid.payload()}]", relation(rid)))
     return out

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from racah import representation as rep
-from racah.core import enumerate_relations, relation
+from racah.core import FAMILIES, enumerate_relations, relation
 from racah.verifier import (
+    SUITE_NAMES,
+    _SUITE_FAMILIES,
     ConfigError,
     InstanceRecord,
     SuiteConfig,
@@ -111,6 +113,13 @@ def test_relation_catalog_rows():
     assert {"family", "payload", "anchor"} == set(rows[0])
     assert any(r["family"] == "pdt" for r in rows)
     assert len([r for r in rows if r["family"] == "pdt"]) == 4
+
+
+def test_suite_families_match_the_catalog():
+    run = {f for families in _SUITE_FAMILIES.values() for f in families}
+    assert run <= set(FAMILIES)
+    assert set(FAMILIES) <= run
+    assert set(_SUITE_FAMILIES) <= set(SUITE_NAMES)
 
 
 def test_parse_rational_rejects_decimals():
