@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import symmetry
 from .core import rewrite_system
@@ -43,9 +42,6 @@ def _load_params(path: str | None, window_flag: int | None):
         return default_param_sets(12 if window_flag is None else window_flag)
     with open(path) as fh:
         cfg = parse_config(fh.read())
-    if "suites" in cfg:
-        raise ConfigError("a params file gives parameters, not suites;"
-                          " choose suites with --suites")
     params = params_from_config(cfg)
     # an explicit flag wins; otherwise the file's window, then a default
     window = cfg.get("window", 12) if window_flag is None else window_flag

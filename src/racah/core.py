@@ -37,10 +37,6 @@ class RankConfig:
         if not (3 <= self.n <= 9):
             raise AlgebraError(f"rank-index count must be in 3..9, got {self.n}")
 
-    @property
-    def indices(self) -> range:
-        return range(1, self.n + 1)
-
 
 def _check_indices(rank: int, idx) -> None:
     RankConfig(rank)

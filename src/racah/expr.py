@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .core import d_poly, gen_C, gen_P, pentagon_poly
-from .freealg import AlgebraError, NCPoly, anticommutator, commutator, format_poly
+from .freealg import AlgebraError, NCPoly, anticommutator, commutator
 
 _TOKEN = re.compile(r"""
     (?P<gen>Om\d|om\d|Ga\d|C\d+|P\d\d?|D\d\d\d)

@@ -74,22 +74,20 @@ class Gen:
 Word = tuple[Gen, ...]
 
 
-def _clean(terms: dict) -> dict:
-    return {w: c for w, c in terms.items() if c}
-
-
 @dataclass(frozen=True, eq=False)
 class NCPoly:
     """Finite map word -> rational, the universal carrier for algebra elements.
 
-    Immutable after construction; all arithmetic is exact.
+    Immutable after construction; all arithmetic is exact.  Zero
+    coefficients are dropped here, and only here.
     """
 
     rank: int
     terms: Mapping[Word, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _clean(dict(self.terms)))
+        object.__setattr__(self, "terms",
+                           {w: c for w, c in self.terms.items() if c})
 
     # -- constructors ------------------------------------------------------
 
@@ -143,11 +141,7 @@ class NCPoly:
         self._require_same_rank(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            q = out.get(w, ZERO) + c
-            if q:
-                out[w] = q
-            elif w in out:
-                del out[w]
+            out[w] = out.get(w, ZERO) + c
         return NCPoly(self.rank, out)
 
     __radd__ = __add__
@@ -172,11 +166,7 @@ class NCPoly:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                q = out.get(w, ZERO) + c1 * c2
-                if q:
-                    out[w] = q
-                elif w in out:
-                    del out[w]
+                out[w] = out.get(w, ZERO) + c1 * c2
         return NCPoly(self.rank, out)
 
     def __rmul__(self, other):
@@ -201,13 +191,14 @@ class NCPoly:
 
     def substitute(self, image) -> "NCPoly":
         """Extend a letter map Gen -> NCPoly to an algebra homomorphism."""
-        out = NCPoly.zero(self.rank)
+        out: dict[Word, Fraction] = {}
         for w, c in self.terms.items():
             part = NCPoly.const(self.rank, c)
             for g in w:
                 part = part * image(g)
-            out = out + part
-        return out
+            for w2, c2 in part.terms.items():
+                out[w2] = out.get(w2, ZERO) + c2
+        return NCPoly(self.rank, out)
 
     def key(self) -> tuple:
         """Canonical hashable content, for table lookups and determinism."""
@@ -262,10 +253,6 @@ def reduce(p: "NCPoly", rs: "RewriteSystem") -> "NCPoly":
 
 # -- printing ----------------------------------------------------------------
 
-def format_coeff(q: Fraction) -> str:
-    return str(q)
-
-
 def format_word(w: Word) -> str:
     return "*".join(str(g) for g in w)
 
@@ -276,11 +263,11 @@ def format_poly(p: NCPoly) -> str:
     bits = []
     for w, c in sorted(p.terms.items(), key=lambda it: _word_key(it[0])):
         if not w:
-            body = format_coeff(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = format_word(w)
         else:
-            body = f"{format_coeff(abs(c))}*{format_word(w)}"
+            body = f"{abs(c)}*{format_word(w)}"
         bits.append(("- " if c < 0 else "+ ") + body)
     text = " ".join(bits)
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -501,9 +488,6 @@ class RewriteSystem:
         before = self._steps
         out = self.reduce(p)
         return out, self._steps - before
-
-    def reduces_to_zero(self, p: NCPoly) -> bool:
-        return self.reduce(p).is_zero
 
     # -- saturation ---------------------------------------------------------
 

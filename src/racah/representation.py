@@ -11,19 +11,16 @@ states, making every assertion an exact statement about the infinite module.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable
 
-from .core import CONTIGUOUS, gen_C, to_contiguous
+from .core import to_contiguous
 from .freealg import AlgebraError, Gen, NCPoly
 
-State = tuple[int, int]
-LatticeState = State                      # (t, s) with t >= 0 and 0 <= s <= t
-LinearCombo = dict[State, Fraction]       # zero coefficients never stored
+State = tuple[int, int]                   # (t, s) with t >= 0 and 0 <= s <= t
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -330,20 +327,6 @@ class SparseOperator:
         return SparseOperator(self.states, self.den * other.den, cols,
                               frozenset(leaky))
 
-    def apply(self, combo: dict[State, Fraction]) -> dict[State, Fraction] | None:
-        """Image of a linear combination; None when any source state leaks."""
-        out: dict[State, Fraction] = {}
-        for x, c in combo.items():
-            if x in self.leaky:
-                return None
-            for y, v in self.cols.get(x, {}).items():
-                q = out.get(y, ZERO) + c * Fraction(v, self.den)
-                if q:
-                    out[y] = q
-                elif y in out:
-                    del out[y]
-        return out
-
 
 def commutator_op(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a.compose(b) - b.compose(a)
@@ -472,23 +455,6 @@ class OperatorContext:
 def eval_poly(expr: NCPoly, p: RepParams, window: int) -> SparseOperator:
     """One-shot evaluation; reuse an OperatorContext for bulk work."""
     return OperatorContext(p, window, rank=4).eval(expr)
-
-
-class Rank1Slice(NamedTuple):
-    A: SparseOperator
-    B: SparseOperator
-    D: SparseOperator
-    context: OperatorContext
-
-
-def rank1_slice(p: RepParams, window: int) -> Rank1Slice:
-    """The s = 0 chain: A acts east with raising coefficient exactly 1,
-    B acts west, D is half their commutator."""
-    ctx = OperatorContext(p, window, rank=3)
-    A = ctx.eval(gen_C(3, (2, 3)))
-    B = ctx.eval(gen_C(3, (1, 2)))
-    D = Fraction(1, 2) * commutator_op(A, B)
-    return Rank1Slice(A, B, D, ctx)
 
 
 # -- standard parameter sets -----------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -46,10 +45,6 @@ class DihedralElement:
     def reflection(axis: int) -> "DihedralElement":
         # fixes the vertex at `axis` and its opposite edge
         return DihedralElement(True, 2 * axis)
-
-    @property
-    def rotation_amount(self) -> int:
-        return self.shift
 
     @property
     def axis(self) -> int:
@@ -287,8 +282,11 @@ def orbit(symbol: Gen, group: str) -> list[str]:
                            "track them through signed_generator_map")
     if symbol.kind in ("Om", "om"):
         start = _SET_OF_PENTAGON[(symbol.kind, symbol.indices[0])]
-    else:
+    elif symbol.kind == "C":
         start = symbol.indices
+    else:
+        raise AlgebraError(f"{symbol} is not a subset or pentagon generator;"
+                           " orbits act on C and Om/om letters")
     k = _ALL_SUBSETS_4.index(start)
     images = {perm[k] for perm in _mulclose(_generators(group))}
     return sorted("C" + "".join(str(i) for i in _ALL_SUBSETS_4[j]) for j in images)
@@ -309,9 +307,12 @@ def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
     minus) another suite relation after canonicalization, or at least
     reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
     if group == "D5":
-        elements = [(str(g), ("d5", g)) for g in DihedralElement.all_elements()]
+        elements, act = DihedralElement.all_elements(), act_dihedral
+        sources = [poly for _, poly in suite]
     elif group == "P4":
-        elements = [(str(s), ("p4", s)) for s in IndexPermutation.all_elements(4)]
+        # pentagon labels carry no indices to relabel: expand once, up front
+        elements, act = IndexPermutation.all_elements(4), act_permutation
+        sources = [expand_to_C(poly) for _, poly in suite]
     else:
         raise AlgebraError(f"unknown group {group!r}")
 
@@ -322,16 +323,11 @@ def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
 
     rs = rewrite_system(4)
     records = []
-    for name, (kind, element) in elements:
-        for label, poly in suite:
-            if kind == "d5":
-                img = act_dihedral(element, poly)
-            else:
-                img = act_permutation(element, expand_to_C(poly))
+    for element in elements:
+        name = str(element)
+        for (label, _), source in zip(suite, sources):
+            img = act(element, source)
             hit = table.get(img.key())
-            if hit is None and kind == "p4":
-                # compare in the subset alphabet as well
-                hit = table.get(expand_to_C(img).key())
             if hit is not None:
                 records.append(InvarianceRecord(name, label, f"matched {hit}", True))
             elif rs.reduce(img).is_zero:

@@ -20,7 +20,6 @@ from .core import (
     CONTIGUOUS,
     FAMILIES,
     RankConfig,
-    RelationId,
     casimir_frak,
     casimir_rank1,
     catalog_commutator,
@@ -37,8 +36,7 @@ from .representation import (
     OperatorContext,
     RepParams,
     SparseOperator,
-    default_param_sets,
-    rank1_slice,
+    commutator_op,
     validate_params,
 )
 
@@ -117,19 +115,25 @@ def _witness_text(op: SparseOperator) -> str:
     return f"state |{state[0]},{state[1]}> -> " + " + ".join(parts)
 
 
-def _verdict(op: SparseOperator, ok: bool | None = None) -> tuple[str, str]:
+def _verdict(op: SparseOperator, check=SparseOperator.is_zero_on_reliable
+             ) -> tuple[str, str]:
     """Status and witness of a representation check on ``op``'s reliable
-    states; ``ok`` is its outcome, by default "``op`` vanishes there".
-    Without a reliable state the check decided nothing, so it is
+    states; ``check(op)`` is its outcome, by default "``op`` vanishes
+    there".  Without a reliable state the check decided nothing, so it is
     inconclusive, never zero-on-window."""
     if not op.reliable_states():
         return INCONCLUSIVE, ""
-    if op.is_zero_on_reliable() if ok is None else ok:
+    if check(op):
         return ONWINDOW, ""
     return FAILED, _witness_text(op)
 
 
 class _Runner:
+    """Runs suites into one report.  Every record comes from one of three
+    emitters, each given the record's head (suite, family, payload, anchor):
+    ``symbolic`` proves by reduction, ``represent`` falsifies in the
+    representation, ``outcome`` states a pass/fail group check."""
+
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.report = VerificationReport(
@@ -139,25 +143,37 @@ class _Runner:
         self.contexts = [(name, OperatorContext(p, w, rank=4))
                          for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
 
-    # -- generic relation handling ------------------------------------------
+    # -- the record emitters ---------------------------------------------------
 
-    def relation_instance(self, suite: str, rid: RelationId):
-        poly = relation(rid)
-        anchor = FAMILIES[rid.family].anchor
-        status = PROVED if self.rs.reduce(poly).is_zero else INCONCLUSIVE
-        self.report.add(suite, rid.family, rid.payload(), anchor,
-                        "symbolic-reduce", "", status)
-        for name, ctx in self.contexts:
-            op = ctx.eval(poly)
-            self.report.add(suite, rid.family, rid.payload(), anchor,
-                            "representation-eval", name, *_verdict(op))
+    def symbolic(self, head: tuple, poly: NCPoly) -> bool:
+        """proved-zero when ``poly`` reduces to zero, else inconclusive."""
+        ok = self.rs.reduce(poly).is_zero
+        self.report.add(*head, "symbolic-reduce", "",
+                        PROVED if ok else INCONCLUSIVE)
+        return ok
+
+    def represent(self, head: tuple, value, contexts=None,
+                  check=SparseOperator.is_zero_on_reliable):
+        """One verdict per context on ``value``: a polynomial to evaluate,
+        or a function from a context to an already-composed operator."""
+        for name, ctx in self.contexts if contexts is None else contexts:
+            op = value(ctx) if callable(value) else ctx.eval(value)
+            self.report.add(*head, "representation-eval", name,
+                            *_verdict(op, check))
+
+    def outcome(self, head: tuple, ok: bool, witness: str = ""):
+        self.report.add(*head, "symbolic-reduce", "",
+                        PROVED if ok else FAILED, witness)
+
+    # -- suites ------------------------------------------------------------------
 
     def family_suite(self, suite: str):
         for family in _SUITE_FAMILIES[suite]:
             for rid in enumerate_relations(self.cfg.rank, family):
-                self.relation_instance(suite, rid)
-
-    # -- special suites -------------------------------------------------------
+                poly = relation(rid)
+                head = (suite, family, rid.payload(), FAMILIES[family].anchor)
+                self.symbolic(head, poly)
+                self.represent(head, poly)
 
     def pentagon_suite(self, suite: str):
         if self.cfg.rank != 4:
@@ -169,91 +185,65 @@ class _Runner:
         for group in ("D5", "P4"):
             recs = symmetry.verify_relation_invariance(group, relations)
             bad = [r for r in recs if not r.ok]
-            self.report.add(
-                suite, f"invariance-{group.lower()}", f"{len(recs)} images",
-                "group images of each relation stay inside the relation suite",
-                "symbolic-reduce", "",
-                FAILED if bad else PROVED,
-                "; ".join(f"{r.element} x {r.relation}" for r in bad[:3]))
+            self.outcome(
+                (suite, f"invariance-{group.lower()}", f"{len(recs)} images",
+                 "group images of each relation stay inside the relation suite"),
+                not bad, "; ".join(f"{r.element} x {r.relation}" for r in bad[:3]))
         order = symmetry.closure_order()
-        self.report.add(
-            suite, "closure", f"order={order}",
-            "the two symmetry actions together generate a group of order 120",
-            "symbolic-reduce", "", PROVED if order == 120 else FAILED)
+        self.outcome((suite, "closure", f"order={order}",
+                      "the two symmetry actions together generate a group of"
+                      " order 120"), order == 120)
 
     def casimir_suite(self, suite: str):
-        cas = casimir_rank1(self.cfg.rank)
-        partners = (("C12", gen_C(self.cfg.rank, (1, 2))),
-                    ("C23", gen_C(self.cfg.rank, (2, 3))),
-                    ("D123", d_poly(self.cfg.rank, 1, 2, 3)))
-        for label, g in partners:
+        rank = self.cfg.rank
+        cas = casimir_rank1(rank)
+        for label, g in (("C12", gen_C(rank, (1, 2))),
+                         ("C23", gen_C(rank, (2, 3))),
+                         ("D123", d_poly(rank, 1, 2, 3))):
+            head = (suite, "casimir_rank1_comm", label,
+                    "the quartic central element commutes with the"
+                    " non-central generators")
             poly = commutator(cas, g)
-            if self.rs.reduce(poly).is_zero:
-                self.report.add(suite, "casimir_rank1_comm", label,
-                                "the quartic central element commutes with the"
-                                " non-central generators",
-                                "symbolic-reduce", "", PROVED)
-            else:
-                for name, ctx in self.contexts:
-                    op = ctx.eval(poly)
-                    self.report.add(suite, "casimir_rank1_comm", label,
-                                    "the quartic central element commutes with"
-                                    " the non-central generators",
-                                    "representation-eval", name,
-                                    *_verdict(op))
-        for name, ctx in self.contexts:
-            op = ctx.eval(cas)
-            self.report.add(suite, "casimir_rank1_zero", "c",
-                            "the central element vanishes in this module",
-                            "representation-eval", name,
-                            *_verdict(op))
-        if self.cfg.rank != 4:
+            if not self.symbolic(head, poly):
+                self.represent(head, poly)
+        self.represent((suite, "casimir_rank1_zero", "c",
+                        "the central element vanishes in this module"), cas)
+        if rank != 4:
             return
         for i in range(5):
             ci = casimir_frak(i)
-            for name, ctx in self.contexts:
-                op = ctx.eval(ci)
-                self.report.add(suite, "casimir_pentagon_zero", str(i),
-                                "all five pentagon central elements vanish",
-                                "representation-eval", name,
-                                *_verdict(op))
-                Ei = ctx.eval(ci)
-                for sset in CONTIGUOUS[4]:
-                    g = ctx.eval(gen_C(4, sset))
-                    comm = Ei.compose(g) - g.compose(Ei)
-                    lbl = "C" + "".join(str(x) for x in sset)
-                    self.report.add(suite, "casimir_pentagon_comm",
-                                    f"{i},{lbl}",
-                                    "each pentagon central element commutes"
-                                    " with the ten basis generators",
-                                    "representation-eval", name,
-                                    *_verdict(comm))
+            self.represent((suite, "casimir_pentagon_zero", str(i),
+                            "all five pentagon central elements vanish"), ci)
+            for sset in CONTIGUOUS[4]:
+                g = gen_C(4, sset)
+                # composed from the two cached operators: evaluating the
+                # polynomial commutator instead gives the same verdicts,
+                # several times slower
+                self.represent(
+                    (suite, "casimir_pentagon_comm", f"{i},{g}",
+                     "each pentagon central element commutes with the ten"
+                     " basis generators"),
+                    lambda ctx: commutator_op(ctx.eval(ci), ctx.eval(g)))
 
     def rank1_suite(self, suite: str):
         self.family_suite(suite)
-        for name, p, w in self.cfg.param_sets:
-            sl = rank1_slice(p, w)
-            self.report.add(suite, "raising_normalized", "A",
-                            "the east coefficient of the first generator is 1",
-                            "representation-eval", name,
-                            *_verdict(sl.A, sl.A.entry((0, 0), (1, 0)) == 1))
-            rels, _ = presentation_rank1(3)
-            for k, r in enumerate(rels):
-                op = sl.context.eval(r)
-                self.report.add(suite, "presentation_slice", str(k),
-                                FAMILIES["pres_rank1"].anchor,
-                                "representation-eval", name,
-                                *_verdict(op))
-            op = sl.context.eval(casimir_rank1(3))
-            self.report.add(suite, "casimir_slice", "c",
-                            "the central element vanishes on the chain",
-                            "representation-eval", name,
-                            *_verdict(op))
-
-    # -- double-commutator checks ----------------------------------------------
+        # the s = 0 chain of each parameter set, where C23 raises and C12 lowers
+        chain = [(name, OperatorContext(p, w, rank=3))
+                 for name, p, w in self.cfg.param_sets]
+        self.represent((suite, "raising_normalized", "A",
+                        "the east coefficient of the first generator is 1"),
+                       gen_C(3, (2, 3)), chain,
+                       lambda op: op.entry((0, 0), (1, 0)) == 1)
+        rels, _ = presentation_rank1(3)
+        for k, r in enumerate(rels):
+            self.represent((suite, "presentation_slice", str(k),
+                            FAMILIES["pres_rank1"].anchor), r, chain)
+        self.represent((suite, "casimir_slice", "c",
+                        "the central element vanishes on the chain"),
+                       casimir_rank1(3), chain)
 
     def jacobi_suite(self, suite: str):
-        run_jacobi(self.cfg.rank, self.report, self.contexts)
+        run_jacobi(self)
 
     def symmetry_suite(self, suite: str):
         if self.cfg.rank != 4:
@@ -261,11 +251,9 @@ class _Runner:
         for label, order, want in (("d5", symmetry.dihedral_group_order(), 10),
                                    ("p4", symmetry.permutation_group_order(), 24),
                                    ("combined", symmetry.closure_order(), 120)):
-            self.report.add(suite, "group_order", f"{label}={order}",
-                            "pentagon action order 10, relabeling order 24,"
-                            " combined order 120",
-                            "symbolic-reduce", "",
-                            PROVED if order == want else FAILED)
+            self.outcome((suite, "group_order", f"{label}={order}",
+                          "pentagon action order 10, relabeling order 24,"
+                          " combined order 120"), order == want)
 
     def run(self) -> VerificationReport:
         for suite in self.cfg.suites:
@@ -365,52 +353,45 @@ def _triple_orbit_key(rank: int, triple) -> tuple:
     return best
 
 
-def run_jacobi(rank: int, report: VerificationReport, contexts=()):
+def run_jacobi(run: _Runner):
     """Every unordered triple of shift/half-commutator generators.
 
-    All triples reduce for 3 or 4 indices; for 5 the outcome is reported
-    per relabeling orbit without presuming the closure conjecture.
+    All triples reduce for 3 or 4 indices, and a deterministic sample of
+    them is also checked in each representation context; for 5 the outcome
+    is reported per relabeling orbit without presuming the closure
+    conjecture.
     """
-    gens = core_generators(rank)
-    rep_samples = []
+    rank = run.cfg.rank
+    triples = list(itertools.combinations(core_generators(rank), 3))
     if rank in (3, 4):
-        for a, b, c in itertools.combinations(gens, 3):
+        step = max(1, len(triples) // 8)
+        for k, (a, b, c) in enumerate(triples):
             poly = substituted_defect(rank, a, b, c)
-            ok = rewrite_system(rank).reduce(poly).is_zero
             payload = f"{a}|{b}|{c}"
-            report.add("jacobi", "triple", payload, triple_case(a, b, c),
-                       "symbolic-reduce", "", PROVED if ok else INCONCLUSIVE)
-            rep_samples.append((payload, poly))
-        # spot-check a deterministic sample in each representation
-        for name, ctx in contexts:
-            for payload, poly in rep_samples[:: max(1, len(rep_samples) // 8)]:
-                op = ctx.eval(poly)
-                report.add("jacobi", "triple", payload, "operator identity",
-                           "representation-eval", name,
-                           *_verdict(op))
-    else:
-        seen = {}
-        for a, b, c in itertools.combinations(gens, 3):
-            key = _triple_orbit_key(rank, (a, b, c))
-            if key in seen:
-                seen[key][1] += 1
-                continue
-            seen[key] = [(a, b, c), 1]
-        for key in sorted(seen):
-            (a, b, c), size = seen[key]
-            poly = substituted_defect(rank, a, b, c)
-            ok = rewrite_system(rank).reduce(poly).is_zero
-            report.add("jacobi", "triple-orbit", f"{a}|{b}|{c} (x{size})",
-                       triple_case(a, b, c), "symbolic-reduce", "",
-                       PROVED if ok else INCONCLUSIVE)
+            run.symbolic(("jacobi", "triple", payload, triple_case(a, b, c)),
+                         poly)
+            if k % step == 0:
+                run.represent(("jacobi", "triple", payload,
+                               "operator identity"), poly)
+        return
+    seen = {}
+    for triple in triples:
+        key = _triple_orbit_key(rank, triple)
+        if key in seen:
+            seen[key][1] += 1
+        else:
+            seen[key] = [triple, 1]
+    for key in sorted(seen):
+        (a, b, c), size = seen[key]
+        run.symbolic(("jacobi", "triple-orbit", f"{a}|{b}|{c} (x{size})",
+                      triple_case(a, b, c)),
+                     substituted_defect(rank, a, b, c))
 
 
 def jacobi_suite(rank: int) -> VerificationReport:
     if rank not in (3, 4, 5):
         raise ConfigError("double-commutator suite runs at 3, 4 or 5 indices")
-    report = VerificationReport(rank, ("jacobi",), ())
-    run_jacobi(rank, report)
-    return report.finish()
+    return run_suite(SuiteConfig(rank=rank, suites=("jacobi",)))
 
 
 # -- relation catalog export ----------------------------------------------------
@@ -470,9 +451,9 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_config(text: str) -> dict:
     """Flat key = value lines; '#' starts a comment.  Keys: c1..c4, N as
-    exact rationals, window (integer), suites (comma list; the CLI rejects
-    it, because its suites come from ``--suites`` alone).  There is no seed
-    key: the file gives its parameters explicitly, so no seed is drawn from."""
+    exact rationals, and window (integer).  A file holds parameters only:
+    suites come from ``--suites``, and there is no seed key, because the
+    file gives its parameters explicitly and no seed is drawn from."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -494,7 +475,9 @@ def parse_config(text: str) -> dict:
                 f"line {lineno}: a params file gives explicit parameters,"
                 " so there is no seed to draw them from; remove the seed key")
         elif key == "suites":
-            out[key] = tuple(s.strip() for s in val.split(",") if s.strip())
+            raise ConfigError(
+                f"line {lineno}: a params file gives parameters, not suites;"
+                " choose suites with --suites")
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return out

@@ -12,7 +12,6 @@ from racah.core import (
     casimir_frak,
     casimir_rank1,
     core_generators,
-    d_poly,
     enumerate_relations,
     gen_C,
     presentation_rank1,
@@ -25,8 +24,6 @@ from racah.representation import (
     build_operator,
     coeff,
     commutator_op,
-    default_param_sets,
-    rank1_slice,
 )
 from racah.verifier import (
     SuiteConfig,
@@ -219,14 +216,14 @@ def test_criterion_7_representation_structure(param_sets):
 def test_criterion_8_rank1_slice(param_sets):
     failures = []
     for name, params, window in param_sets:
-        sl = rank1_slice(params, window)
-        if sl.A.entry((0, 0), (1, 0)) != 1:
+        chain = OperatorContext(params, window, rank=3)
+        if chain.eval(gen_C(3, (2, 3))).entry((0, 0), (1, 0)) != 1:
             failures.append(f"{name}: raising coefficient is not 1")
         rels, _ = presentation_rank1(3)
         for k, r in enumerate(rels):
-            if not sl.context.eval(r).is_zero_on_reliable():
+            if not chain.eval(r).is_zero_on_reliable():
                 failures.append(f"{name}: presentation relation {k} fails")
-        if not sl.context.eval(casimir_rank1(3)).is_zero_on_reliable():
+        if not chain.eval(casimir_rank1(3)).is_zero_on_reliable():
             failures.append(f"{name}: the central element misses zero")
     _criterion(8, "rank-1 slice", failures)
 

@@ -36,6 +36,16 @@ def test_symmetry_orbit(capsys):
     assert lines == ["C12", "C123", "C23", "C234", "C34"]
 
 
+# shift and half-commutator letters are not subset generators: P12 is
+# C12 - C1 - C2, so reading its indices as a subset gave C12's orbit
+@pytest.mark.parametrize("symbol", ["P12", "P1", "D123"])
+def test_symmetry_orbit_rejects_shift_and_half_letters(capsys, symbol):
+    assert main(["symmetry", "orbit", symbol, "--group", "d5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert symbol in captured.err
+
+
 def test_list_relations(capsys):
     assert main(["list-relations", "--rank", "3"]) == 0
     out = capsys.readouterr().out
@@ -219,3 +229,26 @@ def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
     assert main(["verify", "--rank", "3", "--params", str(cfg),
                  "--suites", "rank1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+# whole reports, pinned before the suites were routed through the runner's
+# record emitters; any change in a verdict, witness, anchor or order shows
+REPORT_SHA256 = {
+    ("verify", "--rank", "3", "--format", "json"):
+        "9c12343728df7d24204c7574e926458c70e2d67f9cb0708f069062610e42ca54",
+    ("jacobi", "--rank", "4", "--format", "json"):
+        "1a096d5f095840ef3ab97881c6edf6f57faeaaeabd433406bdff56232d87ce02",
+    ("verify", "--rank", "4", "--suites", "rank1,casimirs,symmetry",
+     "--format", "json"):
+        "130c5897f62b134439752a9b2ac21800aae9524aff0473d7039ae56fd72a596f",
+    ("verify", "--rank", "4", "--window", "0", "--suites", "definitions,rank1",
+     "--format", "json"):
+        "d86127500cd9bd1abb917475db0e4df3707781201aa6ec1ba9fe212778d5e503",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids=" ".join)
+def test_report_golden(capsysbinary, argv):
+    assert main(list(argv)) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[argv]

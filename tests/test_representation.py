@@ -10,16 +10,14 @@ from hypothesis import given, settings
 from conftest import poly_strategy
 from racah import core, representation as rep
 from racah.core import gen_C, to_contiguous
-from racah.freealg import AlgebraError, Gen, NCPoly, commutator
+from racah.freealg import HALF, AlgebraError, NCPoly, commutator
 from racah.representation import (
     OperatorContext,
     ParamError,
-    RepParams,
     SparseOperator,
     build_operator,
     coeff,
     commutator_op,
-    rank1_slice,
     triangle_states,
     validate_params,
 )
@@ -180,14 +178,18 @@ def test_relations_hold_on_every_parameter_set(contexts):
 
 
 def test_rank1_slice():
-    sl = rank1_slice(P_INT, 4)
-    assert sl.A.entry((0, 0), (1, 0)) == 1
-    assert sl.A.entry((0, 0), (0, 0)) == 20                # (5-0)(5-1)
-    assert sl.D.column((0, 0))                              # nonzero map
+    # the s = 0 chain: A = C23 acts east with raising coefficient exactly 1,
+    # B = C12 acts west, D is half their commutator
+    ctx = OperatorContext(P_INT, 4, rank=3)
+    A = ctx.eval(gen_C(3, (2, 3)))
+    D = ctx.eval(HALF * commutator(gen_C(3, (2, 3)), gen_C(3, (1, 2))))
+    assert A.entry((0, 0), (1, 0)) == 1
+    assert A.entry((0, 0), (0, 0)) == 20                   # (5-0)(5-1)
+    assert D.column((0, 0))                                 # nonzero map
     rels, _ = core.presentation_rank1(3)
     for r in rels:
-        assert sl.context.eval(r).is_zero_on_reliable()
-    assert sl.context.eval(core.casimir_rank1(3)).is_zero_on_reliable()
+        assert ctx.eval(r).is_zero_on_reliable()
+    assert ctx.eval(core.casimir_rank1(3)).is_zero_on_reliable()
 
 
 def test_operator_arithmetic_exact():

@@ -10,7 +10,6 @@ from racah.verifier import (
     SUITE_NAMES,
     _SUITE_FAMILIES,
     ConfigError,
-    InstanceRecord,
     SuiteConfig,
     VerificationReport,
     emit_report,
@@ -139,12 +138,12 @@ def test_parse_config():
         c4 = 1/2
         N = 4
         window = 6
-        suites = definitions, casimirs
     """)
     params = params_from_config(cfg)
     assert params == rep.generic_params()
     assert cfg["window"] == 6
-    assert cfg["suites"] == ("definitions", "casimirs")
+    with pytest.raises(ConfigError, match="--suites"):
+        parse_config("suites = definitions, casimirs")
     with pytest.raises(ConfigError):
         parse_config("c1 = 0.25")
     with pytest.raises(ConfigError):
