@@ -28,7 +28,6 @@ from .verifier import (
     SuiteConfig,
     SUITE_NAMES,
     emit_report,
-    jacobi_suite,
     params_from_config,
     parse_config,
     relation_catalog,
@@ -85,6 +84,12 @@ def cmd_verify(args) -> int:
         _load_params(args.params, args.window)  # unused, but its keys checked
     cfg = SuiteConfig(rank=args.rank, param_sets=param_sets, suites=suites)
     report = run_suite(cfg)
+    # a suite asked for by name must have run; 'all' may include empty ones
+    produced = {r.suite for r in report.records}
+    empty = [s for s in suites if s not in produced]
+    if empty and args.suites != "all":
+        raise ConfigError(f"no instance at rank {args.rank} of suite "
+                          + ", ".join(empty))
     sys.stdout.buffer.write(emit_report(report, args.format))
     return report.exit_code
 
@@ -103,7 +108,7 @@ def cmd_list_relations(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    report = jacobi_suite(args.rank)
+    report = run_suite(SuiteConfig(rank=args.rank, suites=("jacobi",)))
     sys.stdout.buffer.write(emit_report(report, args.format))
     return report.exit_code
 

@@ -879,41 +879,38 @@ FAMILIES: dict[str, Family] = {
 
 # -- Casimir elements ------------------------------------------------------------
 
-def casimir_rank1(rank: int = 3) -> NCPoly:
-    """The degree-4 central element of the rank-1 algebra on indices 1,2,3."""
-    C = lambda *s: gen_C(rank, s)
-    D = d_poly(rank, 1, 2, 3)
-    c12, c23, c123 = C(1, 2), C(2, 3), C(1, 2, 3)
-    c1, c2, c3 = C(1), C(2), C(3)
+def _quartic_casimir(D, A, B, c1, c2, c3, c123) -> NCPoly:
+    """The degree-4 central element of a rank-1 algebra generated by
+    ``A = C12`` and ``B = C23`` with ``D`` their half-commutator, over the
+    central ``c1``, ``c2``, ``c3`` and ``c123``."""
     return (D * D
-            - HALF * acom(c12 * c12, c23)
-            - HALF * acom(c23 * c23, c12)
-            + c12 * c12 + c23 * c23 + acom(c12, c23)
-            + HALF * (c1 + c2 + c3 + c123) * (acom(c12, c23) - 2 * c12 - 2 * c23)
-            + (c2 - c3) * (c123 - c1) * c12
-            + (c2 - c1) * (c123 - c3) * c23
+            - HALF * acom(A * A, B)
+            - HALF * acom(B * B, A)
+            + A * A + B * B + acom(A, B)
+            + HALF * (c1 + c2 + c3 + c123) * (acom(A, B) - 2 * A - 2 * B)
+            + (c2 - c3) * (c123 - c1) * A
+            + (c2 - c1) * (c123 - c3) * B
             + (c1 + c3) * (c123 + c2)
             + (c1 * c3 - c123 * c2) * (c123 - c1 + c2 - c3))
 
 
+def casimir_rank1(rank: int = 3) -> NCPoly:
+    """The degree-4 central element of the rank-1 algebra on indices 1,2,3."""
+    C = lambda *s: gen_C(rank, s)
+    return _quartic_casimir(d_poly(rank, 1, 2, 3), C(1, 2), C(2, 3),
+                            C(1), C(2), C(3), C(1, 2, 3))
+
+
 def casimir_frak(i: int, rank: int = 4) -> NCPoly:
-    """The pentagon-labeled central element attached to vertex i."""
+    """The pentagon-labeled central element attached to vertex i: the
+    rank-1 element with ``Ga_i``, ``Om_{i+2}``, ``Om_{i-2}``, the
+    ``om_{i-1}``, ``om_i``, ``om_{i+1}`` and ``Om_i`` in place of ``D123``,
+    ``C12``, ``C23``, ``C1``, ``C2``, ``C3`` and ``C123``."""
     if rank != 4:
         raise AlgebraError("pentagon Casimirs live at 4 indices")
     if not 0 <= i <= 4:
         raise AlgebraError(f"pentagon label {i} out of range 0..4")
     Om = lambda k: pentagon_poly(rank, "Om", k)
     om = lambda k: pentagon_poly(rank, "om", k)
-    Ga = pentagon_poly(rank, "Ga", i)
-    a, b = Om(i + 2), Om(i - 2)
-    return (Ga * Ga
-            - HALF * acom(a * a, b)
-            - HALF * acom(b * b, a)
-            + a * a + b * b + acom(a, b)
-            + HALF * (om(i - 1) + om(i) + om(i + 1) + Om(i))
-            * (acom(a, b) - 2 * a - 2 * b)
-            + (om(i) - om(i + 1)) * (Om(i) - om(i - 1)) * a
-            + (om(i) - om(i - 1)) * (Om(i) - om(i + 1)) * b
-            + (om(i - 1) + om(i + 1)) * (Om(i) + om(i))
-            + (om(i - 1) * om(i + 1) - Om(i) * om(i))
-            * (Om(i) - om(i - 1) + om(i) - om(i + 1)))
+    return _quartic_casimir(pentagon_poly(rank, "Ga", i), Om(i + 2), Om(i - 2),
+                            om(i - 1), om(i), om(i + 1), Om(i))

@@ -242,9 +242,6 @@ class _Runner:
                         "the central element vanishes on the chain"),
                        casimir_rank1(3), chain)
 
-    def jacobi_suite(self, suite: str):
-        run_jacobi(self)
-
     def symmetry_suite(self, suite: str):
         if self.cfg.rank != 4:
             return
@@ -269,7 +266,8 @@ _SUITES = {
     "lemmas": _Runner.family_suite,
     "pentagon": _Runner.pentagon_suite,
     "casimirs": _Runner.casimir_suite,
-    "jacobi": _Runner.jacobi_suite,
+    # looked up when called, so the module-level name is the one entry point
+    "jacobi": lambda run, suite: run_jacobi(run),
     "symmetry": _Runner.symmetry_suite,
     "rank1": _Runner.rank1_suite,
 }
@@ -341,24 +339,37 @@ def triple_case(a: Gen, b: Gen, c: Gen) -> str:
     return "+".join(kinds)
 
 
-def _triple_orbit_key(rank: int, triple) -> tuple:
-    best = None
-    for images in itertools.permutations(range(1, rank + 1)):
-        def mv(g):
-            idx = tuple(sorted(images[i - 1] for i in g.indices))
-            return (g.kind, idx)
-        key = tuple(sorted(mv(g) for g in triple))
-        if best is None or key < best:
-            best = key
-    return best
+def _triple_orbits(rank: int, triples):
+    """Each relabeling orbit of ``triples`` (all of them, in
+    ``itertools.combinations`` order): its first triple and its size.  The
+    adjacent transpositions (a a+1) generate every relabeling of 1..rank,
+    so a search along them reaches the whole orbit."""
+    def swap(g: Gen, a: int) -> Gen:
+        moved = {a: a + 1, a + 1: a}
+        return Gen(g.kind, tuple(sorted(moved.get(i, i) for i in g.indices)))
+
+    seen = set()
+    for triple in triples:
+        start = frozenset(triple)
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for t in orbit:
+            for a in range(1, rank):
+                image = frozenset(swap(g, a) for g in t)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        yield triple, len(orbit)
 
 
 def run_jacobi(run: _Runner):
     """Every unordered triple of shift/half-commutator generators.
 
     All triples reduce for 3 or 4 indices, and a deterministic sample of
-    them is also checked in each representation context; for 5 the outcome
-    is reported per relabeling orbit without presuming the closure
+    them is also checked in each representation context; for 5 or more the
+    outcome is reported per relabeling orbit without presuming the closure
     conjecture.
     """
     rank = run.cfg.rank
@@ -374,24 +385,10 @@ def run_jacobi(run: _Runner):
                 run.represent(("jacobi", "triple", payload,
                                "operator identity"), poly)
         return
-    seen = {}
-    for triple in triples:
-        key = _triple_orbit_key(rank, triple)
-        if key in seen:
-            seen[key][1] += 1
-        else:
-            seen[key] = [triple, 1]
-    for key in sorted(seen):
-        (a, b, c), size = seen[key]
+    for (a, b, c), size in _triple_orbits(rank, triples):
         run.symbolic(("jacobi", "triple-orbit", f"{a}|{b}|{c} (x{size})",
                       triple_case(a, b, c)),
                      substituted_defect(rank, a, b, c))
-
-
-def jacobi_suite(rank: int) -> VerificationReport:
-    if rank not in (3, 4, 5):
-        raise ConfigError("double-commutator suite runs at 3, 4 or 5 indices")
-    return run_suite(SuiteConfig(rank=rank, suites=("jacobi",)))
 
 
 # -- relation catalog export ----------------------------------------------------

@@ -28,7 +28,6 @@ from racah.representation import (
 from racah.verifier import (
     SuiteConfig,
     emit_report,
-    jacobi_suite,
     run_suite,
     substituted_defect,
     triple_case,
@@ -100,7 +99,7 @@ def test_criterion_3_lemmas(param_sets):
 def test_criterion_4_jacobi(param_sets):
     failures = []
     for rank in (3, 4):
-        report = jacobi_suite(rank)
+        report = run_suite(SuiteConfig(rank=rank, suites=("jacobi",)))
         failures += _bad_records(report)
     # the four special shapes, instance by instance
     shapes = {"pair-joins-privates": 0, "pair-is-shared-edge": 0,
@@ -119,7 +118,7 @@ def test_criterion_4_jacobi(param_sets):
                                    suites=("jacobi",)))
     failures += _bad_records(report)
     # the five-index outcome is reported, never presumed
-    report5 = jacobi_suite(5)
+    report5 = run_suite(SuiteConfig(rank=5, suites=("jacobi",)))
     if any(r.status == "FAILED" for r in report5.records):
         failures.append("five-index suite produced a hard failure")
     open_count = sum(r.status == "inconclusive" for r in report5.records)

@@ -150,6 +150,27 @@ def test_jacobi_command(capsys):
     assert "proved-zero" in out
 
 
+def test_jacobi_rank_out_of_range(capsys):
+    assert main(["jacobi", "--rank", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3..9" in captured.err
+
+
+# a suite named in --suites that has no instance at this rank ran nothing,
+# which is not a pass
+@pytest.mark.parametrize("rank,suites,empty", [
+    ("5", "symmetry,pentagon", "symmetry, pentagon"),
+    ("3", "pentagon", "pentagon"),
+    ("4", "theorem_rn", "theorem_rn"),
+    ("3", "jacobi,symmetry", "symmetry"),
+])
+def test_verify_named_empty_suite(capsys, rank, suites, empty):
+    assert main(["verify", "--rank", rank, "--suites", suites]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank {rank} of suite {empty}" in captured.err
+
+
 def test_rep_probe(capsys, params_file):
     assert main(["rep", "probe", "--params", params_file]) == 0
     assert capsys.readouterr().out.strip()
@@ -232,7 +253,9 @@ def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
 
 
 # whole reports, pinned before the suites were routed through the runner's
-# record emitters; any change in a verdict, witness, anchor or order shows
+# record emitters; any change in a verdict, witness, anchor or order shows.
+# The Jacobi orbit reports were pinned with orbits found by trying all rank!
+# relabelings, the rank-6 one from ``verify --rank 6 --suites jacobi``.
 REPORT_SHA256 = {
     ("verify", "--rank", "3", "--format", "json"):
         "9c12343728df7d24204c7574e926458c70e2d67f9cb0708f069062610e42ca54",
@@ -244,6 +267,10 @@ REPORT_SHA256 = {
     ("verify", "--rank", "4", "--window", "0", "--suites", "definitions,rank1",
      "--format", "json"):
         "d86127500cd9bd1abb917475db0e4df3707781201aa6ec1ba9fe212778d5e503",
+    ("jacobi", "--rank", "5", "--format", "json"):
+        "fff90b057766939ebe6246b6a6c8613a70c8f7c9fc90212d4baa4cebae8037a1",
+    ("jacobi", "--rank", "6", "--format", "json"):
+        "6f17368acfadcd1ec7709faedabf40d8f4243c3a1d8ce72db50bbf5ea9bf32cf",
 }
 
 

@@ -1,19 +1,20 @@
 """Suite runner: determinism, serialization, config handling, enumeration."""
 
+import itertools
 import json
 
 import pytest
 
 from racah import representation as rep
-from racah.core import FAMILIES, enumerate_relations, relation
+from racah.core import FAMILIES, core_generators, enumerate_relations, relation
 from racah.verifier import (
     SUITE_NAMES,
     _SUITE_FAMILIES,
+    _triple_orbits,
     ConfigError,
     SuiteConfig,
     VerificationReport,
     emit_report,
-    jacobi_suite,
     params_from_config,
     parse_config,
     parse_rational,
@@ -97,14 +98,43 @@ def test_failed_record_drives_exit_code():
 
 
 def test_jacobi_suite_rank3():
-    report = jacobi_suite(3)
+    report = run_suite(SuiteConfig(rank=3, suites=("jacobi",)))
     assert len(report.records) == 35              # C(7,3) generator triples
     assert all(r.status == "proved-zero" for r in report.records)
 
 
-def test_jacobi_suite_rank_bounds():
-    with pytest.raises(ConfigError):
-        jacobi_suite(6)
+def _triple_orbit_key(rank: int, triple) -> tuple:
+    """The least image of ``triple`` over all rank! relabelings."""
+    best = None
+    for images in itertools.permutations(range(1, rank + 1)):
+        def mv(g):
+            idx = tuple(sorted(images[i - 1] for i in g.indices))
+            return (g.kind, idx)
+        key = tuple(sorted(mv(g) for g in triple))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_triple_orbits_match_brute_force(rank):
+    triples = list(itertools.combinations(core_generators(rank), 3))
+    seen = {}
+    for triple in triples:
+        key = _triple_orbit_key(rank, triple)
+        if key in seen:
+            seen[key][1] += 1
+        else:
+            seen[key] = [triple, 1]
+    # same representatives, in the same order, with the same sizes
+    assert list(_triple_orbits(rank, triples)) == [
+        (first, size) for first, size in seen.values()]
+
+
+def test_triple_orbits_rank6():
+    triples = list(itertools.combinations(core_generators(6), 3))
+    sizes = [size for _, size in _triple_orbits(6, triples)]
+    assert len(sizes) == 64 and sum(sizes) == len(triples) == 10660
 
 
 def test_relation_catalog_rows():
