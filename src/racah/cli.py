@@ -121,10 +121,10 @@ def cmd_symmetry(args) -> int:
         print("generators: one rotation, one reflection, and the three"
               " adjacent index swaps")
         return 0
-    poly = parse_expr(args.generator, rank=4)
-    (word,) = poly.terms
-    if len(word) != 1:
+    terms = parse_expr(args.generator, rank=4).terms
+    if len(terms) != 1 or any(len(w) != 1 or c != 1 for w, c in terms.items()):
         raise AlgebraError("orbit wants a single generator symbol")
+    ((word, _),) = terms.items()
     for name in symmetry.orbit(word[0], args.group):
         print(name)
     return 0

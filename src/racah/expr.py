@@ -126,6 +126,8 @@ class _Parser:
                 den = self.next()
                 if not den.isdigit():
                     raise ParseError(f"malformed rational, found {den!r}")
+                if int(den) == 0:
+                    raise ParseError(f"zero denominator in {t}/{den}")
                 return NCPoly.const(self.rank, Fraction(num, int(den)))
             return NCPoly.const(self.rank, num)
         return self.generator(t)

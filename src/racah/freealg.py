@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction  # exact coefficients, always normalized, denominator > 0
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -275,6 +275,28 @@ def format_poly(p: NCPoly) -> str:
 
 # -- rewrite engine -----------------------------------------------------------
 
+def _combine(den: int, parts: list) -> tuple:
+    """The gcd-normalised pair of ``(1/den) * sum(n * entry)`` over the
+    ``(n, entry)`` in ``parts``, each entry a ``(den, {word: int})`` pair;
+    integer arithmetic over the lcm of the entries' denominators."""
+    common = lcm(*(d for _, (d, _) in parts))
+    acc: dict[tuple, int] = {}
+    for n, (d, terms) in parts:
+        m = n * (common // d)
+        for w, c in terms.items():
+            q = acc.get(w, 0) + m * c
+            if q:
+                acc[w] = q
+            elif w in acc:
+                del acc[w]
+    den *= common
+    g = gcd(den, *acc.values())
+    if g > 1:
+        den //= g
+        acc = {w: c // g for w, c in acc.items()}
+    return den, acc
+
+
 @dataclass(frozen=True)
 class RewriteRule:
     """One oriented rule: a length-1 or length-2 word and its replacement.
@@ -308,6 +330,11 @@ class RewriteSystem:
     degree, word length, singleton count, word read lexicographically)
     lexicographically; this is asserted per step.  Zero normal form == ideal
     membership; anything else is inconclusive.
+
+    Internally a rule body or a memoised normal form is one pair
+    ``(den, {word: int})`` with ``den > 0`` and ``gcd(den, *nums) == 1``:
+    exact for any rational, and unique, so ``==`` on pairs is equality of
+    normal forms.  Coefficients become ``Fraction`` again only in ``_extern``.
     """
 
     def __init__(self, rank: int, alphabet: Iterable[Gen],
@@ -324,9 +351,9 @@ class RewriteSystem:
         self._single_index = {i: gens[i].indices[0] for i in self._single}
         self._half = {i: frozenset(gens[i].indices) for i, g in enumerate(gens)
                       if g.kind == "D"}
-        self._expand: dict[int, dict] = {}
-        self._swap: dict[tuple[int, int], dict] = {}
-        self._elim: dict[tuple[int, int], dict] = {}
+        self._expand: dict[int, tuple] = {}
+        self._swap: dict[tuple[int, int], tuple] = {}
+        self._elim: dict[tuple[int, int], tuple] = {}
         for rule in self.rules:
             ids = tuple(self._gen2id[g] for g in rule.lhs)
             body = self._intern(rule.rhs)
@@ -338,21 +365,24 @@ class RewriteSystem:
                 self._swap[ids] = body
         # memo of word -> normal form; value-identical results regardless of
         # call interleaving, so sharing between threads only wastes work
-        self._nf: dict[tuple, dict] = {}
+        self._nf: dict[tuple, tuple] = {}
         self._steps = 0
 
     # -- plumbing ---------------------------------------------------------
 
-    def _intern(self, p: NCPoly) -> dict:
-        out = {}
-        for w, c in p.terms.items():
-            out[tuple(self._gen2id[g] for g in w)] = c
-        return out
+    def _intern(self, p: NCPoly) -> tuple:
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the pair is already gcd-normalised
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        return den, {tuple(self._gen2id[g] for g in w):
+                     c.numerator * (den // c.denominator)
+                     for w, c in p.terms.items()}
 
-    def _extern(self, terms: dict) -> NCPoly:
+    def _extern(self, entry: tuple) -> NCPoly:
+        den, terms = entry
         gens = self._id2gen
-        return NCPoly(self.rank,
-                      {tuple(gens[i] for i in w): c for w, c in terms.items()})
+        return NCPoly(self.rank, {tuple(gens[i] for i in w): Fraction(n, den)
+                                  for w, n in terms.items()})
 
     def degree(self, g: Gen) -> int:
         return g.degree
@@ -400,18 +430,28 @@ class RewriteSystem:
                         return ("e", p, q)
         return None
 
+    def _body(self, w: tuple, redex) -> tuple:
+        """The ``(den, {word: int})`` body of the rule ``redex`` names."""
+        if redex[0] == "x":
+            return self._expand[w[redex[1]]]
+        if redex[0] == "s":
+            p = redex[1]
+            return self._swap[(w[p], w[p + 1])]
+        _, p, q = redex
+        return self._elim[(w[p], w[q])]
+
     def _apply(self, w: tuple, redex) -> list:
+        """(word, numerator) pairs of one step; the denominator is the
+        body's, ``self._body(w, redex)[0]``."""
         kind = redex[0]
+        _, body = self._body(w, redex)
         if kind == "x":
             p = redex[1]
-            body = self._expand[w[p]]
             return [(w[:p] + rw + w[p + 1:], c) for rw, c in body.items()]
         if kind == "s":
             p = redex[1]
-            body = self._swap[(w[p], w[p + 1])]
             return [(w[:p] + rw + w[p + 2:], c) for rw, c in body.items()]
         _, p, q = redex
-        body = self._elim[(w[p], w[q])]
         out = []
         for rw, c in body.items():
             if p < q:
@@ -423,23 +463,23 @@ class RewriteSystem:
 
     # -- reduction ----------------------------------------------------------
 
-    def _normal_form(self, word: tuple) -> dict:
+    def _normal_form(self, word: tuple) -> tuple:
         nf = self._nf
         got = nf.get(word)
         if got is not None:
             return got
         stack = [word]
-        pending: dict[tuple, list] = {}
+        pending: dict[tuple, tuple] = {}
         while stack:
             w = stack[-1]
             if w in nf:
                 stack.pop()
                 continue
-            kids = pending.get(w)
-            if kids is None:
+            step = pending.get(w)
+            if step is None:
                 redex = self._find_redex(w)
                 if redex is None:
-                    nf[w] = {w: ONE}
+                    nf[w] = (1, {w: 1})
                     stack.pop()
                     continue
                 kids = self._apply(w, redex)
@@ -450,20 +490,13 @@ class RewriteSystem:
                         raise AssertionError(
                             f"termination measure did not drop: {mw} -> {mk}")
                 self._steps += 1
-                pending[w] = kids
+                step = pending[w] = (self._body(w, redex)[0], kids)
+            den, kids = step
             missing = [kw for kw, _ in kids if kw not in nf]
             if missing:
                 stack.extend(missing)
                 continue
-            acc: dict[tuple, Fraction] = {}
-            for kw, c in kids:
-                for w2, c2 in nf[kw].items():
-                    q = acc.get(w2, ZERO) + c * c2
-                    if q:
-                        acc[w2] = q
-                    elif w2 in acc:
-                        del acc[w2]
-            nf[w] = acc
+            nf[w] = _combine(den, [(c, nf[kw]) for kw, c in kids])
             del pending[w]
             stack.pop()
         return nf[word]
@@ -473,16 +506,11 @@ class RewriteSystem:
         if p.rank != self.rank:
             raise RankMismatchError(
                 f"poly of rank {p.rank} fed to rank-{self.rank} system")
-        acc: dict[tuple, Fraction] = {}
-        for w, c in p.terms.items():
-            iw = tuple(self.generator_order(g) for g in w)
-            for w2, c2 in self._normal_form(iw).items():
-                q = acc.get(w2, ZERO) + c * c2
-                if q:
-                    acc[w2] = q
-                elif w2 in acc:
-                    del acc[w2]
-        return self._extern(acc)
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        parts = [(c.numerator * (den // c.denominator),
+                  self._normal_form(tuple(self.generator_order(g) for g in w)))
+                 for w, c in p.terms.items()]
+        return self._extern(_combine(den, parts))
 
     def reduce_with_stats(self, p: NCPoly) -> tuple[NCPoly, int]:
         before = self._steps
@@ -518,7 +546,7 @@ class RewriteSystem:
             if any(pair in new for pair in zip(w, w[1:])):
                 dropped.add(w)
             # only an irreducible word is a term of its own normal form
-            elif w not in got and any(
+            elif w not in got[1] and any(
                     kw in dropped
                     for kw, _ in self._apply(w, self._find_redex(w))):
                 dropped.add(w)

@@ -316,8 +316,9 @@ def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
     else:
         raise AlgebraError(f"unknown group {group!r}")
 
+    # keyed on the sources, so a match compares letters of the same kind
     table: dict[tuple, str] = {}
-    for label, poly in suite:
+    for (label, _), poly in zip(suite, sources):
         table.setdefault(poly.key(), f"+{label}")
         table.setdefault((-poly).key(), f"-{label}")
 

@@ -46,6 +46,38 @@ def test_symmetry_orbit_rejects_shift_and_half_letters(capsys, symbol):
     assert symbol in captured.err
 
 
+# orbit takes one bare generator: no sum, no zero, no coefficient to drop
+@pytest.mark.parametrize("expr", ["0", "C12+C13", "2*C12"])
+def test_symmetry_orbit_rejects_non_generator(capsys, expr):
+    assert main(["symmetry", "orbit", expr, "--group", "d5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "single generator" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--rank", "4", "1/0*C12"],
+    ["rep", "apply", "--expr", "1/0*C23", "--state", "3,0"],
+])
+def test_zero_denominator_in_expression(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "zero denominator" in captured.err
+
+
+# non-dyadic coefficients, whose denominators no rule body has, come back
+# exact and printed exactly as before the engine computed over integers
+def test_reduce_non_dyadic_exact(capsys):
+    assert main(["reduce", "--rank", "5",
+                 "1/3*[C12,C13] + 2/7*C123*C45 - 5/11*{D123,P45}"]) == 0
+    assert capsys.readouterr().out == (
+        "-2/3*D123 + 2/7*P12*P45 - 2/7*P12*P4 - 2/7*P12*P5 + 2/7*P13*P45"
+        " - 2/7*P13*P4 - 2/7*P13*P5 - 10/11*P14*D235 + 2/7*P23*P45"
+        " - 2/7*P23*P4 - 2/7*P23*P5 + 10/11*P24*D135 - 10/11*P34*D125"
+        " - 2/7*P45*P1 - 2/7*P45*P2 - 2/7*P45*P3 + 2/7*P1*P4 + 2/7*P1*P5"
+        " + 2/7*P2*P4 + 2/7*P2*P5 + 2/7*P3*P4 + 2/7*P3*P5\n")
+
+
 def test_list_relations(capsys):
     assert main(["list-relations", "--rank", "3"]) == 0
     out = capsys.readouterr().out
@@ -271,6 +303,8 @@ REPORT_SHA256 = {
         "fff90b057766939ebe6246b6a6c8613a70c8f7c9fc90212d4baa4cebae8037a1",
     ("jacobi", "--rank", "6", "--format", "json"):
         "6f17368acfadcd1ec7709faedabf40d8f4243c3a1d8ce72db50bbf5ea9bf32cf",
+    ("verify", "--rank", "6", "--suites", "theorem_rn", "--format", "json"):
+        "b00c4a3e9368fb96c923448f57d2a514e6a99403e3fa114bf8bcc246c0b9fd55",
 }
 
 

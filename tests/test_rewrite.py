@@ -2,6 +2,7 @@
 accounting, and soundness of every compiled rule against the operators."""
 
 import importlib.util
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,17 @@ def test_saturated_memo_matches_fresh_system():
         assert fresh._normal_form(w) == nf
 
 
+def test_memo_entries_are_canonical_integer_pairs():
+    # one (den, {word: int}) pair per rational map: den > 0, no common
+    # factor with the numerators, no zero numerator
+    rs = core.rewrite_system(5)
+    bodies = [*rs._expand.values(), *rs._swap.values(), *rs._elim.values()]
+    assert rs._nf and bodies
+    for den, terms in [*rs._nf.values(), *bodies]:
+        assert den > 0 and gcd(den, *terms.values()) == 1
+        assert all(type(n) is int and n for n in terms.values())
+
+
 def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
     base = [r for r in rs4.rules if r.grade_drop != "word order at equal degree"]
     rule = next(r for r in rs4.rules if r not in base)
@@ -172,7 +184,7 @@ def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
     assert {tuple(rs.generator_order(g) for g in w) for w in dropped} == affected
     assert holders and affected > holders      # the holders and their ancestors
     kept = before.keys() - affected
-    assert any(w not in before[w] for w in kept)   # a reducible bystander
+    assert any(w not in before[w][1] for w in kept)   # a reducible bystander
     assert rs._nf.keys() == kept
     assert all(rs._nf[w] is before[w] for w in kept)
     assert rs.rules[-1] == rule
