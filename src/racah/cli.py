@@ -115,12 +115,16 @@ def cmd_jacobi(args) -> int:
 
 def cmd_symmetry(args) -> int:
     if args.what == "closure":
+        if args.generator is not None:
+            raise AlgebraError("closure takes no generator")
         print(f"pentagon action alone: order {symmetry.dihedral_group_order()}")
         print(f"index relabeling alone: order {symmetry.permutation_group_order()}")
         print(f"combined closure: order {symmetry.closure_order()}")
         print("generators: one rotation, one reflection, and the three"
               " adjacent index swaps")
         return 0
+    if args.generator is None:
+        raise AlgebraError("orbit needs a generator symbol, e.g. C12 or Om0")
     terms = parse_expr(args.generator, rank=4).terms
     if len(terms) != 1 or any(len(w) != 1 or c != 1 for w, c in terms.items()):
         raise AlgebraError("orbit wants a single generator symbol")

@@ -189,29 +189,12 @@ CONTIGUOUS = {
 }
 
 
-def _interval_free_decompositions(rank: int) -> dict[tuple, NCPoly]:
-    C = lambda *s: gen_C(rank, s)
-    table = {(1, 3): C(1, 2, 3) - C(1, 2) - C(2, 3) + C(1) + C(2) + C(3)}
-    if rank == 4:
-        table |= {
-            (2, 4): C(2, 3, 4) - C(2, 3) - C(3, 4) + C(2) + C(3) + C(4),
-            (1, 4): C(1, 2, 3, 4) - C(1, 2, 3) - C(2, 3, 4) + C(1) + C(2, 3) + C(4),
-            (1, 2, 4): C(1, 2, 3, 4) - C(1, 2, 3) + C(1, 2) - C(3, 4) + C(3) + C(4),
-            (1, 3, 4): C(1, 2, 3, 4) - C(2, 3, 4) - C(1, 2) + C(3, 4) + C(1) + C(2),
-        }
-    return table
-
-
-# the interval-free subsets of each rank, eliminated through the
-# decomposition relation
-_DECOMPOSITIONS = {rank: _interval_free_decompositions(rank) for rank in CONTIGUOUS}
-
-
 def decompose_to_basis(rank: int, I) -> NCPoly:
     """Express a subset generator in the contiguous basis (ranks 3 and 4).
 
-    Basis elements map to themselves; the handful of interval-free subsets
-    are eliminated through the decomposition relation.
+    Basis elements map to themselves; an interval-free subset is solved out
+    of the decomposition relation whose middle block is its gap, and every
+    other letter of that relation is contiguous.
     """
     idx = tuple(sorted(set(I)))
     _check_indices(rank, idx)
@@ -219,7 +202,10 @@ def decompose_to_basis(rank: int, I) -> NCPoly:
         raise AlgebraError("contiguous basis is defined for 3 or 4 indices")
     if idx in CONTIGUOUS[rank]:
         return gen_C(rank, idx)
-    return _DECOMPOSITIONS[rank][idx]
+    gap = tuple(x for x in range(idx[0], idx[-1]) if x not in idx)
+    low = tuple(x for x in idx if x < gap[0])
+    high = tuple(x for x in idx if x > gap[-1])
+    return _orient(_rel_decomposition(rank, low, gap, high), (Gen("C", idx),))
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +221,17 @@ def to_contiguous(p: NCPoly) -> NCPoly:
     return p.substitute(lambda g: _contiguous_image(p.rank, g))
 
 
-# -- the pairwise commutator catalog ------------------------------------------
+# -- rules solved out of catalog relations ----------------------------------
+
+def _orient(rel: NCPoly, word) -> NCPoly:
+    """The replacement for ``word`` that the ideal member ``rel`` gives:
+    ``rel`` solved for ``word``."""
+    return NCPoly.from_word(rel.rank, word) - (1 / rel.coeff(word)) * rel
+
 
 def catalog_commutator(rank: int, a: Gen, b: Gen) -> NCPoly:
-    """[a, b] for canonical core letters, read off the defining relations.
+    """[a, b] for canonical core letters, solved out of the family instance
+    whose commutator it is.
 
     Covers every pair of shift / half-commutator generators; this single
     table is what rule compilation and the Jacobi checks consume.
@@ -251,74 +244,55 @@ def catalog_commutator(rank: int, a: Gen, b: Gen) -> NCPoly:
         return NCPoly.zero(rank)
     if b.sort_key() > a.sort_key():
         return -catalog_commutator(rank, b, a)
+    rel = _commutator_relation(rank, a, b)
+    if rel is None:
+        return NCPoly.zero(rank)
+    return _orient(rel, (a, b)) - NCPoly.from_word(rank, (b, a))
 
+
+def _commutator_relation(rank: int, a: Gen, b: Gen) -> NCPoly | None:
+    """The family instance holding [a, b], for pair or half-commutator
+    letters with ``a`` after ``b``; None when the two commute."""
     A, B = set(a.indices), set(b.indices)
     shared = A & B
-
     if a.kind == "P" and b.kind == "P":
         if len(shared) != 1:
-            return NCPoly.zero(rank)
+            return None
         (s,) = shared
         (u,) = A - shared
         (v,) = B - shared
-        return 2 * d_poly(rank, u, s, v)
-
+        return _rel_ddef(rank, u, s, v)
     if a.kind == "D" and b.kind == "P":
-        # stated with the pair on the left: [P, D]; flip at the end
-        pair, tri = B, A
-        inter = pair & tri
-        if not inter:
-            return NCPoly.zero(rank)
-        P = lambda x, y: gen_P(rank, x, y)
-        if len(inter) == 2:
-            # the pair sits inside the triple: interior quadratic relation
-            j, k = sorted(inter)
-            (i,) = tri - inter
-            sign = _perm_sign((i, j, k))
-            rhs = (P(j, k) - 2 * gen_P1(rank, j)) * P(k, i) \
-                - P(i, j) * (P(j, k) - 2 * gen_P1(rank, k))
-            return -(sign * rhs)
-        # one shared index: outer relation
-        (s,) = inter
-        (i,) = pair - inter
-        k, l = sorted(tri - inter)
-        sign = _perm_sign((s, k, l))
-        rhs = P(i, l) * P(s, k) - P(s, l) * P(i, k)
-        return -(sign * rhs)
-
+        if len(shared) == 2:
+            # the pair sits inside the triple
+            j, k = sorted(shared)
+            (i,) = A - shared
+            return _rel_inner(rank, i, j, k)
+        if len(shared) == 1:
+            (s,) = shared
+            (i,) = B - shared
+            k, l = sorted(A - shared)
+            return _rel_outer(rank, i, s, k, l)
+        return None
     if a.kind == "D" and b.kind == "D":
-        shared_n = len(shared)
-        if shared_n == 3 or shared_n == 0:
-            # identical handled above; disjoint half-commutators commute
-            return NCPoly.zero(rank)
-        P = lambda x, y: gen_P(rank, x, y)
-        D = lambda x, y, z: d_poly(rank, x, y, z)
-        # compute [b, a] in the role layout of the statements, then flip
-        if shared_n == 2:
+        if len(shared) == 2:
             j, k = sorted(shared)
             (i,) = B - shared
             (l,) = A - shared
-            sign = _perm_sign((i, j, k)) * _perm_sign((j, k, l))
-            val = sign * (P(j, k) * (D(j, i, l) + D(i, l, k)))
-        else:
+            return _rel_dd(rank, i, j, k, l, "left")
+        if len(shared) == 1:
             (x,) = shared
             i, j = sorted(B - shared)
             l, m = sorted(A - shared)
-            sign = _perm_sign((i, j, x)) * _perm_sign((x, l, m))
-            val = sign * (P(j, x) * D(l, m, i) - P(x, i) * D(j, l, m))
-        return -val
-
+            return _rel_dd_one_overlap(rank, i, j, x, l, m)
+        return None  # disjoint half-commutators commute
     raise AlgebraError(f"no catalog entry for [{a}, {b}]")
 
 
 def singleton_elimination(rank: int, l: int, d: Gen) -> NCPoly:
     """Replacement for the word (singleton l) * (half-commutator d) when
-    l misses d's indices, read off the four-term sum identity."""
-    i, j, k = d.indices
-    P = lambda x, y: gen_P(rank, x, y)
-    D = lambda x, y, z: d_poly(rank, x, y, z)
-    return -HALF * (P(i, l) * D(l, j, k) + P(j, l) * D(l, k, i)
-                    + P(k, l) * D(l, i, j))
+    l misses d's indices, solved out of the four-term sum identity."""
+    return _orient(_rel_pd_sum(rank, l, *d.indices), (Gen("P", (l,)), d))
 
 
 def _ideal_product_candidates(rank: int) -> list[NCPoly]:
@@ -327,18 +301,13 @@ def _ideal_product_candidates(rank: int) -> list[NCPoly]:
     either side.  Their residuals carry the quadratic relations BETWEEN
     half-commutator products that plain normal ordering cannot see.
     """
-    idx = range(1, rank + 1)
     sums: list[NCPoly] = []
-    for i in idx:
-        for j, k, l in itertools.combinations([x for x in idx if x != i], 3):
-            P = lambda x, y: gen_P(rank, x, y)
-            D = lambda x, y, z: d_poly(rank, x, y, z)
-            left = (2 * gen_P1(rank, i) * D(j, k, l) + P(j, i) * D(i, k, l)
-                    + P(k, i) * D(i, l, j) + P(l, i) * D(i, j, k))
-            right = (2 * D(j, k, l) * gen_P1(rank, i) + D(i, k, l) * P(j, i)
-                     + D(i, l, j) * P(k, i) + D(i, j, k) * P(l, i))
-            sums.extend((left, right))
-    pairs = [gen_P(rank, i, j) for i, j in itertools.combinations(idx, 2)]
+    for payload in _points_and_triple(rank):
+        left = _rel_pd_sum(rank, *payload)
+        right = NCPoly(rank, {w[::-1]: c for w, c in left.terms.items()})
+        sums.extend((left, right))
+    pairs = [gen_P(rank, i, j)
+             for i, j in itertools.combinations(range(1, rank + 1), 2)]
     out = []
     for t in sums:
         for p in pairs:
@@ -435,8 +404,7 @@ def _derived_product_rules(rs: RewriteSystem) -> list[RewriteRule]:
             lhs = max(resid.terms, key=rs.measure)
             if len(lhs) != 2 or lhs in derived or lhs in swap_keys:
                 continue
-            c = resid.terms[lhs]
-            rhs = NCPoly.from_word(rank, lhs) - (1 / c) * resid
+            rhs = _orient(resid, lhs)
             top = rs.measure(lhs)
             if any(rs.measure(w) >= top for w in rhs.terms):
                 continue
@@ -498,6 +466,7 @@ def enumerate_relations(rank: int, family: str) -> list[RelationId]:
     pdt            one per (l, complementary triple)
     pd_pair        3 pair-partitions x 2 role orders = 6 at rank 4
     """
+    RankConfig(rank)
     return [RelationId(family, rank, tuple(payload))
             for payload in _family(family).instances(rank)]
 
@@ -578,13 +547,6 @@ def _rel_dd_one_overlap(rank, i, j, k, l, m):
 
 def _rel_dd_disjoint(rank, i, j, k, l, m, n):
     return com(d_poly(rank, i, j, k), d_poly(rank, l, m, n))
-
-
-def _rel_pdt(rank, l, i, j, k):
-    P = lambda x, y: gen_P(rank, x, y)
-    D = lambda x, y, z: d_poly(rank, x, y, z)
-    return (P(i, l) * D(l, j, k) + P(j, l) * D(l, k, i)
-            + P(k, l) * D(l, i, j) + 2 * gen_P1(rank, l) * D(i, j, k))
 
 
 def _rel_pd_pair(rank, i, j, k, l):
@@ -835,7 +797,7 @@ FAMILIES: dict[str, Family] = {
     "dd": Family("[D_ijk, D_jkl] = P_jk (D_jil + D_ilk); right-ordered"
                  " variant too", _rel_dd, _d_pairs_sharing_two),
     "pdt": Family("P_il D_ljk + P_jl D_lki + P_kl D_lij + 2 P_l D_ijk = 0",
-                  _rel_pdt, _points_and_triple),
+                  _rel_pd_sum, _points_and_triple),
     "pd_pair": Family("[C_kl, D_ijk] + [C_kl, D_ijl] = 0",
                       _rel_pd_pair, _unordered_pairs_and_pair),
     "pd_flip": Family("[P_ij, D_jkl] = -[P_ji, D_ikl]",

@@ -15,7 +15,7 @@ from .core import d_poly, gen_C, gen_P, pentagon_poly
 from .freealg import AlgebraError, NCPoly, anticommutator, commutator
 
 _TOKEN = re.compile(r"""
-    (?P<gen>Om\d|om\d|Ga\d|C\d+|P\d\d?|D\d\d\d)
+    (?P<gen>(?:Om\d|om\d|Ga\d|C\d+|P\d\d?|D\d\d\d)(?!\d))
   | (?P<int>\d+)
   | (?P<op>[-+*^/(),\[\]{}])
   | (?P<ws>\s+)

@@ -384,9 +384,6 @@ class RewriteSystem:
         return NCPoly(self.rank, {tuple(gens[i] for i in w): Fraction(n, den)
                                   for w, n in terms.items()})
 
-    def degree(self, g: Gen) -> int:
-        return g.degree
-
     def generator_order(self, g: Gen) -> int:
         try:
             return self._gen2id[g]

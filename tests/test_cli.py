@@ -84,6 +84,32 @@ def test_list_relations(capsys):
     assert "central" in out and "pres_rank1" in out
 
 
+# ranks outside 3..9 are refused before any instance is enumerated
+@pytest.mark.parametrize("rank", ["2", "0", "10"])
+def test_list_relations_rank_out_of_range(capsys, rank):
+    assert main(["list-relations", "--rank", rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "3..9" in captured.err
+
+
+# a generator glued to extra digits was read as a smaller generator times a
+# number (P123 as 3*P12); it is a parse error now
+@pytest.mark.parametrize("text", ["P123", "D1234", "Om12"])
+def test_reduce_rejects_generator_with_trailing_digit(capsys, text):
+    assert main(["reduce", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unexpected character" in captured.err
+
+
+# orbit needs its generator, and closure takes none
+@pytest.mark.parametrize("argv", [["symmetry", "orbit"],
+                                  ["symmetry", "closure", "C12"]])
+def test_symmetry_checks_its_generator_argument(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "generator" in captured.err
+
+
 def test_rep_dump_format(capsys, params_file):
     assert main(["rep", "dump", "--gen", "C123", "--window", "3",
                  "--params", params_file]) == 0

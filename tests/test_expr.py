@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import poly_strategy
-from racah.core import d_poly, gen_C, gen_P1, pentagon_poly
+from racah.core import d_poly, gen_C, gen_P, gen_P1, pentagon_poly
 from racah.expr import ParseError, parse_expr
 from racah.freealg import NCPoly, anticommutator, commutator, format_poly
 
@@ -14,6 +14,10 @@ def test_generators():
     assert parse_expr("D123") == d_poly(4, 1, 2, 3)
     assert parse_expr("Om0") == pentagon_poly(4, "Om", 0)
     assert parse_expr("om3") == pentagon_poly(4, "om", 3)
+
+
+def test_spaced_integer_multiplies():
+    assert parse_expr("P12 3") == 3 * gen_P(4, 1, 2)
 
 
 def test_rational_literals():

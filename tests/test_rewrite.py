@@ -23,6 +23,7 @@ rule_digest = _rule_digest_script.rule_digest
 # scripts/rule_digest.py digests of the compiled rule lists, recorded when
 # every saturation round still reduced all candidates on a fresh system
 GOLDEN_RULE_DIGESTS = {
+    3: "3d0e4967f79cec083729c01a97098377d118b7155565694351c65fdebbd3541c",
     4: "b466cf0a7d06cc6d1000a8093c1e8142e708112ef5bee91720c1e215250b0559",
     5: "eabb103c4dcb6f7e1033269954e90dd67870d8f6f0d7ad0cb3f2234170ead8b6",
     6: "890d055fc1f4a86ba908988d44917c29aa1a4497bb527c846b70bc0d501ff165",
@@ -124,17 +125,44 @@ def test_generator_order_is_total(rs4):
     assert rs4.generator_order(Gen("P", (4,))) < rs4.generator_order(Gen("D", (1, 2, 3)))
 
 
-def test_degree_grading(rs4):
-    assert rs4.degree(Gen("P", (1, 2))) == 1
-    assert rs4.degree(Gen("P", (1,))) == 1
-    assert rs4.degree(Gen("D", (1, 2, 3))) == 2
-    assert rs4.degree(Gen("C", (1, 2, 3, 4))) == 1
-    assert rs4.degree(Gen("Ga", (0,))) == 2
+def test_degree_grading():
+    assert Gen("P", (1, 2)).degree == 1
+    assert Gen("P", (1,)).degree == 1
+    assert Gen("D", (1, 2, 3)).degree == 2
+    assert Gen("C", (1, 2, 3, 4)).degree == 1
+    assert Gen("Ga", (0,)).degree == 2
 
 
 @pytest.mark.parametrize("rank", sorted(GOLDEN_RULE_DIGESTS))
 def test_compiled_rules_match_golden_digest(rank):
     assert rule_digest(core.rewrite_system(rank).rules) == GOLDEN_RULE_DIGESTS[rank]
+
+
+def _up_to_scale(p: NCPoly) -> tuple:
+    # p divided by the coefficient of its first word in the printed order
+    first = min(p.terms, key=lambda w: (len(w), [g.sort_key() for g in w]))
+    return (p * (1 / p.terms[first])).key()
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_base_rules_are_catalog_relations_solved_for_their_word(rank):
+    # every elimination rule, and every base swap rule that is more than the
+    # plain swap, is one family instance solved for its left-hand side; the
+    # derived rules come from reduced products and are not single instances
+    instances = {_up_to_scale(relation(rid))
+                 for family in ("ddef", "inner_P", "outer_P", "dd",
+                                "dd_one_overlap", "pdt")
+                 for rid in core.enumerate_relations(rank, family)}
+    checked = 0
+    for rule in build_rewrite_system(rank).rules:
+        if rule.name == "expand" or rule.grade_drop == "word order at equal degree":
+            continue
+        lhs = NCPoly.from_word(rank, rule.lhs)
+        if rule.rhs == NCPoly.from_word(rank, rule.lhs[::-1]):
+            continue
+        assert _up_to_scale(lhs - rule.rhs) in instances, rule
+        checked += 1
+    assert checked
 
 
 def test_saturated_memo_matches_fresh_system():
