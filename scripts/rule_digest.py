@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Compile one rank's rewrite system and print its rule count per kind, the
-compile time, and a SHA-256 digest of the ordered rule list.
+compile time, the saturation step count, and a SHA-256 digest of the ordered
+rule list.
 
     PYTHONPATH=src python3 scripts/rule_digest.py --rank 6
 
 Two builds compiled the same rules, in the same order, exactly when their
 digests agree: every rule contributes its kind, its measure component, its
 left-hand side and its canonically printed right-hand side, in list order.
+The step count is the number of rule applications the saturation took; two
+builds that agree on it as well chose their redexes in the same order.
 """
 
 import argparse
@@ -40,6 +43,7 @@ def main() -> None:
     for name in sorted(counts):
         print(f"  {name}: {counts[name]}")
     print(f"compile_s {elapsed:.2f}")
+    print(f"steps {rs.steps}")
     print(f"sha256 {rule_digest(rs.rules)}")
 
 

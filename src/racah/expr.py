@@ -137,6 +137,8 @@ class _Parser:
         digits = [int(ch) for ch in tok[len(kind):]]
         try:
             if kind == "C":
+                if len(set(digits)) != len(digits):
+                    raise ParseError(f"repeated index in {tok!r}")
                 return gen_C(self.rank, digits)
             if kind == "P":
                 if len(digits) == 1:
@@ -147,6 +149,8 @@ class _Parser:
             if kind in ("Om", "om", "Ga"):
                 if self.rank != 4:
                     raise ParseError("pentagon labels need exactly 4 indices")
+                if digits[0] > 4:
+                    raise ParseError(f"pentagon label {tok!r} is not one of 0..4")
                 return pentagon_poly(self.rank, kind, digits[0])
         except ParseError:
             raise

@@ -121,12 +121,6 @@ class NCPoly:
     def coeff(self, word: Word) -> Fraction:
         return self.terms.get(tuple(word), ZERO)
 
-    def gens(self) -> set[Gen]:
-        out: set[Gen] = set()
-        for w in self.terms:
-            out.update(w)
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_rank(self, other: "NCPoly"):
@@ -348,21 +342,14 @@ class RewriteSystem:
         self._foreign = {i for i, g in enumerate(gens) if g.kind not in CORE_KINDS}
         self._single = {i for i, g in enumerate(gens)
                         if g.kind == "P" and len(g.indices) == 1}
-        self._single_index = {i: gens[i].indices[0] for i in self._single}
-        self._half = {i: frozenset(gens[i].indices) for i, g in enumerate(gens)
-                      if g.kind == "D"}
-        self._expand: dict[int, tuple] = {}
-        self._swap: dict[tuple[int, int], tuple] = {}
+        # one-letter expansions, two-letter swaps and derived rules, keyed by
+        # left-hand side; eliminations by (singleton, half-commutator)
+        self._adjacent: dict[tuple, tuple] = {}
         self._elim: dict[tuple[int, int], tuple] = {}
         for rule in self.rules:
             ids = tuple(self._gen2id[g] for g in rule.lhs)
-            body = self._intern(rule.rhs)
-            if len(ids) == 1:
-                self._expand[ids[0]] = body
-            elif rule.name == "eliminate":
-                self._elim[ids] = body
-            else:
-                self._swap[ids] = body
+            table = self._elim if rule.name == "eliminate" else self._adjacent
+            table[ids] = self._intern(rule.rhs)
         # memo of word -> normal form; value-identical results regardless of
         # call interleaving, so sharing between threads only wastes work
         self._nf: dict[tuple, tuple] = {}
@@ -409,54 +396,31 @@ class RewriteSystem:
         including those made while its rule set was being saturated."""
         return self._steps
 
-    # -- redex search / application ----------------------------------------
+    # -- redex search ---------------------------------------------------------
 
     def _find_redex(self, w: tuple):
+        """The step ``w`` takes as ``(prefix, body, suffix)``: ``w`` becomes
+        ``prefix + rw + suffix`` for each word ``rw`` of ``body``, a
+        ``(den, {word: int})`` entry.  ``None`` when no rule applies."""
+        adjacent = self._adjacent
         n = len(w)
         for p in range(n):
-            if w[p] in self._expand:
-                return ("x", p)
-            if p + 1 < n and (w[p], w[p + 1]) in self._swap:
-                return ("s", p)
+            # at the last position both slices are the one-letter word
+            for end in (p + 1, p + 2):
+                body = adjacent.get(w[p:end])
+                if body is not None:
+                    return w[:p], body, w[end:]
         for p in range(n):
             if w[p] in self._single:
-                i = self._single_index[w[p]]
                 for q in range(n):
-                    hs = self._half.get(w[q])
-                    if hs is not None and i not in hs and (w[p], w[q]) in self._elim:
-                        return ("e", p, q)
+                    body = self._elim.get((w[p], w[q]))
+                    if body is not None:
+                        # the singleton is central: take it out of the word
+                        # and put the body in place of its partner
+                        if p < q:
+                            return w[:p] + w[p + 1:q], body, w[q + 1:]
+                        return w[:q], body, w[q + 1:p] + w[p + 1:]
         return None
-
-    def _body(self, w: tuple, redex) -> tuple:
-        """The ``(den, {word: int})`` body of the rule ``redex`` names."""
-        if redex[0] == "x":
-            return self._expand[w[redex[1]]]
-        if redex[0] == "s":
-            p = redex[1]
-            return self._swap[(w[p], w[p + 1])]
-        _, p, q = redex
-        return self._elim[(w[p], w[q])]
-
-    def _apply(self, w: tuple, redex) -> list:
-        """(word, numerator) pairs of one step; the denominator is the
-        body's, ``self._body(w, redex)[0]``."""
-        kind = redex[0]
-        _, body = self._body(w, redex)
-        if kind == "x":
-            p = redex[1]
-            return [(w[:p] + rw + w[p + 1:], c) for rw, c in body.items()]
-        if kind == "s":
-            p = redex[1]
-            return [(w[:p] + rw + w[p + 2:], c) for rw, c in body.items()]
-        _, p, q = redex
-        out = []
-        for rw, c in body.items():
-            if p < q:
-                nw = w[:p] + w[p + 1:q] + rw + w[q + 1:]
-            else:
-                nw = w[:q] + rw + w[q + 1:p] + w[p + 1:]
-            out.append((nw, c))
-        return out
 
     # -- reduction ----------------------------------------------------------
 
@@ -479,7 +443,8 @@ class RewriteSystem:
                     nf[w] = (1, {w: 1})
                     stack.pop()
                     continue
-                kids = self._apply(w, redex)
+                prefix, (den, body), suffix = redex
+                kids = [(prefix + rw + suffix, c) for rw, c in body.items()]
                 mw = self._measure(w)
                 for kw, _ in kids:
                     mk = self._measure(kw)
@@ -487,7 +452,7 @@ class RewriteSystem:
                         raise AssertionError(
                             f"termination measure did not drop: {mw} -> {mk}")
                 self._steps += 1
-                step = pending[w] = (self._body(w, redex)[0], kids)
+                step = pending[w] = (den, kids)
             den, kids = step
             missing = [kw for kw, _ in kids if kw not in nf]
             if missing:
@@ -531,11 +496,11 @@ class RewriteSystem:
         new = set()
         for rule in rules:
             ids = tuple(self.generator_order(g) for g in rule.lhs)
-            if (rule.name != "swap" or len(ids) != 2 or ids in self._swap
+            if (rule.name != "swap" or len(ids) != 2 or ids in self._adjacent
                     or ids in self._elim):
                 raise AlgebraError(
                     f"not a new swap rule: {format_word(rule.lhs)}")
-            self._swap[ids] = self._intern(rule.rhs)
+            self._adjacent[ids] = self._intern(rule.rhs)
             new.add(ids)
         self.rules += rules
         dropped = set()
@@ -543,10 +508,10 @@ class RewriteSystem:
             if any(pair in new for pair in zip(w, w[1:])):
                 dropped.add(w)
             # only an irreducible word is a term of its own normal form
-            elif w not in got[1] and any(
-                    kw in dropped
-                    for kw, _ in self._apply(w, self._find_redex(w))):
-                dropped.add(w)
+            elif w not in got[1]:
+                prefix, (_, body), suffix = self._find_redex(w)
+                if any(prefix + rw + suffix in dropped for rw in body):
+                    dropped.add(w)
         self._nf = {w: got for w, got in self._nf.items() if w not in dropped}
         gens = self._id2gen
         return {tuple(gens[i] for i in w) for w in dropped}

@@ -283,9 +283,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         RankConfig(self.rank)
-        for s in self.suites:
+        for k, s in enumerate(self.suites):
             if s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}")
+            if s in self.suites[:k]:
+                raise ConfigError(f"suite {s!r} named twice")
         for name, params, window in self.param_sets:
             if window < 0:
                 raise ConfigError(
@@ -459,6 +461,8 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
         if key in ("c1", "c2", "c3", "c4", "N"):
             out[key] = parse_rational(val)
         elif key == "window":

@@ -229,6 +229,14 @@ def test_verify_named_empty_suite(capsys, rank, suites, empty):
     assert f"rank {rank} of suite {empty}" in captured.err
 
 
+def test_verify_rejects_repeated_suite(capsys):
+    # naming a suite twice would run it twice and double every count
+    assert main(["verify", "--rank", "3",
+                 "--suites", "definitions,definitions"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "named twice" in captured.err
+
+
 def test_rep_probe(capsys, params_file):
     assert main(["rep", "probe", "--params", params_file]) == 0
     assert capsys.readouterr().out.strip()

@@ -41,7 +41,8 @@ def test_precedence_and_power():
 
 
 def test_parse_errors():
-    for bad in ("C0", "C12 +", "[C12,C23", "Q7", "1.5*C12", "C12 ^ -1", "D12"):
+    for bad in ("C0", "C12 +", "[C12,C23", "Q7", "1.5*C12", "C12 ^ -1", "D12",
+                "Om5", "om9", "Ga7", "C11", "C112"):
         with pytest.raises(ParseError):
             parse_expr(bad)
 

@@ -96,8 +96,12 @@ def test_every_step_decreases_measure():
     # the engine asserts the drop at every application; a violation would
     # raise, so surviving a nontrivial reduction is the real check
     rs = build_rewrite_system(4)
+    assert rs.steps == 754
     poly = core.casimir_frak(0) * gen_C(4, (1, 4))
-    rs.reduce(poly)
+    _, steps = rs.reduce_with_stats(poly)
+    # the counts pin the rewrite order: a different choice of redex takes
+    # a different number of steps
+    assert steps == 10495
 
 
 def test_rule_shapes(rs4):
@@ -169,17 +173,37 @@ def test_saturated_memo_matches_fresh_system():
     # the memo carried through saturation holds only normal forms a system
     # compiled from the final rules would compute from scratch
     rs = build_rewrite_system(5)
+    assert rs.steps == 6937
     fresh = RewriteSystem(5, core.alphabet(5), rs.rules)
     assert rs._nf
     for w, nf in rs._nf.items():
         assert fresh._normal_form(w) == nf
 
 
+@pytest.mark.parametrize("word, prefix, suffix", [
+    # the singleton P1 after its partner D234, then before it; the other
+    # letters keep their order around the body
+    ("P12 D234 P13 P1 P34", "P12", "P13 P34"),
+    ("P12 P1 P13 D234 P34", "P12 P13", "P34"),
+])
+def test_elimination_splices_body_in_place_of_partner(word, prefix, suffix):
+    rs = RewriteSystem(4, core.alphabet(4),
+                       [r for r in core.rewrite_system(4).rules
+                        if r.name == "eliminate"])
+    body = core.singleton_elimination(4, 1, Gen("D", (2, 3, 4)))
+
+    def poly(text):
+        return NCPoly.from_word(4, (Gen(t[0], tuple(int(i) for i in t[1:]))
+                                    for t in text.split()))
+
+    assert rs.reduce(poly(word)) == poly(prefix) * body * poly(suffix)
+
+
 def test_memo_entries_are_canonical_integer_pairs():
     # one (den, {word: int}) pair per rational map: den > 0, no common
     # factor with the numerators, no zero numerator
     rs = core.rewrite_system(5)
-    bodies = [*rs._expand.values(), *rs._swap.values(), *rs._elim.values()]
+    bodies = [*rs._adjacent.values(), *rs._elim.values()]
     assert rs._nf and bodies
     for den, terms in [*rs._nf.values(), *bodies]:
         assert den > 0 and gcd(den, *terms.values()) == 1
@@ -202,7 +226,7 @@ def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
         if w not in visits:
             redex = rs._find_redex(w)
             visits[w] = pair in zip(w, w[1:]) or (redex is not None and any(
-                visits_pair(kw) for kw, _ in rs._apply(w, redex)))
+                visits_pair(redex[0] + rw + redex[2]) for rw in redex[1][1]))
         return visits[w]
 
     holders = {w for w in before if pair in zip(w, w[1:])}

@@ -70,6 +70,8 @@ def test_negative_window_rejected():
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         SuiteConfig(rank=4, suites=("nonsense",))
+    with pytest.raises(ConfigError, match="named twice"):
+        SuiteConfig(rank=3, suites=("definitions", "definitions"))
 
 
 def test_report_determinism():
@@ -180,6 +182,11 @@ def test_parse_config():
         parse_config("mystery = 3")
     with pytest.raises(ConfigError):
         params_from_config(parse_config("c1 = 1/2"))
+    # a repeated key is an error, not a silent override by the last line
+    with pytest.raises(ConfigError, match="line 2: key 'window'"):
+        parse_config("window = 6\nwindow = 2")
+    with pytest.raises(ConfigError, match="line 3: key 'N'"):
+        parse_config("N = 4\nc1 = 1/3\nN = 5")
 
 
 def test_records_sorted():
