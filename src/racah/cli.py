@@ -137,9 +137,13 @@ def cmd_symmetry(args) -> int:
 def cmd_rep_dump(args) -> int:
     params, window = _rep_params(args)
     op = build_operator(args.gen, params, window)
+    leaky = op.leaky
     for (t, s) in triangle_states(window):
         for (tt, ss), q in sorted(op.column((t, s)).items()):
             print(f"{t} {s} -> {tt} {ss}  {q}")
+        # the rest of this state's image lies past the window
+        if (t, s) in leaky:
+            print(f"{t} {s} -> beyond window {window}")
     return 0
 
 

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .core import to_contiguous
@@ -179,52 +180,50 @@ def chain_states(window: int) -> tuple[State, ...]:
     return tuple((t, 0) for t in range(window + 1))
 
 
+@lru_cache(maxsize=None)
+def _positions(states: tuple[State, ...]) -> dict[State, int]:
+    """Each state's position in ``states``: the key of its column and row
+    (one index per window in use)."""
+    return {x: i for i, x in enumerate(states)}
+
+
 class SparseOperator:
     """Exact rational linear map on a finite window of lattice states.
 
-    Entries are kept as integers over one common positive denominator.
-    ``leaky`` marks states whose true image left the window; their columns
-    (when present) hold only the in-window part and are never used in
-    compositions or zero assertions.
+    A state is keyed by its position in ``states``: ``cols[i][j]`` is the
+    entry from ``states[i]`` to ``states[j]``, an integer over one common
+    positive denominator ``den``, with ``gcd(den, *entries) == 1``; no
+    column holds a zero entry and no column is empty.  ``leaky`` marks the
+    states whose true image left the window; their columns (when present)
+    hold only the in-window part and are never used in compositions or zero
+    assertions.
     """
 
-    __slots__ = ("states", "den", "cols", "leaky", "_index")
+    __slots__ = ("states", "den", "cols", "_leak")
 
     def __init__(self, states: tuple[State, ...], den: int,
-                 cols: dict[State, dict[State, int]],
-                 leaky: frozenset[State] = frozenset()):
+                 cols: dict[int, dict[int, int]],
+                 leak: frozenset[int] = frozenset()):
         self.states = states
         self.den = den
         self.cols = cols
-        self.leaky = leaky
+        self._leak = leak
         self._normalize()
 
     def _normalize(self):
-        g = self.den
-        for col in self.cols.values():
-            for v in col.values():
-                g = math.gcd(g, v)
-                if g == 1:
-                    break
-            if g == 1:
-                break
+        g = math.gcd(self.den, *(v for col in self.cols.values()
+                                 for v in col.values()))
         if g > 1:
             self.den //= g
             for col in self.cols.values():
                 for k in col:
                     col[k] //= g
-        for x in list(self.cols):
-            col = self.cols[x]
-            for y in [y for y, v in col.items() if v == 0]:
-                del col[y]
-            if not col:
-                del self.cols[x]
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def identity(states: tuple[State, ...]) -> "SparseOperator":
-        return SparseOperator(states, 1, {x: {x: 1} for x in states})
+        return SparseOperator(states, 1, {i: {i: 1} for i in range(len(states))})
 
     @staticmethod
     def scalar(states: tuple[State, ...], value: Fraction) -> "SparseOperator":
@@ -232,62 +231,78 @@ class SparseOperator:
         if value == 0:
             return SparseOperator(states, 1, {})
         return SparseOperator(states, value.denominator,
-                              {x: {x: value.numerator} for x in states})
+                              {i: {i: value.numerator}
+                               for i in range(len(states))})
 
     @staticmethod
     def linear_combination(states: tuple[State, ...],
                            parts) -> "SparseOperator":
-        """Exact sum of (coefficient, operator) pairs in one pass."""
+        """Exact sum of (coefficient, operator) pairs in one pass.
+
+        A part with coefficient zero adds neither entries nor leaks.  Each
+        reliable output column is summed in a dense list of integers, and
+        becomes a dict only where the sum is not zero.
+        """
         parts = [(Fraction(c), op) for c, op in parts]
         if any(op.states != states for _, op in parts):
             raise AlgebraError("operators live on different windows")
+        parts = [(c, op) for c, op in parts if c]
         den = 1
         for c, op in parts:
             d = op.den * c.denominator
             den = den * d // math.gcd(den, d)
-        leaky = frozenset().union(*(op.leaky for _, op in parts)) \
-            if parts else frozenset()
-        cols: dict[State, dict[State, int]] = {}
+        leak = frozenset().union(*(op._leak for _, op in parts))
+        n = len(states)
+        accs: list[list[int] | None] = [None] * n
         for c, op in parts:
-            if not c:
-                continue
             # entries are v/op.den; scale to the common denominator exactly
             f = c.numerator * (den // (op.den * c.denominator))
             for x, col in op.cols.items():
-                if x in leaky:
+                if x in leak:
                     continue
-                dst = cols.setdefault(x, {})
+                acc = accs[x]
+                if acc is None:
+                    acc = accs[x] = [0] * n
                 for y, v in col.items():
-                    dst[y] = dst.get(y, 0) + v * f
-        return SparseOperator(states, den, cols, leaky)
+                    acc[y] += v * f
+        cols = {x: {y: v for y, v in enumerate(acc) if v}
+                for x, acc in enumerate(accs) if acc is not None and any(acc)}
+        return SparseOperator(states, den, cols, leak)
 
     # -- access -----------------------------------------------------------
 
+    @property
+    def leaky(self) -> frozenset[State]:
+        return frozenset(self.states[i] for i in self._leak)
+
     def reliable_states(self) -> tuple[State, ...]:
-        return tuple(x for x in self.states if x not in self.leaky)
+        return tuple(x for i, x in enumerate(self.states) if i not in self._leak)
+
+    # a state outside the window has position None: no column, no entry
+
+    def _column(self, i: int | None) -> dict[State, Fraction]:
+        return {self.states[j]: Fraction(v, self.den)
+                for j, v in self.cols.get(i, {}).items()}
 
     def column(self, x: State) -> dict[State, Fraction]:
-        return {y: Fraction(v, self.den) for y, v in self.cols.get(x, {}).items()}
+        return self._column(_positions(self.states).get(x))
 
     def entry(self, x: State, y: State) -> Fraction:
-        return Fraction(self.cols.get(x, {}).get(y, 0), self.den)
+        pos = _positions(self.states)
+        return Fraction(self.cols.get(pos.get(x), {}).get(pos.get(y), 0),
+                        self.den)
 
     def is_zero_on_reliable(self) -> bool:
-        return all(x in self.leaky or x not in self.cols for x in self.states)
+        return self._leak.issuperset(self.cols)
 
     def witness(self):
         """First reliable state with a nonzero image, with that image."""
-        for x in self.states:
-            if x in self.leaky:
-                continue
-            col = self.cols.get(x)
-            if col:
-                return x, self.column(x)
-        return None
+        x = min((x for x in self.cols if x not in self._leak), default=None)
+        return None if x is None else (self.states[x], self._column(x))
 
     def is_diagonal_on_reliable(self) -> bool:
-        return all(set(self.cols.get(x, {})) <= {x}
-                   for x in self.states if x not in self.leaky)
+        return all(x in self._leak or col.keys() == {x}
+                   for x, col in self.cols.items())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -309,23 +324,25 @@ class SparseOperator:
         """self after other (operator product: (self*other)|x> = self(other|x>))."""
         if self.states != other.states:
             raise AlgebraError("operators live on different windows")
-        leaky = set(other.leaky)
-        cols: dict[State, dict[State, int]] = {}
-        for x in self.states:
-            if x in leaky:
+        self_cols, self_leak, other_leak = self.cols, self._leak, other._leak
+        leak = set(other_leak)
+        cols: dict[int, dict[int, int]] = {}
+        for x, mid in other.cols.items():
+            if x in other_leak:
                 continue
-            mid = other.cols.get(x, {})
-            if any(y in self.leaky for y in mid):
-                leaky.add(x)
+            if not self_leak.isdisjoint(mid):
+                leak.add(x)
                 continue
-            col: dict[State, int] = {}
+            col: dict[int, int] = {}
             for y, v in mid.items():
-                for z, w in self.cols.get(y, {}).items():
+                for z, w in self_cols.get(y, {}).items():
                     col[z] = col.get(z, 0) + v * w
+            if 0 in col.values():
+                col = {z: w for z, w in col.items() if w}
             if col:
                 cols[x] = col
         return SparseOperator(self.states, self.den * other.den, cols,
-                              frozenset(leaky))
+                              frozenset(leak))
 
 
 def commutator_op(a: SparseOperator, b: SparseOperator) -> SparseOperator:
@@ -349,11 +366,11 @@ def build_operator(gen, p: RepParams, window: int,
         raise AlgebraError(
             f"{name} is not a contiguous-basis generator; decompose it first")
     stencil = _STENCILS[name]
-    state_set = set(states)
-    cols: dict[State, dict[State, Fraction]] = {}
-    leaky = set()
-    for (t, s) in states:
-        col: dict[State, Fraction] = {}
+    pos = _positions(states)
+    cols: dict[int, dict[int, Fraction]] = {}
+    leak = set()
+    for i, (t, s) in enumerate(states):
+        col: dict[int, Fraction] = {}
         for (dt, ds), val in stencil(p, t, s).items():
             if not val:
                 continue
@@ -362,22 +379,51 @@ def build_operator(gen, p: RepParams, window: int,
                 raise AssertionError(
                     f"lattice leak: {name} maps ({t},{s}) to ({tt},{ss}) "
                     f"with nonzero coefficient {val}")
-            if (tt, ss) not in state_set:
-                leaky.add((t, s))
+            j = pos.get((tt, ss))
+            if j is None:
+                leak.add(i)
                 continue
-            col[(tt, ss)] = val
+            col[j] = val
         if col:
-            cols[(t, s)] = col
+            cols[i] = col
     den = 1
     for col in cols.values():
         for v in col.values():
             den = den * v.denominator // math.gcd(den, v.denominator)
     icols = {x: {y: int(v * den) for y, v in col.items()}
              for x, col in cols.items()}
-    return SparseOperator(states, den, icols, frozenset(leaky))
+    return SparseOperator(states, den, icols, frozenset(leak))
 
 
 # -- evaluation homomorphism ----------------------------------------------------
+
+class ContiguousRewrite:
+    """The contiguous rewrite of the polynomial evaluated last: per word,
+    its operator letters, its scalar letters and its coefficient.
+
+    Contexts that evaluate the same polynomials in turn, one per parameter
+    set, share one, so ``to_contiguous`` runs once per polynomial and not
+    once per context.  It keeps only the latest polynomial, so nothing
+    outlives the run that made it.
+    """
+
+    __slots__ = ("key", "_words")
+
+    def __init__(self):
+        self.key = None
+        self._words = ()
+
+    def words(self, key: tuple, p: NCPoly) -> list:
+        """(letters, scalar names, coefficient) per word of ``p``, whose
+        ``key()`` is ``key``."""
+        if key != self.key:
+            self._words = [
+                (tuple(g for g in word if str(g) not in _SCALARS),
+                 tuple(str(g) for g in word if str(g) in _SCALARS), c)
+                for word, c in to_contiguous(p).terms.items()]
+            self.key = key
+        return self._words
+
 
 class OperatorContext:
     """Caches generator operators and evaluates polynomials over them.
@@ -385,10 +431,12 @@ class OperatorContext:
     ``rank`` 4 uses the full triangular window, ``rank`` 3 the s=0 chain
     (the rank-1 slice).  Evaluation is homomorphic: products compose,
     sums add, and leak flags propagate so results are asserted only where
-    exact.
+    exact.  Contexts given one ``rewrite`` share the contiguous rewrite of
+    each polynomial they evaluate in turn.
     """
 
-    def __init__(self, params: RepParams, window: int, rank: int = 4):
+    def __init__(self, params: RepParams, window: int, rank: int = 4,
+                 rewrite: ContiguousRewrite | None = None):
         if rank not in (3, 4):
             raise AlgebraError("operator window exists for 3 or 4 indices")
         ensure_valid(params, window)
@@ -400,6 +448,7 @@ class OperatorContext:
         self._scalars = {name: fn(params) for name, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
+        self._rewrite = ContiguousRewrite() if rewrite is None else rewrite
 
     def op(self, gen: Gen) -> SparseOperator:
         name = str(gen)
@@ -435,17 +484,11 @@ class OperatorContext:
         if got is not None:
             return got
         terms: dict[tuple, Fraction] = {}
-        for word, c in to_contiguous(p).terms.items():
-            letters = []
-            for g in word:
-                s = self._scalars.get(str(g))
-                if s is None:
-                    letters.append(g)
-                else:
-                    c *= s
+        for letters, scalars, c in self._rewrite.words(key, p):
+            for name in scalars:
+                c *= self._scalars[name]
             if c:
-                w = tuple(letters)
-                terms[w] = terms.get(w, ZERO) + c
+                terms[letters] = terms.get(letters, ZERO) + c
         parts = [(c, self._word_op(w)) for w, c in terms.items() if c]
         out = SparseOperator.linear_combination(self.states, parts)
         self._poly_ops[key] = out

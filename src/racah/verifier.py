@@ -33,6 +33,7 @@ from .core import (
 )
 from .freealg import AlgebraError, Gen, NCPoly, commutator
 from .representation import (
+    ContiguousRewrite,
     OperatorContext,
     RepParams,
     SparseOperator,
@@ -140,8 +141,11 @@ class _Runner:
             cfg.rank, tuple(cfg.suites),
             tuple((name, p.describe(), w) for name, p, w in cfg.param_sets))
         self.rs = rewrite_system(cfg.rank)
-        self.contexts = [(name, OperatorContext(p, w, rank=4))
-                         for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
+        # one contiguous rewrite per polynomial, shared by every context
+        self.rewrite = ContiguousRewrite()
+        self.contexts = [
+            (name, OperatorContext(p, w, rank=4, rewrite=self.rewrite))
+            for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
 
     # -- the record emitters ---------------------------------------------------
 
@@ -228,7 +232,7 @@ class _Runner:
     def rank1_suite(self, suite: str):
         self.family_suite(suite)
         # the s = 0 chain of each parameter set, where C23 raises and C12 lowers
-        chain = [(name, OperatorContext(p, w, rank=3))
+        chain = [(name, OperatorContext(p, w, rank=3, rewrite=self.rewrite))
                  for name, p, w in self.cfg.param_sets]
         self.represent((suite, "raising_normalized", "A",
                         "the east coefficient of the first generator is 1"),

@@ -250,6 +250,25 @@ def test_rep_dump_window_without_params(capsys):
     assert max(int(t) for t, _ in _dumped_states(capsys)) == 2
 
 
+def test_rep_dump_marks_columns_cut_by_the_window(capsys):
+    # C23 raises |2,0> to |3,0> with coefficient 1, past window 2
+    assert main(["rep", "dump", "--gen", "C23", "--window", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line for line in lines if line.startswith("2 0 ")] == [
+        "2 0 -> 2 0  6", "2 0 -> beyond window 2"]
+    beyond = [line.split()[:2] for line in lines if "beyond" in line]
+    assert beyond == [["2", "0"], ["2", "1"], ["2", "2"]]
+
+
+def test_rep_dump_leak_free_is_unchanged(capsys):
+    assert main(["rep", "dump", "--gen", "C123", "--window", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 0 -> 0 0  30", "1 0 -> 1 0  30", "1 1 -> 1 1  20",
+        "2 0 -> 2 0  30", "2 1 -> 2 1  20", "2 2 -> 2 2  12",
+        "3 0 -> 3 0  30", "3 1 -> 3 1  20", "3 2 -> 3 2  12",
+        "3 3 -> 3 3  6"]
+
+
 def test_rep_apply_window_without_params(capsys):
     assert main(["rep", "apply", "--expr", "C23", "--state", "3,0",
                  "--window", "2"]) == 2

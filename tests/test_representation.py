@@ -2,8 +2,10 @@
 lattice closure at the boundaries, centrality and diagonality, leak
 semantics, and the evaluation homomorphism."""
 
+import math
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -275,3 +277,137 @@ def test_zero_scalar_word_adds_no_leak(ctx_integer):
     with_zero = ctx_integer.eval(C(1, 2) + C(2, 3) * C(1))
     assert with_zero.leaky == plain.leaky
     assert all(with_zero.column(x) == plain.column(x) for x in plain.states)
+
+
+def test_zero_coefficient_adds_no_leak():
+    states = triangle_states(3)
+    c23 = build_operator("C23", P_INT, 3)
+    ident = SparseOperator.identity(states)
+    assert c23.leaky == {x for x in states if x[0] == 3}
+    total = SparseOperator.linear_combination(states, [(0, c23), (1, ident)])
+    assert not total.leaky
+    assert all(total.column(x) == {x: 1} for x in states)
+    zero = 0 * c23
+    assert not zero.leaky and zero.is_zero_on_reliable()
+    assert len(zero.reliable_states()) == len(states)
+
+
+# -- the position-keyed kernel against a plain Fraction reference --------------
+# A reference operator is (cols, leak): cols maps a state to its image
+# {state: Fraction} with no zero entry and no empty column, leak is a set of
+# states whose columns no composition or sum reads.
+
+def _ref_sum(parts):
+    leak = set().union(*(b for c, (_, b) in parts if c))
+    cols: dict = {}
+    for c, (a, _) in parts:
+        for x, col in a.items():
+            if x in leak:
+                continue
+            dst = cols.setdefault(x, {})
+            for y, v in col.items():
+                dst[y] = dst.get(y, 0) + c * v
+    return _ref_strip(cols), leak
+
+
+def _ref_compose(states, left, right):
+    (a, a_leak), (b, b_leak) = left, right
+    leak, cols = set(b_leak), {}
+    for x in states:
+        mid = b.get(x, {})
+        if x in leak or not mid:
+            continue
+        if a_leak & set(mid):
+            leak.add(x)
+            continue
+        cols[x] = {}
+        for y, v in mid.items():
+            for z, w in a.get(y, {}).items():
+                cols[x][z] = cols[x].get(z, 0) + v * w
+    return _ref_strip(cols), leak
+
+
+def _ref_strip(cols):
+    cols = {x: {y: v for y, v in col.items() if v} for x, col in cols.items()}
+    return {x: col for x, col in cols.items() if col}
+
+
+def _ref_witness(states, ref):
+    cols, leak = ref
+    return next(((x, cols[x]) for x in states if x not in leak and x in cols),
+                None)
+
+
+def _kernel(states, ref):
+    """The SparseOperator with the reference's entries and leaks."""
+    cols, leak = ref
+    pos = {x: i for i, x in enumerate(states)}
+    den = math.lcm(1, *(v.denominator for col in cols.values()
+                        for v in col.values()))
+    return SparseOperator(
+        states, den,
+        {pos[x]: {pos[y]: int(v * den) for y, v in col.items()}
+         for x, col in cols.items()},
+        frozenset(pos[x] for x in leak))
+
+
+def _assert_agrees(states, op, ref):
+    cols, leak = ref
+    assert op.leaky == leak
+    for x in states:
+        assert op.column(x) == cols.get(x, {}), x
+        for y in states:
+            assert op.entry(x, y) == cols.get(x, {}).get(y, 0)
+    assert op.witness() == _ref_witness(states, ref)
+    reliable = [x for x in states if x not in leak]
+    assert op.reliable_states() == tuple(reliable)
+    assert op.is_zero_on_reliable() == all(x not in cols for x in reliable)
+    assert op.is_diagonal_on_reliable() == all(
+        set(cols.get(x, {})) <= {x} for x in reliable)
+
+
+_RATIONALS = st.fractions(-4, 4, max_denominator=9)
+_COEFFS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                           Fraction(1, 2), Fraction(-2, 3)]) | _RATIONALS
+
+
+@st.composite
+def _reference_ops(draw, count=3):
+    states = triangle_states(draw(st.integers(0, 4)))
+    pick = st.sampled_from(states)
+    ops = []
+    for _ in range(count):
+        cols = _ref_strip(draw(st.dictionaries(
+            pick, st.dictionaries(pick, _RATIONALS, max_size=3))))
+        ops.append((cols, set(draw(st.frozensets(pick, max_size=3)))))
+    return states, ops
+
+
+@given(_reference_ops(), st.data())
+@settings(max_examples=60)
+def test_kernel_matches_fraction_reference(drawn, data):
+    states, refs = drawn
+    ops = [_kernel(states, r) for r in refs]
+    for op, ref in zip(ops, refs):
+        _assert_agrees(states, op, ref)
+    for i, j in ((0, 1), (1, 0), (2, 2)):
+        _assert_agrees(states, ops[i].compose(ops[j]),
+                       _ref_compose(states, refs[i], refs[j]))
+    # zero, repeated and mixed-denominator coefficients; an index may repeat
+    picks = data.draw(st.lists(st.tuples(_COEFFS, st.integers(0, 2)),
+                               max_size=5))
+    _assert_agrees(
+        states,
+        SparseOperator.linear_combination(states,
+                                          [(c, ops[k]) for c, k in picks]),
+        _ref_sum([(c, refs[k]) for c, k in picks]))
+    a, b = refs[0], refs[1]
+    q = data.draw(_COEFFS)
+    _assert_agrees(states, ops[0] + ops[1], _ref_sum([(1, a), (1, b)]))
+    _assert_agrees(states, ops[0] - ops[1], _ref_sum([(1, a), (-1, b)]))
+    _assert_agrees(states, -ops[0], _ref_sum([(-1, a)]))
+    _assert_agrees(states, q * ops[0], _ref_sum([(q, a)]))
+    _assert_agrees(states, ops[0] - ops[0], _ref_sum([(1, a), (-1, a)]))
+    _assert_agrees(states, commutator_op(ops[0], ops[1]),
+                   _ref_sum([(1, _ref_compose(states, a, b)),
+                             (-1, _ref_compose(states, b, a))]))

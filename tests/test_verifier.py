@@ -238,3 +238,24 @@ def test_window_zero_raising_check_is_inconclusive():
     assert not report.failed
     (raising,) = [r for r in report.records if r.family == "raising_normalized"]
     assert raising.status == "inconclusive"
+
+
+def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
+    keys = []
+    rewrite = rep.to_contiguous
+
+    def counting(p):
+        keys.append(p.key())
+        return rewrite(p)
+
+    monkeypatch.setattr(rep, "to_contiguous", counting)
+    cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(4),
+                      suites=("definitions",))
+    distinct = {relation(rid).key() for family in _SUITE_FAMILIES["definitions"]
+                for rid in enumerate_relations(4, family)}
+    run_suite(cfg)
+    assert len(keys) == len(set(keys)) == len(distinct)
+    assert set(keys) == distinct
+    # a second run rewrites every polynomial again: nothing is kept across runs
+    run_suite(cfg)
+    assert len(keys) == 2 * len(distinct)
