@@ -358,6 +358,8 @@ REPORT_SHA256 = {
         "6f17368acfadcd1ec7709faedabf40d8f4243c3a1d8ce72db50bbf5ea9bf32cf",
     ("verify", "--rank", "6", "--suites", "theorem_rn", "--format", "json"):
         "b00c4a3e9368fb96c923448f57d2a514e6a99403e3fa114bf8bcc246c0b9fd55",
+    ("verify", "--rank", "4", "--suites", "pentagon", "--format", "json"):
+        "93142a18d899997eb69d8ccb27b225b63c10baf8e029df32b82a18b97cba7632",
 }
 
 
