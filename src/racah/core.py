@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
+    CORE_KINDS,
     HALF,
     AlgebraError,
     Gen,
@@ -104,42 +105,41 @@ def d_poly(rank: int, i: int, j: int, k: int) -> NCPoly:
     return gen_D(rank, i, j, k)[0]
 
 
-# -- pentagon relabeling (rank 2 only) ---------------------------------------
+# -- pentagon labels (rank 2 only) ---------------------------------------------
 
 OMEGA_SETS = {0: (2, 3), 1: (3, 4), 2: (1, 2, 3), 3: (2, 3, 4), 4: (1, 2)}
 SMALL_OMEGA_SETS = {0: (1, 2, 3, 4), 1: (1,), 2: (2,), 3: (3,), 4: (4,)}
 
 
-def pentagon_gen(kind: str, k: int) -> Gen:
-    if kind not in ("Om", "om", "Ga"):
-        raise AlgebraError(f"unknown pentagon kind {kind!r}")
-    return Gen(kind, (k % 5,))
-
-
 def pentagon_poly(rank: int, kind: str, k: int) -> NCPoly:
-    return NCPoly.from_word(rank, (pentagon_gen(kind, k),))
-
-
-def pentagon_assign(kind: str, k: int, rank: int = 4) -> NCPoly:
-    """What a pentagon label stands for, as a subset-generator polynomial."""
+    """The subset polynomial a pentagon label names: ``Om_k`` and ``om_k``
+    are the subset generators on ``OMEGA_SETS[k]`` and
+    ``SMALL_OMEGA_SETS[k]``, and ``Ga_k = ½[Om_{k+2}, Om_{k-2}]`` (vertices
+    mod 5).  The labels are names, not letters of the alphabet."""
     if rank != 4:
-        raise AlgebraError("the pentagon relabeling needs exactly 4 indices")
-    k %= 5
+        raise AlgebraError("pentagon labels need exactly 4 indices")
+    if k not in range(5):
+        raise AlgebraError(f"pentagon label {kind}{k} is not one of 0..4")
     if kind == "Om":
         return gen_C(rank, OMEGA_SETS[k])
     if kind == "om":
         return gen_C(rank, SMALL_OMEGA_SETS[k])
     if kind == "Ga":
-        a = gen_C(rank, OMEGA_SETS[(k + 2) % 5])
-        b = gen_C(rank, OMEGA_SETS[(k - 2) % 5])
-        return HALF * com(a, b)
+        return HALF * com(gen_C(rank, OMEGA_SETS[(k + 2) % 5]),
+                          gen_C(rank, OMEGA_SETS[(k - 2) % 5]))
     raise AlgebraError(f"unknown pentagon kind {kind!r}")
+
+
+def _labels(rank: int) -> list[Callable[[int], NCPoly]]:
+    """``Om``, ``om`` and ``Ga`` as functions of a vertex taken mod 5."""
+    return [lambda k, kind=kind: pentagon_poly(rank, kind, k % 5)
+            for kind in ("Om", "om", "Ga")]
 
 
 # -- alphabet conversions -----------------------------------------------------
 
 def expand_to_C(p: NCPoly) -> NCPoly:
-    """Rewrite shift, half-commutator and pentagon letters as subset words."""
+    """Rewrite shift and half-commutator letters as subset words."""
 
     def image(g: Gen) -> NCPoly:
         if g.kind == "C":
@@ -149,10 +149,8 @@ def expand_to_C(p: NCPoly) -> NCPoly:
                 return -gen_C(p.rank, g.indices)
             i, j = g.indices
             return gen_C(p.rank, (i, j)) - gen_C(p.rank, (i,)) - gen_C(p.rank, (j,))
-        if g.kind == "D":
-            i, j, k = g.indices
-            return HALF * com(gen_C(p.rank, (i, j)), gen_C(p.rank, (j, k)))
-        return expand_to_C(pentagon_assign(g.kind, g.indices[0], p.rank))
+        i, j, k = g.indices
+        return HALF * com(gen_C(p.rank, (i, j)), gen_C(p.rank, (j, k)))
 
     return p.substitute(image)
 
@@ -169,15 +167,13 @@ def expand_C_to_shifts(rank: int, idx: tuple[int, ...]) -> NCPoly:
 
 
 def expand_to_core(p: NCPoly) -> NCPoly:
-    """Rewrite subset and pentagon letters into the shift/half-commutator
-    alphabet the rewrite system orders."""
+    """Rewrite subset letters into the shift/half-commutator alphabet the
+    rewrite system orders."""
 
     def image(g: Gen) -> NCPoly:
-        if g.kind in ("P", "D"):
+        if g.kind in CORE_KINDS:
             return NCPoly.from_word(p.rank, (g,))
-        if g.kind == "C":
-            return expand_C_to_shifts(p.rank, g.indices)
-        return expand_to_core(expand_to_C(pentagon_assign(g.kind, g.indices[0], p.rank)))
+        return expand_C_to_shifts(p.rank, g.indices)
 
     return p.substitute(image)
 
@@ -328,27 +324,20 @@ def core_generators(rank: int) -> list[Gen]:
 
 
 def alphabet(rank: int) -> list[Gen]:
-    """Every letter at this rank: the core generators, the subset
-    generators, and at 4 indices the pentagon labels."""
-    gens = core_generators(rank) + [Gen("C", s) for s in subsets(rank)]
-    if rank == 4:
-        gens += [pentagon_gen(kind, k) for kind in ("Om", "om", "Ga")
-                 for k in range(5)]
-    return gens
+    """Every letter at this rank: the core generators, then the subset
+    generators."""
+    return core_generators(rank) + [Gen("C", s) for s in subsets(rank)]
 
 
 def build_rewrite_system(rank: int) -> RewriteSystem:
     """A fresh normal-ordering system for the given rank, saturated in
     place; its memo keeps the normal forms the saturation computed."""
     RankConfig(rank)
-    gens = alphabet(rank)
     core = sorted(core_generators(rank), key=Gen.sort_key)
     rules: list[RewriteRule] = []
-    for g in gens:
-        if g.kind in ("P", "D"):
-            continue
+    for s in subsets(rank):
         rules.append(RewriteRule(
-            (g,), expand_to_core(NCPoly.from_word(rank, (g,))),
+            (Gen("C", s),), expand_C_to_shifts(rank, s),
             "expand", "foreign letters"))
     for hi in range(len(core)):
         for lo in range(hi):
@@ -366,7 +355,7 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
                 rules.append(RewriteRule(
                     (g, d), singleton_elimination(rank, l, d),
                     "eliminate", "singleton count"))
-    rs = RewriteSystem(rank, gens, rules)
+    rs = RewriteSystem(rank, alphabet(rank), rules)
     # base rules first, then the derived ones in word order
     rs.rules = tuple(rules) + tuple(_derived_product_rules(rs))
     return rs
@@ -578,15 +567,13 @@ def _rel_pd_sum(rank, i, j, k, l):
 
 
 def _rel_gamma_def(rank, i):
-    return com(pentagon_poly(rank, "Om", i + 2), pentagon_poly(rank, "Om", i - 2)) \
-        - 2 * pentagon_poly(rank, "Ga", i)
+    Om, _, Ga = _labels(rank)
+    return com(Om(i + 2), Om(i - 2)) - 2 * Ga(i)
 
 
 def _rel_gamma_sum(rank):
-    out = NCPoly.zero(rank)
-    for i in range(5):
-        out = out + pentagon_poly(rank, "Ga", i)
-    return out
+    _, _, Ga = _labels(rank)
+    return sum((Ga(i) for i in range(5)), NCPoly.zero(rank))
 
 
 def _rel_omega_central(rank, i, kind, j):
@@ -594,17 +581,18 @@ def _rel_omega_central(rank, i, kind, j):
 
 
 def _rel_omega_commute(rank, i):
-    return com(pentagon_poly(rank, "Om", i - 1), pentagon_poly(rank, "Om", i + 1))
+    Om, _, _ = _labels(rank)
+    return com(Om(i - 1), Om(i + 1))
 
 
 def _rel_omega_gamma_commute(rank, i):
-    return com(pentagon_poly(rank, "Om", i), pentagon_poly(rank, "Ga", i))
+    Om, _, Ga = _labels(rank)
+    return com(Om(i), Ga(i))
 
 
 def _rel_omega_inner(rank, i):
-    Om = lambda k: pentagon_poly(rank, "Om", k)
-    om = lambda k: pentagon_poly(rank, "om", k)
-    lhs = com(Om(i), pentagon_poly(rank, "Ga", i + 2))
+    Om, om, Ga = _labels(rank)
+    lhs = com(Om(i), Ga(i + 2))
     rhs = (Om(i) * Om(i + 2) - acom(Om(i), Om(i - 1)) - Om(i) * Om(i)
            + (om(i + 1) + om(i + 2) + om(i + 3)) * Om(i)
            + (om(i + 2) - om(i + 3)) * Om(i + 2)
@@ -613,9 +601,8 @@ def _rel_omega_inner(rank, i):
 
 
 def _rel_omega_outer(rank, i):
-    Om = lambda k: pentagon_poly(rank, "Om", k)
-    om = lambda k: pentagon_poly(rank, "om", k)
-    lhs = com(Om(i), pentagon_poly(rank, "Ga", i + 1))
+    Om, om, Ga = _labels(rank)
+    lhs = com(Om(i), Ga(i + 1))
     rhs = NCPoly.zero(rank)
     for k in range(5):
         sign = Fraction(1 if k % 2 == 0 else -1, 2)
@@ -868,11 +855,7 @@ def casimir_frak(i: int, rank: int = 4) -> NCPoly:
     rank-1 element with ``Ga_i``, ``Om_{i+2}``, ``Om_{i-2}``, the
     ``om_{i-1}``, ``om_i``, ``om_{i+1}`` and ``Om_i`` in place of ``D123``,
     ``C12``, ``C23``, ``C1``, ``C2``, ``C3`` and ``C123``."""
-    if rank != 4:
-        raise AlgebraError("pentagon Casimirs live at 4 indices")
-    if not 0 <= i <= 4:
-        raise AlgebraError(f"pentagon label {i} out of range 0..4")
-    Om = lambda k: pentagon_poly(rank, "Om", k)
-    om = lambda k: pentagon_poly(rank, "om", k)
+    Om, om, _ = _labels(rank)
+    # the unwrapped label checks the rank and the vertex
     return _quartic_casimir(pentagon_poly(rank, "Ga", i), Om(i + 2), Om(i - 2),
                             om(i - 1), om(i), om(i + 1), Om(i))

@@ -1,9 +1,12 @@
 """Textual expression grammar for the CLI.
 
-Identifiers: C{indices}, P{i}{j} or P{i}, D{i}{j}{k}, Om{i}, om{i}, Ga{i}.
-Operators: + - * ^, rational literals p/q, [a,b] commutator, {a,b}
-anticommutator.  Juxtaposition multiplies.  parse_expr round-trips with
-the canonical printer in freealg.format_poly.
+Identifiers: C{indices}, P{i}{j} or P{i}, D{i}{j}{k}, and at 4 indices the
+pentagon labels Om{i}, om{i}, Ga{i}, which name subset polynomials and parse
+to them (Om0 is C23; see core.pentagon_poly).  Operators: + - * ^, rational
+literals p/q, [a,b] commutator, {a,b} anticommutator.  Juxtaposition
+multiplies.  parse_expr round-trips with the canonical printer in
+freealg.format_poly, which prints letters only: a pentagon label comes back
+as its subset polynomial.
 """
 
 from __future__ import annotations
@@ -146,17 +149,11 @@ class _Parser:
                 return gen_P(self.rank, *digits)
             if kind == "D":
                 return d_poly(self.rank, *digits)
-            if kind in ("Om", "om", "Ga"):
-                if self.rank != 4:
-                    raise ParseError("pentagon labels need exactly 4 indices")
-                if digits[0] > 4:
-                    raise ParseError(f"pentagon label {tok!r} is not one of 0..4")
-                return pentagon_poly(self.rank, kind, digits[0])
+            return pentagon_poly(self.rank, kind, digits[0])
         except ParseError:
             raise
         except AlgebraError as exc:
             raise ParseError(str(exc)) from None
-        raise ParseError(f"unknown generator {tok!r}")
 
 
 def parse_expr(text: str, rank: int = 4) -> NCPoly:

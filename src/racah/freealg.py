@@ -33,11 +33,12 @@ class UnknownGeneratorError(AlgebraError):
 
 
 # Generator kinds.  Sort order: pair shift generators, then singleton shift
-# generators, then half-commutator generators; everything else ("foreign"
-# letters: subset generators and pentagon labels) sorts after the core and is
-# eliminated by expansion rules before normal ordering starts.
-_KIND_RANK = {"D": 2, "C": 3, "Om": 4, "om": 5, "Ga": 6}
-_DEGREE = {"P": 1, "D": 2, "C": 1, "Om": 1, "om": 1, "Ga": 2}
+# generators, then half-commutator generators; the one "foreign" kind, the
+# subset generators, sorts after the core and is eliminated by expansion
+# rules before normal ordering starts.  (Pentagon labels are no letters:
+# they name subset polynomials, see ``core.pentagon_poly``.)
+_KIND_RANK = {"D": 2, "C": 3}
+_DEGREE = {"P": 1, "D": 2, "C": 1}
 
 CORE_KINDS = ("P", "D")
 
@@ -312,8 +313,8 @@ class RewriteSystem:
 
     ``reduce`` repeatedly applies the leftmost applicable rule:
 
-    * foreign letters (subset generators, pentagon labels) expand into the
-      core alphabet of shift and half-commutator generators;
+    * foreign letters (the subset generators) expand into the core
+      alphabet of shift and half-commutator generators;
     * adjacent out-of-order core pairs swap, emitting the catalog commutator;
     * a singleton shift generator whose index misses some half-commutator
       letter anywhere in the word is eliminated through the sum identity that

@@ -1,19 +1,17 @@
-"""Pentagon dihedral action, index permutation action, expression transport,
-invariance checking, and the combined-group closure computation."""
+"""The pentagon dihedral group and the index permutation group, both acting
+on 4 indices by permuting the 15 subset generators: expression transport,
+invariance checking, and the closure of the combined action."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .core import (
     OMEGA_SETS,
     SMALL_OMEGA_SETS,
     decompose_to_basis,
-    d_poly,
     expand_to_C,
     gen_C,
     rewrite_system,
@@ -34,10 +32,6 @@ class DihedralElement:
         object.__setattr__(self, "shift", self.shift % 5)
 
     @staticmethod
-    def identity() -> "DihedralElement":
-        return DihedralElement(False, 0)
-
-    @staticmethod
     def rotation(k: int) -> "DihedralElement":
         return DihedralElement(False, k)
 
@@ -55,15 +49,8 @@ class DihedralElement:
     def apply(self, i: int) -> int:
         return (self.shift - i) % 5 if self.reflected else (i + self.shift) % 5
 
-    @property
-    def gamma_sign(self) -> int:
-        return -1 if self.reflected else 1
-
-    def compose(self, other: "DihedralElement") -> "DihedralElement":
-        """self after other."""
-        if self.reflected:
-            return DihedralElement(not other.reflected, self.shift - other.shift)
-        return DihedralElement(other.reflected, self.shift + other.shift)
+    def subset_map(self) -> dict[tuple, tuple]:
+        return dihedral_subset_map(self)
 
     @staticmethod
     def all_elements() -> tuple["DihedralElement", ...]:
@@ -86,10 +73,6 @@ class IndexPermutation:
             raise AlgebraError(f"not a permutation of 1..n: {self.images}")
 
     @staticmethod
-    def identity(n: int) -> "IndexPermutation":
-        return IndexPermutation(tuple(range(1, n + 1)))
-
-    @staticmethod
     def transposition(n: int, a: int, b: int) -> "IndexPermutation":
         im = list(range(1, n + 1))
         im[a - 1], im[b - 1] = b, a
@@ -100,134 +83,75 @@ class IndexPermutation:
         return tuple(IndexPermutation(p)
                      for p in itertools.permutations(range(1, n + 1)))
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def apply(self, i: int) -> int:
         return self.images[i - 1]
 
-    def compose(self, other: "IndexPermutation") -> "IndexPermutation":
-        """self after other."""
-        return IndexPermutation(tuple(self.apply(other.apply(i))
-                                      for i in range(1, self.n + 1)))
+    def subset_map(self) -> dict[tuple, tuple]:
+        """Every subset I of {1..n} to the sorted image of its indices."""
+        return {I: tuple(sorted(map(self.apply, I)))
+                for I in subsets(len(self.images))}
 
     def __str__(self) -> str:
         return "".join(str(i) for i in self.images)
 
 
-# -- the dihedral action on subset generators ------------------------------------
+# -- the action on subset generators ---------------------------------------------
 
 _ALL_SUBSETS_4 = tuple(subsets(4))
-
-_PENTAGON_OF_SET = ({v: ("Om", k) for k, v in OMEGA_SETS.items()}
-                    | {v: ("om", k) for k, v in SMALL_OMEGA_SETS.items()})
-_SET_OF_PENTAGON = {v: k for k, v in _PENTAGON_OF_SET.items()}
-
-
-def _decomp_key(I: tuple[int, ...]) -> tuple:
-    poly = decompose_to_basis(4, I)
-    return tuple(sorted((w[0].indices, c) for w, c in poly.terms.items()))
-
-
-_KEY_TO_SET = {_decomp_key(I): I for I in _ALL_SUBSETS_4}
+_POSITION = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
+_SET_OF_DECOMPOSITION = {decompose_to_basis(4, I).key(): I for I in _ALL_SUBSETS_4}
 
 
 def dihedral_subset_map(g: DihedralElement) -> dict[tuple, tuple]:
     """How a pentagon symmetry permutes all 15 subset generators.
 
-    Contiguous sets move by their pentagon label; the rest follow by
-    linearity of the decomposition and always land on a single generator
-    again (checked by the lookup).
+    The ten labelled sets, the contiguous basis, move with their vertex;
+    the rest follow by linearity of their decomposition and always land on
+    a single generator again (checked by the lookup).
     """
-    base: dict[tuple, tuple] = {}
+    out: dict[tuple, tuple] = {}
+    for sets in (OMEGA_SETS, SMALL_OMEGA_SETS):
+        out |= {sets[k]: sets[g.apply(k)] for k in range(5)}
     for I in _ALL_SUBSETS_4:
-        if I in _PENTAGON_OF_SET:
-            kind, k = _PENTAGON_OF_SET[I]
-            base[I] = _SET_OF_PENTAGON[(kind, g.apply(k))]
-    out = dict(base)
-    for I in _ALL_SUBSETS_4:
-        if I in out:
-            continue
-        poly = decompose_to_basis(4, I)
-        image = NCPoly(4, {(Gen("C", base[w[0].indices]),): c
-                           for w, c in poly.terms.items()})
-        out[I] = _KEY_TO_SET[tuple(sorted((w[0].indices, c)
-                                          for w, c in image.terms.items()))]
+        if I not in out:
+            image = decompose_to_basis(4, I).substitute(
+                lambda x: gen_C(4, out[x.indices]))
+            out[I] = _SET_OF_DECOMPOSITION[image.key()]
     return out
 
 
 @lru_cache(maxsize=None)
-def signed_generator_map(g: DihedralElement) -> Mapping[Gen, tuple[Gen, int]]:
-    """Letter images with their signs: bijective on the subset generators,
-    sign-flipping on the commutator labels under reflections.  Built once
-    per element and shared, so the map is read-only."""
-    out: dict[Gen, tuple[Gen, int]] = {}
-    for I, J in dihedral_subset_map(g).items():
-        out[Gen("C", I)] = (Gen("C", J), 1)
-    for k in range(5):
-        out[Gen("Om", (k,))] = (Gen("Om", (g.apply(k),)), 1)
-        out[Gen("om", (k,))] = (Gen("om", (g.apply(k),)), 1)
-        out[Gen("Ga", (k,))] = (Gen("Ga", (g.apply(k),)), g.gamma_sign)
-    return MappingProxyType(out)
+def _letter_map(g) -> dict[Gen, Gen]:
+    """``g``'s image of each subset letter; built once per element and
+    shared, so never modified."""
+    table = g.subset_map()
+    if sorted(table) != sorted(_ALL_SUBSETS_4):
+        raise AlgebraError(f"{g} does not act on exactly 4 indices")
+    return {Gen("C", I): Gen("C", J) for I, J in table.items()}
 
 
-def act_dihedral(g: DihedralElement, p: NCPoly) -> NCPoly:
-    """Transport an expression along a pentagon symmetry.
-
-    Pentagon labels and subset generators map by label substitution (with
-    the commutator-label sign rule); shift and half-commutator letters are
-    first rewritten as subset words.
-    """
+def act(g, p: NCPoly) -> NCPoly:
+    """Transport ``p`` along a group element of either group: every subset
+    letter ``C_I`` becomes ``C_{g(I)}``.  No other letter moves as a letter
+    (``P`` and ``D`` words pick up signs and sums), so expand them with
+    ``expand_to_C`` first."""
     if p.rank != 4:
-        raise AlgebraError("the pentagon action needs exactly 4 indices")
-    table = signed_generator_map(g)
-    if any(w and any(x.kind in ("P", "D") for x in w) for w in p.terms):
-        p = expand_to_C(p)
-
-    def image(x: Gen) -> NCPoly:
-        try:
-            y, sign = table[x]
-        except KeyError:
-            raise AlgebraError(f"no pentagon image for letter {x}") from None
-        return NCPoly.from_word(4, (y,), sign)
-
-    return p.substitute(image)
-
-
-def act_permutation(sigma: IndexPermutation, p: NCPoly) -> NCPoly:
-    """Relabel every index payload; half-commutator letters pick up the
-    permutation-parity sign.  Pentagon labels are not index-indexed: expand
-    them first."""
-
-    def image(x: Gen) -> NCPoly:
-        if x.kind == "C":
-            return gen_C(p.rank, tuple(sigma.apply(i) for i in x.indices))
-        if x.kind == "P":
-            idx = tuple(sorted(sigma.apply(i) for i in x.indices))
-            return NCPoly.from_word(p.rank, (Gen("P", idx),))
-        if x.kind == "D":
-            return d_poly(p.rank, *(sigma.apply(i) for i in x.indices))
-        raise AlgebraError(
-            f"letter {x} carries no index payload; expand it before relabeling")
-
-    return p.substitute(image)
+        raise AlgebraError("the symmetry actions need exactly 4 indices")
+    table = _letter_map(g)
+    try:
+        return NCPoly(4, {tuple(table[x] for x in w): c
+                          for w, c in p.terms.items()})
+    except KeyError as exc:
+        raise AlgebraError(f"{exc.args[0]} is not a subset generator;"
+                           " expand it with expand_to_C first") from None
 
 
 # -- closure of the combined action ------------------------------------------------
 
-def _perm_of_subsets(fn) -> tuple[int, ...]:
-    pos = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
-    return tuple(pos[fn(I)] for I in _ALL_SUBSETS_4)
-
-
-def dihedral_perm15(g: DihedralElement) -> tuple[int, ...]:
-    table = dihedral_subset_map(g)
-    return _perm_of_subsets(lambda I: table[I])
-
-
-def permutation_perm15(sigma: IndexPermutation) -> tuple[int, ...]:
-    return _perm_of_subsets(lambda I: tuple(sorted(sigma.apply(i) for i in I)))
+def _perm15(g) -> tuple[int, ...]:
+    """``g`` as a permutation of the positions of the 15 subset generators."""
+    table = g.subset_map()
+    return tuple(_POSITION[table[I]] for I in _ALL_SUBSETS_4)
 
 
 def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -249,16 +173,14 @@ def _generators(group: str) -> set[tuple[int, ...]]:
     """Generating permutations of the 15 subset generators: one rotation
     and one reflection for d5, the three adjacent index swaps for p4, all
     five for both."""
-    gens: set[tuple[int, ...]] = set()
+    elements = []
     if group in ("d5", "both"):
-        gens |= {dihedral_perm15(DihedralElement.rotation(1)),
-                 dihedral_perm15(DihedralElement.reflection(0))}
+        elements += [DihedralElement.rotation(1), DihedralElement.reflection(0)]
     if group in ("p4", "both"):
-        gens |= {permutation_perm15(IndexPermutation.transposition(4, a, a + 1))
-                 for a in (1, 2, 3)}
-    if not gens:
+        elements += [IndexPermutation.transposition(4, a, a + 1) for a in (1, 2, 3)]
+    if not elements:
         raise AlgebraError(f"unknown group {group!r}; use d5, p4 or both")
-    return gens
+    return {_perm15(g) for g in elements}
 
 
 def dihedral_group_order() -> int:
@@ -271,25 +193,18 @@ def permutation_group_order() -> int:
 
 def closure_order() -> int:
     """Order of the group the two actions generate on the 15 subset
-    generators (the commutator-label signs ride along separately)."""
+    generators."""
     return len(_mulclose(_generators("both")))
 
 
 def orbit(symbol: Gen, group: str) -> list[str]:
-    """Orbit of a subset or pentagon generator under d5, p4, or both."""
-    if symbol.kind == "Ga":
-        raise AlgebraError("commutator labels have sign-valued orbits; "
-                           "track them through signed_generator_map")
-    if symbol.kind in ("Om", "om"):
-        start = _SET_OF_PENTAGON[(symbol.kind, symbol.indices[0])]
-    elif symbol.kind == "C":
-        start = symbol.indices
-    else:
-        raise AlgebraError(f"{symbol} is not a subset or pentagon generator;"
-                           " orbits act on C and Om/om letters")
-    k = _ALL_SUBSETS_4.index(start)
+    """Orbit of a subset generator at 4 indices under d5, p4, or both."""
+    if symbol.kind != "C" or symbol.indices not in _POSITION:
+        raise AlgebraError(f"{symbol} is not a subset generator at 4 indices;"
+                           " orbits act on C letters")
+    k = _POSITION[symbol.indices]
     images = {perm[k] for perm in _mulclose(_generators(group))}
-    return sorted("C" + "".join(str(i) for i in _ALL_SUBSETS_4[j]) for j in images)
+    return sorted(str(Gen("C", _ALL_SUBSETS_4[j])) for j in images)
 
 
 # -- invariance of relation suites ---------------------------------------------------
@@ -302,37 +217,35 @@ class InvarianceRecord:
     ok: bool
 
 
-def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
-    """Check that every group image of every suite relation is (plus or
-    minus) another suite relation after canonicalization, or at least
-    reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
-    if group == "D5":
-        elements, act = DihedralElement.all_elements(), act_dihedral
-        sources = [poly for _, poly in suite]
-    elif group == "P4":
-        # pentagon labels carry no indices to relabel: expand once, up front
-        elements, act = IndexPermutation.all_elements(4), act_permutation
-        sources = [expand_to_C(poly) for _, poly in suite]
-    else:
-        raise AlgebraError(f"unknown group {group!r}")
+_GROUP_ELEMENTS = {"D5": DihedralElement.all_elements(),
+                   "P4": IndexPermutation.all_elements(4)}
 
-    # keyed on the sources, so a match compares letters of the same kind
+
+def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
+    """Check that every image under ``group`` ("D5" or "P4") of every
+    suite relation is (plus or minus) another suite relation, or at least
+    reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
+    if group not in _GROUP_ELEMENTS:
+        raise AlgebraError(f"unknown group {group!r}")
+    sources = [(label, expand_to_C(poly)) for label, poly in suite]
     table: dict[tuple, str] = {}
-    for (label, _), poly in zip(suite, sources):
+    for label, poly in sources:
         table.setdefault(poly.key(), f"+{label}")
         table.setdefault((-poly).key(), f"-{label}")
 
     rs = rewrite_system(4)
     records = []
-    for element in elements:
+    for element in _GROUP_ELEMENTS[group]:
         name = str(element)
-        for (label, _), source in zip(suite, sources):
+        for label, source in sources:
             img = act(element, source)
             hit = table.get(img.key())
             if hit is not None:
-                records.append(InvarianceRecord(name, label, f"matched {hit}", True))
+                outcome = f"matched {hit}"
             elif rs.reduce(img).is_zero:
-                records.append(InvarianceRecord(name, label, "reduces-to-zero", True))
+                outcome = "reduces-to-zero"
             else:
-                records.append(InvarianceRecord(name, label, "NO MATCH", False))
+                outcome = "NO MATCH"
+            records.append(InvarianceRecord(name, label, outcome,
+                                            outcome != "NO MATCH"))
     return records

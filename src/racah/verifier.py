@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -442,14 +443,22 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> bytes:
 
 # -- flat key=value config files ---------------------------------------------------
 
+# the one number grammar of a params file: ASCII digits, an optional sign,
+# and for a rational an optional /q; no decimals, exponents or separators
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text:
         raise ConfigError(f"decimals are rejected; write {text!r} as p/q")
+    if not _RATIONAL.fullmatch(text):
+        raise ConfigError(f"bad rational {text!r}: write p or p/q")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"bad rational {text!r}: zero denominator") from None
 
 
 def parse_config(text: str) -> dict:
@@ -470,7 +479,7 @@ def parse_config(text: str) -> dict:
         if key in ("c1", "c2", "c3", "c4", "N"):
             out[key] = parse_rational(val)
         elif key == "window":
-            if not val.lstrip("-").isdigit():
+            if not _INTEGER.fullmatch(val):
                 raise ConfigError(f"line {lineno}: window must be an integer")
             out[key] = int(val)
             if out[key] < 0:

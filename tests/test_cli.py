@@ -47,7 +47,8 @@ def test_symmetry_orbit_rejects_shift_and_half_letters(capsys, symbol):
 
 
 # orbit takes one bare generator: no sum, no zero, no coefficient to drop
-@pytest.mark.parametrize("expr", ["0", "C12+C13", "2*C12"])
+# Ga0 names 1/2[C123, C234], a sum of two words
+@pytest.mark.parametrize("expr", ["0", "C12+C13", "2*C12", "Ga0"])
 def test_symmetry_orbit_rejects_non_generator(capsys, expr):
     assert main(["symmetry", "orbit", expr, "--group", "d5"]) == 2
     captured = capsys.readouterr()
@@ -173,6 +174,12 @@ def test_negative_window_rejected(capsys, tmp_path, params_file):
     assert main(["verify", "--rank", "4", "--params", str(cfg),
                  "--suites", "casimirs"]) == 2
     assert "window must be >= 0" in capsys.readouterr().err
+    # these passed a digit test and then made int() raise: a traceback
+    for text in ("--5", "\u00b2"):
+        cfg.write_text("c1 = 1/3\nc2 = 1/5\nc3 = 2/7\nc4 = 1/2\nN = 4\n"
+                       f"window = {text}\n", encoding="utf-8")
+        assert main(["verify", "--rank", "3", "--params", str(cfg)]) == 2
+        assert "window must be an integer" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["rep", "dump", "--gen", "C12", "--window", "-1",
               "--params", params_file])

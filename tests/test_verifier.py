@@ -65,6 +65,11 @@ def test_negative_window_rejected():
                     suites=("casimirs",))
     with pytest.raises(ConfigError, match="window must be >= 0"):
         parse_config("window = -1")
+    # "--5" and superscript two passed a digit test, then int() raised; an
+    # Arabic-Indic three was read as 3
+    for text in ("--5", "\u00b2", "\u0663", "1_000"):
+        with pytest.raises(ConfigError, match="window must be an integer"):
+            parse_config(f"window = {text}")
 
 
 def test_unknown_suite_rejected():
@@ -178,6 +183,12 @@ def test_parse_config():
         parse_config("suites = definitions, casimirs")
     with pytest.raises(ConfigError):
         parse_config("c1 = 0.25")
+    # one ASCII grammar, p or p/q: Fraction() also took exponents, digit
+    # separators and non-ASCII digits
+    for text in ("1e-3", "2E2", "1_000", "\u0663", "\u00b2", "--5", "1/-2"):
+        with pytest.raises(ConfigError, match="bad rational"):
+            parse_config(f"c1 = {text}")
+    assert parse_config("c1 = -3/4\nc2 = +2")["c2"] == 2
     with pytest.raises(ConfigError):
         parse_config("mystery = 3")
     with pytest.raises(ConfigError):
