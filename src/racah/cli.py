@@ -24,6 +24,7 @@ from .representation import (
     validate_params,
 )
 from .verifier import (
+    ASCII_INTEGER,
     ConfigError,
     SuiteConfig,
     SUITE_NAMES,
@@ -178,8 +179,16 @@ def cmd_rep_probe(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII digits; ``int`` alone also takes ``1_000`` and
+    other scripts' digits."""
+    if not ASCII_INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _window(text: str) -> int:
-    window = int(text)
+    window = _integer(text)
     if window < 0:
         raise argparse.ArgumentTypeError(f"window must be >= 0, got {window}")
     return window
@@ -193,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--rank", type=int, default=4)
+    v.add_argument("--rank", type=_integer, default=4)
     v.add_argument("--params", help="flat key=value parameter file")
     v.add_argument("--window", type=_window)
     v.add_argument("--suites", default="all",
@@ -203,15 +212,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("reduce", help="normal form of an expression")
     r.add_argument("expr")
-    r.add_argument("--rank", type=int, default=4)
+    r.add_argument("--rank", type=_integer, default=4)
     r.set_defaults(fn=cmd_reduce)
 
     lr = sub.add_parser("list-relations", help="the machine-readable catalog")
-    lr.add_argument("--rank", type=int, default=4)
+    lr.add_argument("--rank", type=_integer, default=4)
     lr.set_defaults(fn=cmd_list_relations)
 
     j = sub.add_parser("jacobi", help="double-commutator suite")
-    j.add_argument("--rank", type=int, default=4)
+    j.add_argument("--rank", type=_integer, default=4)
     j.add_argument("--format", choices=("json", "human"), default="human")
     j.set_defaults(fn=cmd_jacobi)
 

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
@@ -376,36 +377,45 @@ def _derived_product_rules(rs: RewriteSystem) -> list[RewriteRule]:
     measure).  Repeats until a round yields no rule; there are finitely many
     two-letter words, so this stops.  No confluence claim is made for the
     result; it is merely a larger sound system.
+
+    The loop runs on the engine's ``(den, {id word: int})`` pairs; a rule
+    becomes an ``NCPoly`` only when it is adopted.
     """
     if rs.rank < 4:
         return []
-    rank = rs.rank
-    candidates = _ideal_product_candidates(rank)
-    swap_keys = {r.lhs for r in rs.rules}
-    derived: dict = {}
+    candidates = [rs._intern(c) for c in _ideal_product_candidates(rs.rank)]
+    derived: dict[tuple, RewriteRule] = {}
     todo = candidates
     while True:
-        added = []
+        added: dict[tuple, RewriteRule] = {}
         for cand in todo:
-            resid = rs.reduce(cand)
-            if resid.is_zero:
+            _, resid = rs._reduce(cand)
+            if not resid:
                 continue
-            lhs = max(resid.terms, key=rs.measure)
-            if len(lhs) != 2 or lhs in derived or lhs in swap_keys:
+            lhs = max(resid, key=rs._measure)
+            if (len(lhs) != 2 or lhs in added or lhs in rs._adjacent
+                    or lhs in rs._elim):
                 continue
-            rhs = _orient(resid, lhs)
-            top = rs.measure(lhs)
-            if any(rs.measure(w) >= top for w in rhs.terms):
+            top = rs._measure(lhs)
+            if any(rs._measure(w) >= top for w in resid if w != lhs):
                 continue
-            derived[lhs] = RewriteRule(lhs, rhs, "swap",
-                                       "word order at equal degree")
-            added.append(derived[lhs])
+            # lhs - resid / (coefficient of lhs): the residual's own
+            # denominator cancels, the lhs coefficient becomes the new one
+            t = resid[lhs]
+            sign = -1 if t > 0 else 1
+            terms = {w: sign * c for w, c in resid.items() if w != lhs}
+            g = gcd(t, *terms.values())
+            rhs = (abs(t) // g, {w: c // g for w, c in terms.items()})
+            added[lhs] = RewriteRule(tuple(rs._id2gen[i] for i in lhs),
+                                     rs._extern(rhs), "swap",
+                                     "word order at equal degree")
         if not added:
             break
-        dropped = rs.add_swap_rules(added)
-        todo = [c for c in candidates if not dropped.isdisjoint(c.terms)]
-    return [derived[k] for k in
-            sorted(derived, key=lambda w: tuple(g.sort_key() for g in w))]
+        derived.update(added)
+        dropped = rs.add_swap_rules(added.values())
+        todo = [c for c in candidates if not dropped.isdisjoint(c[1])]
+    # letter ids follow the sort key, so id order is the word order
+    return [derived[k] for k in sorted(derived)]
 
 
 @lru_cache(maxsize=None)

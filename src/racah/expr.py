@@ -17,9 +17,10 @@ from fractions import Fraction
 from .core import d_poly, gen_C, gen_P, pentagon_poly
 from .freealg import AlgebraError, NCPoly, anticommutator, commutator
 
+# [0-9], not \d: \d and int() also take every other script's digits
 _TOKEN = re.compile(r"""
-    (?P<gen>(?:Om\d|om\d|Ga\d|C\d+|P\d\d?|D\d\d\d)(?!\d))
-  | (?P<int>\d+)
+    (?P<gen>(?:Om[0-9]|om[0-9]|Ga[0-9]|C[0-9]+|P[0-9][0-9]?|D[0-9]{3})(?![0-9]))
+  | (?P<int>[0-9]+)
   | (?P<op>[-+*^/(),\[\]{}])
   | (?P<ws>\s+)
 """, re.VERBOSE)

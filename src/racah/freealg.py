@@ -54,6 +54,18 @@ class Gen:
     kind: str
     indices: tuple[int, ...]
 
+    def __post_init__(self):
+        # letters key the engine's and the parser's dicts; a generated hash
+        # would hash both fields again on every lookup
+        object.__setattr__(self, "_hash", hash((self.kind, self.indices)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: a str hash differs between processes
+        return Gen, (self.kind, self.indices)
+
     def sort_key(self) -> tuple:
         if self.kind == "P":
             # pairs before singletons, so singleton eliminations can see the
@@ -339,10 +351,14 @@ class RewriteSystem:
         gens = sorted(set(alphabet), key=Gen.sort_key)
         self._gen2id = {g: i for i, g in enumerate(gens)}
         self._id2gen = gens
-        self._deg = [g.degree for g in gens]
-        self._foreign = {i for i, g in enumerate(gens) if g.kind not in CORE_KINDS}
         self._single = {i for i, g in enumerate(gens)
                         if g.kind == "P" and len(g.indices) == 1}
+        # per letter, its share of (foreign letters, degree, length,
+        # singletons) packed 32 bits a field: a word's sum compares as those
+        # four counts do, lexicographically, below 2**31 letters
+        self._weight = [(g.kind not in CORE_KINDS) << 96 | g.degree << 64
+                        | 1 << 32 | (i in self._single)
+                        for i, g in enumerate(gens)].__getitem__
         # one-letter expansions, two-letter swaps and derived rules, keyed by
         # left-hand side; eliminations by (singleton, half-commutator)
         self._adjacent: dict[tuple, tuple] = {}
@@ -354,6 +370,9 @@ class RewriteSystem:
         # memo of word -> normal form; value-identical results regardless of
         # call interleaving, so sharing between threads only wastes work
         self._nf: dict[tuple, tuple] = {}
+        # the words of each reducible memo entry's first step, so that
+        # saturation can tell which entries a new rule invalidates
+        self._kids: dict[tuple, tuple] = {}
         self._steps = 0
 
     # -- plumbing ---------------------------------------------------------
@@ -361,10 +380,15 @@ class RewriteSystem:
     def _intern(self, p: NCPoly) -> tuple:
         # over the lcm of reduced denominators the numerators share no
         # factor with it, so the pair is already gcd-normalised
+        ids = self._gen2id
         den = lcm(*(c.denominator for c in p.terms.values()))
-        return den, {tuple(self._gen2id[g] for g in w):
-                     c.numerator * (den // c.denominator)
-                     for w, c in p.terms.items()}
+        try:
+            return den, {tuple(ids[g] for g in w):
+                         c.numerator * (den // c.denominator)
+                         for w, c in p.terms.items()}
+        except KeyError as exc:
+            raise UnknownGeneratorError(
+                f"no ordering entry for {exc.args[0]}") from None
 
     def _extern(self, entry: tuple) -> NCPoly:
         den, terms = entry
@@ -378,18 +402,12 @@ class RewriteSystem:
         except KeyError:
             raise UnknownGeneratorError(f"no ordering entry for {g}") from None
 
-    def measure(self, word: Word) -> tuple:
-        return self._measure(tuple(self.generator_order(g) for g in word))
-
     def _measure(self, w: tuple) -> tuple:
-        # the final component makes this a total order on words, so any
-        # sound identity can be oriented toward its largest word; a swap
-        # already drops it (the smaller letter moves left)
-        return (sum(1 for i in w if i in self._foreign),
-                sum(self._deg[i] for i in w),
-                len(w),
-                sum(1 for i in w if i in self._single),
-                w)
+        # the packed counts, then the word: the word makes this a total
+        # order on words, so any sound identity can be oriented toward its
+        # largest word; a swap already drops it (the smaller letter moves
+        # left)
+        return sum(map(self._weight, w)), w
 
     @property
     def steps(self) -> int:
@@ -445,35 +463,38 @@ class RewriteSystem:
                     stack.pop()
                     continue
                 prefix, (den, body), suffix = redex
-                kids = [(prefix + rw + suffix, c) for rw, c in body.items()]
+                kids = tuple(prefix + rw + suffix for rw in body)
                 mw = self._measure(w)
-                for kw, _ in kids:
+                for kw in kids:
                     mk = self._measure(kw)
                     if not mk < mw:
                         raise AssertionError(
                             f"termination measure did not drop: {mw} -> {mk}")
                 self._steps += 1
-                step = pending[w] = (den, kids)
-            den, kids = step
-            missing = [kw for kw, _ in kids if kw not in nf]
+                step = pending[w] = (den, kids, body.values())
+            den, kids, coeffs = step
+            missing = [kw for kw in kids if kw not in nf]
             if missing:
                 stack.extend(missing)
                 continue
-            nf[w] = _combine(den, [(c, nf[kw]) for kw, c in kids])
+            nf[w] = _combine(den, list(zip(coeffs, map(nf.__getitem__, kids))))
+            self._kids[w] = kids
             del pending[w]
             stack.pop()
         return nf[word]
+
+    def _reduce(self, entry: tuple) -> tuple:
+        """The normal form of a ``(den, {word: int})`` pair, as such a pair."""
+        den, terms = entry
+        nf = self._normal_form
+        return _combine(den, [(c, nf(w)) for w, c in terms.items()])
 
     def reduce(self, p: NCPoly) -> NCPoly:
         """A normal form of ``p``.  Zero certifies ideal membership."""
         if p.rank != self.rank:
             raise RankMismatchError(
                 f"poly of rank {p.rank} fed to rank-{self.rank} system")
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        parts = [(c.numerator * (den // c.denominator),
-                  self._normal_form(tuple(self.generator_order(g) for g in w)))
-                 for w, c in p.terms.items()]
-        return self._extern(_combine(den, parts))
+        return self._extern(self._reduce(self._intern(p)))
 
     def reduce_with_stats(self, p: NCPoly) -> tuple[NCPoly, int]:
         before = self._steps
@@ -482,16 +503,16 @@ class RewriteSystem:
 
     # -- saturation ---------------------------------------------------------
 
-    def add_swap_rules(self, rules: Iterable[RewriteRule]) -> set[Word]:
-        """Adopt new two-letter swap rules in place; returns the words whose
-        memoized normal forms were dropped.
+    def add_swap_rules(self, rules: Iterable[RewriteRule]) -> set[tuple]:
+        """Adopt new two-letter swap rules in place; returns the id words
+        whose memoized normal forms were dropped.
 
         A new left-hand side is no key of any existing rule, so in a word
         that holds no new left-hand side as an adjacent pair the redex
         search finds what it found before.  An entry is therefore kept
-        unless its word holds a new pair or a word of its first step's
-        result was dropped; the memo stores children before parents, so one
-        pass in its order decides every entry.
+        unless its word holds a new pair or a word of its stored first step
+        was dropped; the memo stores children before parents, so one pass
+        in its order decides every entry.
         """
         rules = tuple(rules)
         new = set()
@@ -505,17 +526,15 @@ class RewriteSystem:
             new.add(ids)
         self.rules += rules
         dropped = set()
-        for w, got in self._nf.items():
-            if any(pair in new for pair in zip(w, w[1:])):
+        kids = self._kids
+        for w in self._nf:
+            if (any(pair in new for pair in zip(w, w[1:]))
+                    or not dropped.isdisjoint(kids.get(w, ()))):
                 dropped.add(w)
-            # only an irreducible word is a term of its own normal form
-            elif w not in got[1]:
-                prefix, (_, body), suffix = self._find_redex(w)
-                if any(prefix + rw + suffix in dropped for rw in body):
-                    dropped.add(w)
-        self._nf = {w: got for w, got in self._nf.items() if w not in dropped}
-        gens = self._id2gen
-        return {tuple(gens[i] for i in w) for w in dropped}
+        for w in dropped:
+            del self._nf[w]
+            kids.pop(w, None)
+        return dropped
 
     # -- termination bookkeeping --------------------------------------------
 

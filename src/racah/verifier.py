@@ -172,21 +172,23 @@ class _Runner:
 
     # -- suites ------------------------------------------------------------------
 
-    def family_suite(self, suite: str):
+    def family_suite(self, suite: str) -> list[tuple[str, NCPoly]]:
+        """Checks every instance of the suite's families; returns them as
+        ``(family[payload], poly)`` pairs."""
+        relations = []
         for family in _SUITE_FAMILIES[suite]:
             for rid in enumerate_relations(self.cfg.rank, family):
                 poly = relation(rid)
                 head = (suite, family, rid.payload(), FAMILIES[family].anchor)
                 self.symbolic(head, poly)
                 self.represent(head, poly)
+                relations.append((f"{family}[{rid.payload()}]", poly))
+        return relations
 
     def pentagon_suite(self, suite: str):
         if self.cfg.rank != 4:
             return
-        self.family_suite(suite)
-        relations = [(f"{family}[{rid.payload()}]", relation(rid))
-                     for family in _SUITE_FAMILIES[suite]
-                     for rid in enumerate_relations(4, family)]
+        relations = self.family_suite(suite)
         for group in ("D5", "P4"):
             recs = symmetry.verify_relation_invariance(group, relations)
             bad = [r for r in recs if not r.ok]
@@ -443,9 +445,10 @@ def emit_report(report: VerificationReport, fmt: str = "json") -> bytes:
 
 # -- flat key=value config files ---------------------------------------------------
 
-# the one number grammar of a params file: ASCII digits, an optional sign,
-# and for a rational an optional /q; no decimals, exponents or separators
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+# the one number grammar of a params file and of the CLI's integer flags:
+# ASCII digits, an optional sign, and for a rational an optional /q; no
+# decimals, exponents or separators
+ASCII_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -479,7 +482,7 @@ def parse_config(text: str) -> dict:
         if key in ("c1", "c2", "c3", "c4", "N"):
             out[key] = parse_rational(val)
         elif key == "window":
-            if not _INTEGER.fullmatch(val):
+            if not ASCII_INTEGER.fullmatch(val):
                 raise ConfigError(f"line {lineno}: window must be an integer")
             out[key] = int(val)
             if out[key] < 0:

@@ -102,6 +102,27 @@ def test_reduce_rejects_generator_with_trailing_digit(capsys, text):
     assert captured.out == "" and "unexpected character" in captured.err
 
 
+# digits are ASCII only: int() alone also reads other scripts' digits and
+# underscores, so these read as C12, rank 3, rank 1000 and window 2
+def test_reduce_rejects_non_ascii_digits(capsys):
+    assert main(["reduce", "C\u0661\u0662"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unexpected character" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["list-relations", "--rank", "\u0663"],
+    ["list-relations", "--rank", "1_000"],
+    ["rep", "dump", "--gen", "C12", "--window", "\u0662"],
+])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not an integer" in captured.err
+
+
 # orbit needs its generator, and closure takes none
 @pytest.mark.parametrize("argv", [["symmetry", "orbit"],
                                   ["symmetry", "closure", "C12"]])

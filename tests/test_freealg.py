@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import poly_strategy
+import racah
 from racah.core import gen_C, gen_P
 from racah.freealg import (
     Gen,
@@ -111,3 +115,20 @@ def test_scalar_arithmetic_exact():
 def test_power():
     assert X ** 0 == ONE
     assert X ** 3 == X * X * X
+
+
+def test_gen_pickled_in_one_process_hashes_afresh_in_another():
+    # a letter stores its hash, and str hashes differ between processes
+    src = os.path.dirname(os.path.dirname(racah.__file__))
+
+    def run(seed, code, data=b""):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", "import pickle, sys\n"
+             "from racah.freealg import Gen\n" + code],
+            input=data, capture_output=True, env=env, check=True).stdout
+
+    data = run(0, "sys.stdout.buffer.write(pickle.dumps(Gen('C', (1, 2))))")
+    found = run(1, "print(pickle.loads(sys.stdin.buffer.read())"
+                   " in {Gen('C', (1, 2))})", data)
+    assert found.strip() == b"True"
