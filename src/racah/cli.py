@@ -64,10 +64,10 @@ def _rep_params(args) -> tuple[RepParams, int]:
 
 def _parse_state(text: str, window: int) -> tuple[int, int]:
     """A lattice state ``t,s`` (0 <= s <= t) inside the window."""
-    try:
-        t, s = (int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"state {text!r} is not two integers t,s") from None
+    parts = text.split(",")
+    if len(parts) != 2 or not all(map(ASCII_INTEGER.fullmatch, parts)):
+        raise ConfigError(f"state {text!r} is not two integers t,s")
+    t, s = map(int, parts)
     if not 0 <= s <= t:
         raise ConfigError(f"|{t},{s}> is not a lattice state; need 0 <= s <= t")
     if t > window:

@@ -13,11 +13,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
-    CORE_KINDS,
     HALF,
     AlgebraError,
     Gen,
@@ -167,18 +165,6 @@ def expand_C_to_shifts(rank: int, idx: tuple[int, ...]) -> NCPoly:
     return out
 
 
-def expand_to_core(p: NCPoly) -> NCPoly:
-    """Rewrite subset letters into the shift/half-commutator alphabet the
-    rewrite system orders."""
-
-    def image(g: Gen) -> NCPoly:
-        if g.kind in CORE_KINDS:
-            return NCPoly.from_word(p.rank, (g,))
-        return expand_C_to_shifts(p.rank, g.indices)
-
-    return p.substitute(image)
-
-
 CONTIGUOUS = {
     3: ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)),
     4: ((1,), (2,), (3,), (4,), (1, 2), (2, 3), (3, 4),
@@ -292,27 +278,6 @@ def singleton_elimination(rank: int, l: int, d: Gen) -> NCPoly:
     return _orient(_rel_pd_sum(rank, l, *d.indices), (Gen("P", (l,)), d))
 
 
-def _ideal_product_candidates(rank: int) -> list[NCPoly]:
-    """Certified relation-ideal members of degree four: each four-term sum
-    identity (in both orderings), multiplied by every pair generator on
-    either side.  Their residuals carry the quadratic relations BETWEEN
-    half-commutator products that plain normal ordering cannot see.
-    """
-    sums: list[NCPoly] = []
-    for payload in _points_and_triple(rank):
-        left = _rel_pd_sum(rank, *payload)
-        right = NCPoly(rank, {w[::-1]: c for w, c in left.terms.items()})
-        sums.extend((left, right))
-    pairs = [gen_P(rank, i, j)
-             for i, j in itertools.combinations(range(1, rank + 1), 2)]
-    out = []
-    for t in sums:
-        for p in pairs:
-            out.append(p * t)
-            out.append(t * p)
-    return out
-
-
 # -- rewrite system compilation ------------------------------------------------
 
 def core_generators(rank: int) -> list[Gen]:
@@ -357,65 +322,23 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
                     (g, d), singleton_elimination(rank, l, d),
                     "eliminate", "singleton count"))
     rs = RewriteSystem(rank, alphabet(rank), rules)
-    # base rules first, then the derived ones in word order
-    rs.rules = tuple(rules) + tuple(_derived_product_rules(rs))
+    rs.saturate(*saturation_seeds(rank))
     return rs
 
 
-def _derived_product_rules(rs: RewriteSystem) -> list[RewriteRule]:
-    """Saturate ``rs`` in place against the certified product identities;
-    returns the rules it adopted, sorted by left-hand side.
-
-    Every candidate is an explicit relation-ideal member, so its reduced
-    residual is one too; a nonzero residual whose largest word has two
-    letters becomes a new rule oriented at that word (every other residual
-    word then sits strictly below it in the measure).  Each round adopts its
-    rules together, and the next round re-reduces only the candidates with
-    a word whose memoized normal form the new rules dropped: an unchanged
-    residual cannot yield a rule, since its largest word is already a rule
-    or failed a test that does not change (length, base-rule key,
-    measure).  Repeats until a round yields no rule; there are finitely many
-    two-letter words, so this stops.  No confluence claim is made for the
-    result; it is merely a larger sound system.
-
-    The loop runs on the engine's ``(den, {id word: int})`` pairs; a rule
-    becomes an ``NCPoly`` only when it is adopted.
-    """
-    if rs.rank < 4:
-        return []
-    candidates = [rs._intern(c) for c in _ideal_product_candidates(rs.rank)]
-    derived: dict[tuple, RewriteRule] = {}
-    todo = candidates
-    while True:
-        added: dict[tuple, RewriteRule] = {}
-        for cand in todo:
-            _, resid = rs._reduce(cand)
-            if not resid:
-                continue
-            lhs = max(resid, key=rs._measure)
-            if (len(lhs) != 2 or lhs in added or lhs in rs._adjacent
-                    or lhs in rs._elim):
-                continue
-            top = rs._measure(lhs)
-            if any(rs._measure(w) >= top for w in resid if w != lhs):
-                continue
-            # lhs - resid / (coefficient of lhs): the residual's own
-            # denominator cancels, the lhs coefficient becomes the new one
-            t = resid[lhs]
-            sign = -1 if t > 0 else 1
-            terms = {w: sign * c for w, c in resid.items() if w != lhs}
-            g = gcd(t, *terms.values())
-            rhs = (abs(t) // g, {w: c // g for w, c in terms.items()})
-            added[lhs] = RewriteRule(tuple(rs._id2gen[i] for i in lhs),
-                                     rs._extern(rhs), "swap",
-                                     "word order at equal degree")
-        if not added:
-            break
-        derived.update(added)
-        dropped = rs.add_swap_rules(added.values())
-        todo = [c for c in candidates if not dropped.isdisjoint(c[1])]
-    # letter ids follow the sort key, so id order is the word order
-    return [derived[k] for k in sorted(derived)]
+def saturation_seeds(rank: int) -> tuple[list[NCPoly], list[Gen]]:
+    """The certified relation-ideal members the rewrite system is saturated
+    against, each four-term sum identity in both word orders, and the pair
+    letters that multiply them on either side.  Their degree-four products
+    carry the quadratic relations BETWEEN half-commutator products that
+    plain normal ordering cannot see."""
+    members = []
+    for payload in _points_and_triple(rank):
+        left = _rel_pd_sum(rank, *payload)
+        right = NCPoly(rank, {w[::-1]: c for w, c in left.terms.items()})
+        members.extend((left, right))
+    return members, [Gen("P", t) for t in
+                     itertools.combinations(range(1, rank + 1), 2)]
 
 
 @lru_cache(maxsize=None)

@@ -503,9 +503,64 @@ class RewriteSystem:
 
     # -- saturation ---------------------------------------------------------
 
-    def add_swap_rules(self, rules: Iterable[RewriteRule]) -> set[tuple]:
-        """Adopt new two-letter swap rules in place; returns the id words
-        whose memoized normal forms were dropped.
+    def saturate(self, members: Iterable[NCPoly],
+                 letters: Iterable[Gen]) -> None:
+        """Adopt in place the two-letter rules implied by the products
+        ``u*m`` and ``m*u`` of each relation-ideal member ``m`` with each
+        letter ``u``; the rules are appended to ``rules`` in word order.
+
+        Each product is an ideal member, so its reduced residual is one too;
+        a nonzero residual whose largest word has two letters and is no rule
+        yet becomes a rule oriented at that word (every other residual word
+        sits strictly below it in the measure, a total order).  Each round
+        adopts its rules together, and the next round re-reduces only the
+        products with a word whose memoized normal form the new rules
+        dropped: an unchanged residual cannot yield a rule, since its
+        largest word is already a rule or has a length other than two.
+        Repeats until a round yields no rule; there are finitely many
+        two-letter words, so this stops.  No confluence claim is made for
+        the result; it is merely a larger sound system.
+        """
+        letters = [self.generator_order(u) for u in letters]
+        products = []
+        for den, terms in map(self._intern, members):
+            for u in letters:
+                products.append((den, {(u,) + w: c for w, c in terms.items()}))
+                products.append((den, {w + (u,): c for w, c in terms.items()}))
+        adopted: dict[tuple, tuple] = {}
+        todo = products
+        while True:
+            new: dict[tuple, tuple] = {}
+            for product in todo:
+                _, resid = self._reduce(product)
+                if not resid:
+                    continue
+                lhs = max(resid, key=self._measure)
+                if (len(lhs) != 2 or lhs in new or lhs in self._adjacent
+                        or lhs in self._elim):
+                    continue
+                # lhs - resid / (coefficient of lhs): the residual's own
+                # denominator cancels, the lhs coefficient becomes the new one
+                t = resid[lhs]
+                sign = -1 if t > 0 else 1
+                rest = {w: sign * c for w, c in resid.items() if w != lhs}
+                g = gcd(t, *rest.values())
+                new[lhs] = abs(t) // g, {w: c // g for w, c in rest.items()}
+            if not new:
+                break
+            adopted.update(new)
+            dropped = self._adopt(new)
+            todo = [p for p in products if not dropped.isdisjoint(p[1])]
+        # letter ids follow the sort key, so id order is the word order
+        gens = self._id2gen
+        self.rules += tuple(
+            RewriteRule(tuple(gens[i] for i in lhs), self._extern(adopted[lhs]),
+                        "swap", "word order at equal degree")
+            for lhs in sorted(adopted))
+
+    def _adopt(self, new: dict[tuple, tuple]) -> set[tuple]:
+        """Enter the two-letter rules ``new`` (id word -> body) into the rule
+        table; returns the id words whose memoized normal forms were dropped.
 
         A new left-hand side is no key of any existing rule, so in a word
         that holds no new left-hand side as an adjacent pair the redex
@@ -514,17 +569,7 @@ class RewriteSystem:
         was dropped; the memo stores children before parents, so one pass
         in its order decides every entry.
         """
-        rules = tuple(rules)
-        new = set()
-        for rule in rules:
-            ids = tuple(self.generator_order(g) for g in rule.lhs)
-            if (rule.name != "swap" or len(ids) != 2 or ids in self._adjacent
-                    or ids in self._elim):
-                raise AlgebraError(
-                    f"not a new swap rule: {format_word(rule.lhs)}")
-            self._adjacent[ids] = self._intern(rule.rhs)
-            new.add(ids)
-        self.rules += rules
+        self._adjacent.update(new)
         dropped = set()
         kids = self._kids
         for w in self._nf:

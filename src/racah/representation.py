@@ -495,11 +495,6 @@ class OperatorContext:
         return out
 
 
-def eval_poly(expr: NCPoly, p: RepParams, window: int) -> SparseOperator:
-    """One-shot evaluation; reuse an OperatorContext for bulk work."""
-    return OperatorContext(p, window, rank=4).eval(expr)
-
-
 # -- standard parameter sets -----------------------------------------------------
 
 DEFAULT_SEED = 8093

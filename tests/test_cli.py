@@ -171,6 +171,16 @@ def test_rep_apply_rejects_state_outside_window(capsys, params_file):
     assert captured.out == "" and "outside window 5" in captured.err
 
 
+# a state's parts are ASCII integers too: int() alone read these as |1,0>
+# and |1,0> again, and printed that state's image
+@pytest.mark.parametrize("state", ["\u0661,\u0660", "0_1,0"])
+def test_rep_apply_state_takes_ascii_digits_only(capsys, params_file, state):
+    assert main(["rep", "apply", "--expr", "C23", "--state", state,
+                 "--params", params_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is not two integers" in captured.err
+
+
 def _dumped_states(capsys):
     return {tuple(line.split()[:2])
             for line in capsys.readouterr().out.strip().splitlines()}

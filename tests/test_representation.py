@@ -221,11 +221,6 @@ def test_randomized_params_deterministic():
     assert validate_params(rep.randomized_params(12, 7), 12) == []
 
 
-def test_eval_poly_one_shot():
-    op = rep.eval_poly(commutator(gen_C(4, (1, 2)), gen_C(4, (3, 4))), P_INT, 4)
-    assert op.is_zero_on_reliable()
-
-
 # -- scalar folding keeps every exact statement and only adds reliable states --
 
 def _unfolded(ctx, p):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly_strategy
 from racah import core
 from racah.core import build_rewrite_system, d_poly, gen_C, relation, RelationId
-from racah.freealg import (AlgebraError, NCPoly, RankMismatchError,
-                           RewriteSystem, UnknownGeneratorError, Gen)
+from racah.freealg import (NCPoly, RankMismatchError, RewriteSystem,
+                           UnknownGeneratorError, Gen)
 
 _spec = importlib.util.spec_from_file_location(
     "rule_digest", Path(__file__).parents[1] / "scripts" / "rule_digest.py")
@@ -226,12 +226,17 @@ def test_memo_entries_are_canonical_integer_pairs():
         assert all(type(n) is int and n for n in terms.values())
 
 
-def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
+def test_adopt_drops_exactly_the_affected_entries(rs4):
     base = [r for r in rs4.rules if r.grade_drop != "word order at equal degree"]
     rule = next(r for r in rs4.rules if r not in base)
     rs = RewriteSystem(4, core.alphabet(4), base)
-    for cand in core._ideal_product_candidates(4):
-        rs.reduce(cand)
+    # the products saturation reduces, spelled as NCPoly products
+    members, letters = core.saturation_seeds(4)
+    products = [q for m in members for u in letters
+                for q in (NCPoly.from_word(4, (u,)) * m,
+                          m * NCPoly.from_word(4, (u,)))]
+    for q in products:
+        rs.reduce(q)
     before = dict(rs._nf)
     pair = tuple(rs.generator_order(g) for g in rule.lhs)
 
@@ -247,7 +252,7 @@ def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
 
     holders = {w for w in before if pair in zip(w, w[1:])}
     affected = {w for w in before if visits_pair(w)}
-    dropped = rs.add_swap_rules([rule])
+    dropped = rs._adopt({pair: rs._intern(rule.rhs)})
 
     assert dropped == affected
     assert holders and affected > holders      # the holders and their ancestors
@@ -255,12 +260,21 @@ def test_add_swap_rules_drops_exactly_the_affected_entries(rs4):
     assert any(w not in before[w][1] for w in kept)   # a reducible bystander
     assert rs._nf.keys() == kept
     assert all(rs._nf[w] is before[w] for w in kept)
-    assert rs.rules[-1] == rule
     fresh = RewriteSystem(4, core.alphabet(4), base + [rule])
-    for cand in core._ideal_product_candidates(4):
-        assert rs.reduce(cand) == fresh.reduce(cand)
-    with pytest.raises(AlgebraError):
-        rs.add_swap_rules([rule])
+    for q in products:
+        assert rs.reduce(q) == fresh.reduce(q)
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_saturation_is_a_fixed_point(rank):
+    # every product's residual is already a rule or no two-letter word, and
+    # every product's normal form is memoized: a second pass adopts nothing
+    # and takes no step
+    rs = build_rewrite_system(rank)
+    rules, steps, adjacent = rs.rules, rs.steps, dict(rs._adjacent)
+    rs.saturate(*core.saturation_seeds(rank))
+    assert rs.rules == rules and rs.steps == steps
+    assert rs._adjacent == adjacent
 
 
 def _tuple_measure(rs: RewriteSystem, w: tuple) -> tuple:
