@@ -17,8 +17,9 @@ import hashlib
 import time
 from collections import Counter
 
-from racah.core import build_rewrite_system
-from racah.freealg import format_poly, format_word
+from racah.cli import _integer
+from racah.core import RankConfig, build_rewrite_system
+from racah.freealg import AlgebraError, format_poly, format_word
 
 
 def rule_digest(rules) -> str:
@@ -33,8 +34,12 @@ def rule_digest(rules) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(
         description="rule counts and ordered-rule digest of one rank")
-    parser.add_argument("--rank", type=int, required=True)
+    parser.add_argument("--rank", type=_integer, required=True)
     args = parser.parse_args()
+    try:
+        RankConfig(args.rank)
+    except AlgebraError as exc:
+        parser.error(str(exc))
     t0 = time.perf_counter()
     rs = build_rewrite_system(args.rank)
     elapsed = time.perf_counter() - t0

@@ -16,6 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
+    CORE_KINDS,
     HALF,
     AlgebraError,
     Gen,
@@ -212,6 +213,32 @@ def _orient(rel: NCPoly, word) -> NCPoly:
     return NCPoly.from_word(rel.rank, word) - (1 / rel.coeff(word)) * rel
 
 
+# The index sets of the two letters each commutator family's anchor
+# brackets, by payload: a pair is a shift letter, a triple a half-commutator.
+_COMMUTATOR_OF: dict[str, Callable[..., tuple[tuple, tuple]]] = {
+    "ddef": lambda i, j, k: ((i, j), (j, k)),
+    "inner_P": lambda i, j, k: ((j, k), (i, j, k)),
+    "outer_P": lambda i, j, k, l: ((i, j), (j, k, l)),
+    "dd": lambda i, j, k, l, orient: ((i, j, k), (j, k, l)),
+    "dd_one_overlap": lambda i, j, k, l, m: ((i, j, k), (k, l, m)),
+}
+
+
+@lru_cache(maxsize=None)
+def _commutator_instances(rank: int) -> dict[tuple[Gen, Gen], RelationId]:
+    """``(a, b) -> the instance whose commutator is [a, b]``, with ``a``
+    sorting after ``b``; the first instance in catalog order wins.  A pair
+    with no entry commutes."""
+    table: dict[tuple[Gen, Gen], RelationId] = {}
+    for family, letters in _COMMUTATOR_OF.items():
+        for rid in enumerate_relations(rank, family):
+            a, b = sorted((Gen("P" if len(s) == 2 else "D", tuple(sorted(s)))
+                           for s in letters(*rid.indices)),
+                          key=Gen.sort_key, reverse=True)
+            table.setdefault((a, b), rid)
+    return table
+
+
 def catalog_commutator(rank: int, a: Gen, b: Gen) -> NCPoly:
     """[a, b] for canonical core letters, solved out of the family instance
     whose commutator it is.
@@ -219,57 +246,14 @@ def catalog_commutator(rank: int, a: Gen, b: Gen) -> NCPoly:
     Covers every pair of shift / half-commutator generators; this single
     table is what rule compilation and the Jacobi checks consume.
     """
-    if a == b:
-        return NCPoly.zero(rank)
-    if a.kind == "P" and len(a.indices) == 1:
-        return NCPoly.zero(rank)  # singletons are central
-    if b.kind == "P" and len(b.indices) == 1:
-        return NCPoly.zero(rank)
+    if a.kind not in CORE_KINDS or b.kind not in CORE_KINDS:
+        raise AlgebraError(f"no catalog entry for [{a}, {b}]")
     if b.sort_key() > a.sort_key():
         return -catalog_commutator(rank, b, a)
-    rel = _commutator_relation(rank, a, b)
-    if rel is None:
+    rid = _commutator_instances(rank).get((a, b))
+    if rid is None:
         return NCPoly.zero(rank)
-    return _orient(rel, (a, b)) - NCPoly.from_word(rank, (b, a))
-
-
-def _commutator_relation(rank: int, a: Gen, b: Gen) -> NCPoly | None:
-    """The family instance holding [a, b], for pair or half-commutator
-    letters with ``a`` after ``b``; None when the two commute."""
-    A, B = set(a.indices), set(b.indices)
-    shared = A & B
-    if a.kind == "P" and b.kind == "P":
-        if len(shared) != 1:
-            return None
-        (s,) = shared
-        (u,) = A - shared
-        (v,) = B - shared
-        return _rel_ddef(rank, u, s, v)
-    if a.kind == "D" and b.kind == "P":
-        if len(shared) == 2:
-            # the pair sits inside the triple
-            j, k = sorted(shared)
-            (i,) = A - shared
-            return _rel_inner(rank, i, j, k)
-        if len(shared) == 1:
-            (s,) = shared
-            (i,) = B - shared
-            k, l = sorted(A - shared)
-            return _rel_outer(rank, i, s, k, l)
-        return None
-    if a.kind == "D" and b.kind == "D":
-        if len(shared) == 2:
-            j, k = sorted(shared)
-            (i,) = B - shared
-            (l,) = A - shared
-            return _rel_dd(rank, i, j, k, l, "left")
-        if len(shared) == 1:
-            (x,) = shared
-            i, j = sorted(B - shared)
-            l, m = sorted(A - shared)
-            return _rel_dd_one_overlap(rank, i, j, x, l, m)
-        return None  # disjoint half-commutators commute
-    raise AlgebraError(f"no catalog entry for [{a}, {b}]")
+    return _orient(relation(rid), (a, b)) - NCPoly.from_word(rank, (b, a))
 
 
 def singleton_elimination(rank: int, l: int, d: Gen) -> NCPoly:

@@ -134,6 +134,8 @@ class _Parser:
                     raise ParseError(f"zero denominator in {t}/{den}")
                 return NCPoly.const(self.rank, Fraction(num, int(den)))
             return NCPoly.const(self.rank, num)
+        if _TOKEN.match(t).lastgroup != "gen":
+            raise ParseError(f"unexpected token {t!r}")
         return self.generator(t)
 
     def generator(self, tok: str) -> NCPoly:
@@ -167,4 +169,4 @@ def parse_expr(text: str, rank: int = 4) -> NCPoly:
     return out
 
 
-__all__ = ["ParseError", "parse_expr", "format_poly"]
+__all__ = ["ParseError", "parse_expr"]

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .core import to_contiguous
-from .freealg import AlgebraError, Gen, NCPoly
+from .freealg import AlgebraError, NCPoly
 
 State = tuple[int, int]                   # (t, s) with t >= 0 and 0 <= s <= t
 
@@ -120,8 +120,9 @@ def c34_stencil(p: RepParams, t: int, s: int) -> dict:
             - (n123 - s) * (n123 - s - 1) / 2
             + (n12 - t) * (n12 - t - 1) / 2
             + (p.c3 * (p.c3 - 1) + p.c4 * (p.c4 - 1)) / 2)
-    south = -_southeast(p, s) * (2 * n123 - t - s - 1) * (2 * n12 - s - t)
-    southwest = (-_southeast(p, s) * (2 * n123 - t - s - 1)
+    southeast = _southeast(p, s)
+    south = -southeast * (2 * n123 - t - s - 1) * (2 * n12 - s - t)
+    southwest = (-southeast * (2 * n123 - t - s - 1)
                  * (p.N + 1 - t) * (2 * n123 - t - s) * (p.N + 2 * p.c2 - t))
     return {(-1, 1): northwest, (0, 1): north, (-1, 0): west,
             (0, 0): stay, (-1, -1): southwest, (0, -1): south}
@@ -426,7 +427,8 @@ class ContiguousRewrite:
 
 
 class OperatorContext:
-    """Caches generator operators and evaluates polynomials over them.
+    """Caches word operators, a letter being a one-letter word, and
+    evaluates polynomials over them.
 
     ``rank`` 4 uses the full triangular window, ``rank`` 3 the s=0 chain
     (the rank-1 slice).  Evaluation is homomorphic: products compose,
@@ -444,19 +446,10 @@ class OperatorContext:
         self.window = window
         self.rank = rank
         self.states = triangle_states(window) if rank == 4 else chain_states(window)
-        self._gen_ops: dict[str, SparseOperator] = {}
         self._scalars = {name: fn(params) for name, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
         self._rewrite = ContiguousRewrite() if rewrite is None else rewrite
-
-    def op(self, gen: Gen) -> SparseOperator:
-        name = str(gen)
-        got = self._gen_ops.get(name)
-        if got is None:
-            got = build_operator(gen, self.params, self.window, self.states)
-            self._gen_ops[name] = got
-        return got
 
     def _word_op(self, word) -> SparseOperator:
         got = self._word_ops.get(word)
@@ -464,8 +457,10 @@ class OperatorContext:
             return got
         if not word:
             out = SparseOperator.identity(self.states)
+        elif len(word) == 1:
+            out = build_operator(word[0], self.params, self.window, self.states)
         else:
-            out = self.op(word[0]).compose(self._word_op(word[1:]))
+            out = self._word_op(word[:1]).compose(self._word_op(word[1:]))
         self._word_ops[word] = out
         return out
 

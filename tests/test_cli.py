@@ -102,6 +102,19 @@ def test_reduce_rejects_generator_with_trailing_digit(capsys, text):
     assert captured.out == "" and "unexpected character" in captured.err
 
 
+# an operator token where an atom belongs was read as a generator and
+# ended in an IndexError traceback with exit 1, the code of a FAILED record
+@pytest.mark.parametrize("argv", [
+    *(["reduce", text] for text in ("+C12", "*", ",", ")", "C12*]", "^2")),
+    ["rep", "apply", "--expr", "[C12,]", "--state", "0,0"],
+    ["symmetry", "orbit", "]"],
+])
+def test_operator_where_an_atom_belongs(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unexpected token" in captured.err
+
+
 # digits are ASCII only: int() alone also reads other scripts' digits and
 # underscores, so these read as C12, rank 3, rank 1000 and window 2
 def test_reduce_rejects_non_ascii_digits(capsys):

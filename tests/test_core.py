@@ -10,7 +10,9 @@ from racah import core
 from racah.core import (
     RelationId,
     casimir_frak,
+    catalog_commutator,
     casimir_rank1,
+    core_generators,
     d_poly,
     decompose_to_basis,
     enumerate_relations,
@@ -263,3 +265,83 @@ def test_families_exist_only_at_their_ranks():
         enumerate_relations(4, "nonsense")
     with pytest.raises(AlgebraError):
         core.relation(core.RelationId("nonsense", 4, ()))
+
+
+def _reference_commutator_relation(rank, a, b):
+    """The family instance holding [a, b], found by inverting the five
+    families' index patterns, for pair or half-commutator letters with
+    ``a`` after ``b``; None when the two commute."""
+    A, B = set(a.indices), set(b.indices)
+    shared = A & B
+    if a.kind == "P" and b.kind == "P":
+        if len(shared) != 1:
+            return None
+        (s,) = shared
+        (u,) = A - shared
+        (v,) = B - shared
+        return core._rel_ddef(rank, u, s, v)
+    if a.kind == "D" and b.kind == "P":
+        if len(shared) == 2:
+            # the pair sits inside the triple
+            j, k = sorted(shared)
+            (i,) = A - shared
+            return core._rel_inner(rank, i, j, k)
+        if len(shared) == 1:
+            (s,) = shared
+            (i,) = B - shared
+            k, l = sorted(A - shared)
+            return core._rel_outer(rank, i, s, k, l)
+        return None
+    if a.kind == "D" and b.kind == "D":
+        if len(shared) == 2:
+            j, k = sorted(shared)
+            (i,) = B - shared
+            (l,) = A - shared
+            return core._rel_dd(rank, i, j, k, l, "left")
+        if len(shared) == 1:
+            (x,) = shared
+            i, j = sorted(B - shared)
+            l, m = sorted(A - shared)
+            return core._rel_dd_one_overlap(rank, i, j, x, l, m)
+        return None  # disjoint half-commutators commute
+    raise AssertionError(f"not a pair of core letters: {a}, {b}")
+
+
+def _reference_commutator(rank, a, b):
+    if a == b or any(g.kind == "P" and len(g.indices) == 1 for g in (a, b)):
+        return NCPoly.zero(rank)  # singletons are central
+    if b.sort_key() > a.sort_key():
+        return -_reference_commutator(rank, b, a)
+    rel = _reference_commutator_relation(rank, a, b)
+    if rel is None:
+        return NCPoly.zero(rank)
+    return core._orient(rel, (a, b)) - NCPoly.from_word(rank, (b, a))
+
+
+# the forward instance table picks, for every ordered pair of core letters,
+# the instance the inverted index patterns pick, up to its orientation
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_catalog_commutator_matches_inverted_patterns(rank):
+    letters = core_generators(rank)
+    for a, b in itertools.product(letters, repeat=2):
+        assert catalog_commutator(rank, a, b) == \
+            _reference_commutator(rank, a, b), (a, b)
+
+
+def test_catalog_commutator_is_the_bracket():
+    P = lambda *i: Gen("P", i)
+    assert catalog_commutator(4, P(2, 3), P(1, 2)) == \
+        -2 * d_poly(4, 1, 2, 3)
+    assert catalog_commutator(4, P(1, 2), P(2, 3)) == 2 * d_poly(4, 1, 2, 3)
+    assert catalog_commutator(4, P(1, 2), P(3, 4)).is_zero
+    assert catalog_commutator(4, P(1,), Gen("D", (2, 3, 4))).is_zero
+
+
+@pytest.mark.parametrize("pair", [
+    (Gen("C", (1, 2)), Gen("P", (2, 3))),
+    (Gen("D", (1, 2, 3)), Gen("C", (3, 4))),
+    (Gen("P", (1,)), Gen("C", (1, 2, 3, 4))),
+])
+def test_catalog_commutator_rejects_subset_letters(pair):
+    with pytest.raises(AlgebraError):
+        catalog_commutator(4, *pair)

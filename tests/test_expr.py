@@ -42,9 +42,17 @@ def test_precedence_and_power():
 
 def test_parse_errors():
     for bad in ("C0", "C12 +", "[C12,C23", "Q7", "1.5*C12", "C12 ^ -1", "D12",
-                "Om5", "om9", "Ga7", "C11", "C112"):
+                "Om5", "om9", "Ga7", "C11", "C112",
+                # an operator where an atom belongs
+                "+C12", "*", ",", ")", "C12*]", "^2", "[C12,]"):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+def test_star_import_names_only_what_expr_has():
+    namespace = {}
+    exec("from racah.expr import *", namespace)
+    assert {"ParseError", "parse_expr"} <= namespace.keys()
 
 
 def test_rank_bounds():

@@ -148,6 +148,20 @@ def test_compiled_rules_match_golden_digest(rank):
     assert rs.steps == GOLDEN_SATURATION_STEPS[rank]
 
 
+# the script reads --rank as the CLI does: ASCII digits, and 3..9 only
+@pytest.mark.parametrize("rank, message", [
+    ("10", "3..9"), ("2", "3..9"), ("\u0663", "not an integer"),
+    ("1_000", "not an integer"),
+])
+def test_rule_digest_script_rejects_bad_rank(monkeypatch, capsys, rank, message):
+    monkeypatch.setattr("sys.argv", ["rule_digest.py", "--rank", rank])
+    with pytest.raises(SystemExit) as exc:
+        _rule_digest_script.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def _up_to_scale(p: NCPoly) -> tuple:
     # p divided by the coefficient of its first word in the printed order
     first = min(p.terms, key=lambda w: (len(w), [g.sort_key() for g in w]))
