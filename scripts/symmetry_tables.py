@@ -10,12 +10,12 @@ def main() -> None:
     rot = sym.DihedralElement.rotation(1)
     refl = sym.DihedralElement.reflection(0)
     print("pentagon rotation on subset generators:")
-    for I, J in sorted(sym.dihedral_subset_map(rot).items()):
+    for I, J in sorted(rot.subset_map().items()):
         a = "C" + "".join(map(str, I))
         b = "C" + "".join(map(str, J))
         print(f"  {a:6s} -> {b}")
     print("\nreflection about the top vertex:")
-    for I, J in sorted(sym.dihedral_subset_map(refl).items()):
+    for I, J in sorted(refl.subset_map().items()):
         if I != J:
             print(f"  C{''.join(map(str, I))} <-> C{''.join(map(str, J))}")
 
@@ -24,9 +24,9 @@ def main() -> None:
         members = sym.orbit(Gen("C", (1, 2)), group)
         print(f"  {group:4s} ({len(members):2d}): {', '.join(members)}")
 
-    print(f"\ngroup orders: pentagon {sym.dihedral_group_order()}, "
-          f"relabeling {sym.permutation_group_order()}, "
-          f"combined {sym.closure_order()}")
+    print(f"\ngroup orders: pentagon {sym.closure_order('d5')}, "
+          f"relabeling {sym.closure_order('p4')}, "
+          f"combined {sym.closure_order('both')}")
 
 
 if __name__ == "__main__":

@@ -4,32 +4,24 @@ from .freealg import (
     AlgebraError,
     Gen,
     NCPoly,
-    Rational,
     RankMismatchError,
     RewriteRule,
     RewriteSystem,
     UnknownGeneratorError,
     anticommutator,
     commutator,
-    jacobi_defect,
-    poly_add,
-    poly_mul,
 )
 
 __all__ = [
     "AlgebraError",
     "Gen",
     "NCPoly",
-    "Rational",
     "RankMismatchError",
     "RewriteRule",
     "RewriteSystem",
     "UnknownGeneratorError",
     "anticommutator",
     "commutator",
-    "jacobi_defect",
-    "poly_add",
-    "poly_mul",
 ]
 
 __version__ = "0.1.0"

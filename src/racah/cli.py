@@ -118,9 +118,9 @@ def cmd_symmetry(args) -> int:
     if args.what == "closure":
         if args.generator is not None:
             raise AlgebraError("closure takes no generator")
-        print(f"pentagon action alone: order {symmetry.dihedral_group_order()}")
-        print(f"index relabeling alone: order {symmetry.permutation_group_order()}")
-        print(f"combined closure: order {symmetry.closure_order()}")
+        print(f"pentagon action alone: order {symmetry.closure_order('d5')}")
+        print(f"index relabeling alone: order {symmetry.closure_order('p4')}")
+        print(f"combined closure: order {symmetry.closure_order('both')}")
         print("generators: one rotation, one reflection, and the three"
               " adjacent index swaps")
         return 0

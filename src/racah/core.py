@@ -87,22 +87,15 @@ def gen_P1(rank: int, i: int) -> NCPoly:
     return gen_P(rank, i, i)
 
 
-def gen_D(rank: int, i: int, j: int, k: int) -> tuple[NCPoly, int]:
-    """Half-commutator generator with its canonicalization sign.
-
-    Returns (poly, sign) where poly is sign times the sorted-index word:
-    cyclic reorderings keep the sign, single flips negate it.
-    """
+def d_poly(rank: int, i: int, j: int, k: int) -> NCPoly:
+    """Half-commutator generator: the sorted-index letter times the parity
+    of (i, j, k), so cyclic reorderings keep the sign and single flips
+    negate it."""
     if len({i, j, k}) != 3:
         raise AlgebraError(f"repeated index in ({i},{j},{k})")
     _check_indices(rank, (i, j, k))
-    sign = _perm_sign((i, j, k))
-    word = (Gen("D", tuple(sorted((i, j, k)))),)
-    return NCPoly.from_word(rank, word, sign), sign
-
-
-def d_poly(rank: int, i: int, j: int, k: int) -> NCPoly:
-    return gen_D(rank, i, j, k)[0]
+    return NCPoly.from_word(rank, (Gen("D", tuple(sorted((i, j, k)))),),
+                            _perm_sign((i, j, k)))
 
 
 # -- pentagon labels (rank 2 only) ---------------------------------------------

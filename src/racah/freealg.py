@@ -14,8 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-Rational = Fraction  # exact coefficients, always normalized, denominator > 0
-
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
@@ -222,15 +220,7 @@ def _word_key(w: Word) -> tuple:
     return (len(w), tuple(g.sort_key() for g in w))
 
 
-# -- spec-level operation names ---------------------------------------------
-
-def poly_add(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a + b
-
-
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    return a * b
-
+# -- bracket products ----------------------------------------------------------
 
 def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
     """ab - ba."""
@@ -240,22 +230,6 @@ def commutator(a: NCPoly, b: NCPoly) -> NCPoly:
 def anticommutator(a: NCPoly, b: NCPoly) -> NCPoly:
     """ab + ba."""
     return a * b + b * a
-
-
-def jacobi_defect(a: NCPoly, b: NCPoly, c: NCPoly) -> NCPoly:
-    """[a,[b,c]] + [b,[c,a]] + [c,[a,b]], expanded in the free algebra.
-
-    Identically zero for any associative inputs; the interesting variant
-    substitutes catalog commutator values first (see the verifier).
-    """
-    return (commutator(a, commutator(b, c))
-            + commutator(b, commutator(c, a))
-            + commutator(c, commutator(a, b)))
-
-
-def reduce(p: "NCPoly", rs: "RewriteSystem") -> "NCPoly":
-    """Normal form of ``p`` under ``rs``; zero certifies ideal membership."""
-    return rs.reduce(p)
 
 
 # -- printing ----------------------------------------------------------------

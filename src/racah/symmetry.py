@@ -1,6 +1,7 @@
-"""The pentagon dihedral group and the index permutation group, both acting
-on 4 indices by permuting the 15 subset generators: expression transport,
-invariance checking, and the closure of the combined action."""
+"""Index relabelings at any rank and the pentagon dihedral group at 4
+indices, each acting on polynomials by moving letters: expression
+transport, invariance checking, and the closure of the combined action on
+the 15 subset generators."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from functools import lru_cache
 from .core import (
     OMEGA_SETS,
     SMALL_OMEGA_SETS,
+    _perm_sign,
+    alphabet,
     decompose_to_basis,
     expand_to_C,
     gen_C,
@@ -18,6 +21,10 @@ from .core import (
     subsets,
 )
 from .freealg import AlgebraError, Gen, NCPoly
+
+_ALL_SUBSETS_4 = tuple(subsets(4))
+_POSITION = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
+_SET_OF_DECOMPOSITION = {decompose_to_basis(4, I).key(): I for I in _ALL_SUBSETS_4}
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,8 @@ class DihedralElement:
 
     reflected: bool
     shift: int
+
+    rank = 4  # the pentagon labels exist at 4 indices only
 
     def __post_init__(self):
         object.__setattr__(self, "shift", self.shift % 5)
@@ -50,7 +59,29 @@ class DihedralElement:
         return (self.shift - i) % 5 if self.reflected else (i + self.shift) % 5
 
     def subset_map(self) -> dict[tuple, tuple]:
-        return dihedral_subset_map(self)
+        """How this symmetry permutes all 15 subset generators.
+
+        The ten labelled sets, the contiguous basis, move with their vertex;
+        the rest follow by linearity of their decomposition and always land
+        on a single generator again (checked by the lookup).
+        """
+        out: dict[tuple, tuple] = {}
+        for sets in (OMEGA_SETS, SMALL_OMEGA_SETS):
+            out |= {sets[k]: sets[self.apply(k)] for k in range(5)}
+        for I in _ALL_SUBSETS_4:
+            if I not in out:
+                image = decompose_to_basis(4, I).substitute(
+                    lambda x: gen_C(4, out[x.indices]))
+                out[I] = _SET_OF_DECOMPOSITION[image.key()]
+        return out
+
+    @lru_cache(maxsize=None)
+    def letter_map(self) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
+        """The image of each subset letter, and no sign: a shift or
+        half-commutator letter is no single subset word, so it has no
+        image letter here.  Cached and shared, so never modified."""
+        return ({Gen("C", I): Gen("C", J) for I, J in self.subset_map().items()},
+                frozenset())
 
     @staticmethod
     def all_elements() -> tuple["DihedralElement", ...]:
@@ -72,6 +103,10 @@ class IndexPermutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise AlgebraError(f"not a permutation of 1..n: {self.images}")
 
+    @property
+    def rank(self) -> int:
+        return len(self.images)
+
     @staticmethod
     def transposition(n: int, a: int, b: int) -> "IndexPermutation":
         im = list(range(1, n + 1))
@@ -88,59 +123,42 @@ class IndexPermutation:
 
     def subset_map(self) -> dict[tuple, tuple]:
         """Every subset I of {1..n} to the sorted image of its indices."""
-        return {I: tuple(sorted(map(self.apply, I)))
-                for I in subsets(len(self.images))}
+        return {I: tuple(sorted(map(self.apply, I))) for I in subsets(self.rank)}
+
+    @lru_cache(maxsize=None)
+    def letter_map(self) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
+        """The image letter of every letter of ``core.alphabet(n)``, and the
+        letters whose image is its negative: ``C_I -> C_σ(I)``,
+        ``P_I -> P_σ(I)``, and ``D_ijk -> ±D`` on the sorted image, with
+        the parity sign ``d_poly`` gives ``D_σ(i)σ(j)σ(k)``.  Cached and
+        shared, so never modified."""
+        images, flips = {}, set()
+        for x in alphabet(self.rank):
+            image = tuple(map(self.apply, x.indices))
+            images[x] = Gen(x.kind, tuple(sorted(image)))
+            if x.kind == "D" and _perm_sign(image) < 0:
+                flips.add(x)
+        return images, frozenset(flips)
 
     def __str__(self) -> str:
         return "".join(str(i) for i in self.images)
 
 
-# -- the action on subset generators ---------------------------------------------
-
-_ALL_SUBSETS_4 = tuple(subsets(4))
-_POSITION = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
-_SET_OF_DECOMPOSITION = {decompose_to_basis(4, I).key(): I for I in _ALL_SUBSETS_4}
-
-
-def dihedral_subset_map(g: DihedralElement) -> dict[tuple, tuple]:
-    """How a pentagon symmetry permutes all 15 subset generators.
-
-    The ten labelled sets, the contiguous basis, move with their vertex;
-    the rest follow by linearity of their decomposition and always land on
-    a single generator again (checked by the lookup).
-    """
-    out: dict[tuple, tuple] = {}
-    for sets in (OMEGA_SETS, SMALL_OMEGA_SETS):
-        out |= {sets[k]: sets[g.apply(k)] for k in range(5)}
-    for I in _ALL_SUBSETS_4:
-        if I not in out:
-            image = decompose_to_basis(4, I).substitute(
-                lambda x: gen_C(4, out[x.indices]))
-            out[I] = _SET_OF_DECOMPOSITION[image.key()]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _letter_map(g) -> dict[Gen, Gen]:
-    """``g``'s image of each subset letter; built once per element and
-    shared, so never modified."""
-    table = g.subset_map()
-    if sorted(table) != sorted(_ALL_SUBSETS_4):
-        raise AlgebraError(f"{g} does not act on exactly 4 indices")
-    return {Gen("C", I): Gen("C", J) for I, J in table.items()}
-
-
 def act(g, p: NCPoly) -> NCPoly:
-    """Transport ``p`` along a group element of either group: every subset
-    letter ``C_I`` becomes ``C_{g(I)}``.  No other letter moves as a letter
-    (``P`` and ``D`` words pick up signs and sums), so expand them with
-    ``expand_to_C`` first."""
-    if p.rank != 4:
-        raise AlgebraError("the symmetry actions need exactly 4 indices")
-    table = _letter_map(g)
+    """Transport ``p``, a polynomial at ``g``'s own rank, along ``g``: every
+    letter becomes its image under ``g.letter_map()``, and a word changes
+    sign once per letter whose image is negated.  A relabeling moves every
+    letter; a pentagon symmetry moves subset letters only, so expand shift
+    and half-commutator letters with ``expand_to_C`` first."""
+    if p.rank != g.rank:
+        raise AlgebraError(f"{g} acts at {g.rank} indices, not {p.rank}")
+    images, flips = g.letter_map()
     try:
-        return NCPoly(4, {tuple(table[x] for x in w): c
-                          for w, c in p.terms.items()})
+        return NCPoly(p.rank, {
+            tuple(map(images.__getitem__, w)):
+                c if not flips or sum(map(flips.__contains__, w)) % 2 == 0
+                else -c
+            for w, c in p.terms.items()})
     except KeyError as exc:
         raise AlgebraError(f"{exc.args[0]} is not a subset generator;"
                            " expand it with expand_to_C first") from None
@@ -169,32 +187,26 @@ def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return els
 
 
-def _generators(group: str) -> set[tuple[int, ...]]:
-    """Generating permutations of the 15 subset generators: one rotation
-    and one reflection for d5, the three adjacent index swaps for p4, all
-    five for both."""
-    elements = []
-    if group in ("d5", "both"):
-        elements += [DihedralElement.rotation(1), DihedralElement.reflection(0)]
-    if group in ("p4", "both"):
-        elements += [IndexPermutation.transposition(4, a, a + 1) for a in (1, 2, 3)]
-    if not elements:
+# each group's generators at 4 indices: one rotation and one reflection for
+# d5, the three adjacent index swaps for p4, all five for both
+_GENERATORS = {
+    "d5": (DihedralElement.rotation(1), DihedralElement.reflection(0)),
+    "p4": tuple(IndexPermutation.transposition(4, a, a + 1) for a in (1, 2, 3)),
+}
+_GENERATORS["both"] = _GENERATORS["d5"] + _GENERATORS["p4"]
+
+
+def _closure(group: str) -> set[tuple[int, ...]]:
+    """The named group as permutations of the 15 subset generators."""
+    if group not in _GENERATORS:
         raise AlgebraError(f"unknown group {group!r}; use d5, p4 or both")
-    return {_perm15(g) for g in elements}
+    return _mulclose({_perm15(g) for g in _GENERATORS[group]})
 
 
-def dihedral_group_order() -> int:
-    return len(_mulclose(_generators("d5")))
-
-
-def permutation_group_order() -> int:
-    return len(_mulclose(_generators("p4")))
-
-
-def closure_order() -> int:
-    """Order of the group the two actions generate on the 15 subset
-    generators."""
-    return len(_mulclose(_generators("both")))
+def closure_order(group: str) -> int:
+    """Order of the group that d5, p4 or both together generate on the 15
+    subset generators."""
+    return len(_closure(group))
 
 
 def orbit(symbol: Gen, group: str) -> list[str]:
@@ -203,7 +215,7 @@ def orbit(symbol: Gen, group: str) -> list[str]:
         raise AlgebraError(f"{symbol} is not a subset generator at 4 indices;"
                            " orbits act on C letters")
     k = _POSITION[symbol.indices]
-    images = {perm[k] for perm in _mulclose(_generators(group))}
+    images = {perm[k] for perm in _closure(group)}
     return sorted(str(Gen("C", _ALL_SUBSETS_4[j])) for j in images)
 
 
@@ -217,16 +229,16 @@ class InvarianceRecord:
     ok: bool
 
 
-_GROUP_ELEMENTS = {"D5": DihedralElement.all_elements(),
-                   "P4": IndexPermutation.all_elements(4)}
+_GROUP_ELEMENTS = {"d5": DihedralElement.all_elements(),
+                   "p4": IndexPermutation.all_elements(4)}
 
 
 def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
-    """Check that every image under ``group`` ("D5" or "P4") of every
+    """Check that every image under ``group`` ("d5" or "p4") of every
     suite relation is (plus or minus) another suite relation, or at least
     reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
     if group not in _GROUP_ELEMENTS:
-        raise AlgebraError(f"unknown group {group!r}")
+        raise AlgebraError(f"unknown group {group!r}; use d5 or p4")
     sources = [(label, expand_to_C(poly)) for label, poly in suite]
     table: dict[tuple, str] = {}
     for label, poly in sources:

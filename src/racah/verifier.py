@@ -189,14 +189,14 @@ class _Runner:
         if self.cfg.rank != 4:
             return
         relations = self.family_suite(suite)
-        for group in ("D5", "P4"):
+        for group in ("d5", "p4"):
             recs = symmetry.verify_relation_invariance(group, relations)
             bad = [r for r in recs if not r.ok]
             self.outcome(
-                (suite, f"invariance-{group.lower()}", f"{len(recs)} images",
+                (suite, f"invariance-{group}", f"{len(recs)} images",
                  "group images of each relation stay inside the relation suite"),
                 not bad, "; ".join(f"{r.element} x {r.relation}" for r in bad[:3]))
-        order = symmetry.closure_order()
+        order = symmetry.closure_order("both")
         self.outcome((suite, "closure", f"order={order}",
                       "the two symmetry actions together generate a group of"
                       " order 120"), order == 120)
@@ -252,9 +252,9 @@ class _Runner:
     def symmetry_suite(self, suite: str):
         if self.cfg.rank != 4:
             return
-        for label, order, want in (("d5", symmetry.dihedral_group_order(), 10),
-                                   ("p4", symmetry.permutation_group_order(), 24),
-                                   ("combined", symmetry.closure_order(), 120)):
+        for label, group, want in (("d5", "d5", 10), ("p4", "p4", 24),
+                                   ("combined", "both", 120)):
+            order = symmetry.closure_order(group)
             self.outcome((suite, "group_order", f"{label}={order}",
                           "pentagon action order 10, relabeling order 24,"
                           " combined order 120"), order == want)
@@ -352,11 +352,11 @@ def _triple_orbits(rank: int, triples):
     """Each relabeling orbit of ``triples`` (all of them, in
     ``itertools.combinations`` order): its first triple and its size.  The
     adjacent transpositions (a a+1) generate every relabeling of 1..rank,
-    so a search along them reaches the whole orbit."""
-    def swap(g: Gen, a: int) -> Gen:
-        moved = {a: a + 1, a + 1: a}
-        return Gen(g.kind, tuple(sorted(moved.get(i, i) for i in g.indices)))
-
+    so a search along them reaches the whole orbit.  A triple is a set of
+    letters, so each transposition's letter table is read without its
+    signs."""
+    tables = [symmetry.IndexPermutation.transposition(rank, a, a + 1)
+              .letter_map()[0] for a in range(1, rank)]
     seen = set()
     for triple in triples:
         start = frozenset(triple)
@@ -365,8 +365,8 @@ def _triple_orbits(rank: int, triples):
         seen.add(start)
         orbit = [start]
         for t in orbit:
-            for a in range(1, rank):
-                image = frozenset(swap(g, a) for g in t)
+            for images in tables:
+                image = frozenset(map(images.__getitem__, t))
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

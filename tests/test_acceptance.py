@@ -131,8 +131,9 @@ def test_criterion_5_pentagon(param_sets):
     report = run_suite(SuiteConfig(rank=4, param_sets=param_sets,
                                    suites=("pentagon",)))
     failures = _bad_records(report)
-    if sym.closure_order() != 120:
-        failures.append(f"closure order {sym.closure_order()}")
+    order = sym.closure_order("both")
+    if order != 120:
+        failures.append(f"closure order {order}")
     for fam, count in (("omega_commute", 5), ("omega_gamma_commute", 5),
                        ("omega_inner", 5), ("omega_outer", 5), ("gamma_sum", 1)):
         have = {r.payload for r in report.records if r.family == fam}

@@ -18,7 +18,6 @@ from racah.core import (
     enumerate_relations,
     expand_to_C,
     gen_C,
-    gen_D,
     gen_P,
     gen_P1,
     pentagon_poly,
@@ -54,19 +53,16 @@ def test_gen_P_symmetric_and_expansion():
     assert gen_P(4, 3, 3) == gen_P1(4, 3)
 
 
-def test_gen_D_signs():
-    base, _ = gen_D(4, 1, 2, 3)
-    poly, sign = gen_D(4, 2, 1, 3)
-    assert sign == -1 and poly == -base
-    poly, sign = gen_D(4, 2, 3, 1)
-    assert sign == 1 and poly == base
-    # all six orderings carry the permutation parity
-    import itertools as it
-    for perm in it.permutations((1, 2, 3)):
-        poly, sign = gen_D(4, *perm)
-        assert poly == sign * base
+def test_d_poly_signs():
+    base = d_poly(4, 1, 2, 3)
+    assert base == NCPoly.from_word(4, (Gen("D", (1, 2, 3)),))
+    assert d_poly(4, 2, 1, 3) == -base
+    # cyclic reorderings keep the sign, single flips negate it
+    assert d_poly(4, 2, 3, 1) == d_poly(4, 3, 1, 2) == base
+    assert d_poly(4, 1, 3, 2) == d_poly(4, 3, 2, 1) == -base
+    assert d_poly(4, 4, 2, 3) == d_poly(4, 2, 3, 4) == -d_poly(4, 3, 2, 4)
     with pytest.raises(AlgebraError):
-        gen_D(4, 1, 1, 2)
+        d_poly(4, 1, 1, 2)
 
 
 def test_pentagon_assignments():

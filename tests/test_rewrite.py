@@ -45,9 +45,6 @@ def test_reduce_halfcommutator_definition(rs3):
 def test_reduce_pd_pair_instance(rs4):
     poly = relation(RelationId("pd_pair", 4, (1, 2, 3, 4)))
     assert rs4.reduce(poly).is_zero
-    # the module-level spelling is the same operation
-    from racah.freealg import reduce as reduce_fn
-    assert reduce_fn(poly, rs4).is_zero
 
 
 def test_reduce_is_linear(rs4):

@@ -12,7 +12,7 @@ from racah import core, symmetry as sym
 from racah.core import (OMEGA_SETS, SMALL_OMEGA_SETS, casimir_frak, d_poly,
                         enumerate_relations, expand_to_C, gen_C, pentagon_poly,
                         relation)
-from racah.freealg import AlgebraError, Gen, commutator
+from racah.freealg import AlgebraError, Gen, NCPoly, commutator
 from racah.verifier import _SUITE_FAMILIES
 
 _spec = importlib.util.spec_from_file_location(
@@ -74,20 +74,65 @@ def test_permutation_examples(rs4):
     assert sym.act(ident, p) == p
 
 
-@pytest.mark.parametrize("g", [sym.IndexPermutation.transposition(4, 1, 2),
-                               sym.DihedralElement.rotation(1)], ids=str)
+@pytest.mark.parametrize("g", [sym.DihedralElement.rotation(1)], ids=str)
 def test_act_rejects_shift_and_half_letters(g):
-    # P and D letters do not move as letters; expand_to_C them first
+    # a pentagon symmetry moves subset letters only: P and D letters are
+    # no single subset word, so expand_to_C them first
     for p in (d_poly(4, 1, 2, 3), core.gen_P(4, 1, 2), core.gen_P1(4, 3)):
         with pytest.raises(AlgebraError, match="expand_to_C"):
             sym.act(g, p)
 
 
+def test_relabeling_moves_shift_and_half_letters():
+    s12 = sym.IndexPermutation.transposition(4, 1, 2)
+    assert sym.act(s12, core.gen_P(4, 1, 3)) == core.gen_P(4, 2, 3)
+    assert sym.act(s12, core.gen_P1(4, 1)) == core.gen_P1(4, 2)
+    assert sym.act(s12, core.gen_P1(4, 3)) == core.gen_P1(4, 3)
+    # D_ijk -> D_σ(i)σ(j)σ(k), which d_poly signs by its parity
+    assert sym.act(s12, d_poly(4, 1, 2, 3)) == d_poly(4, 2, 1, 3) \
+        == -d_poly(4, 1, 2, 3)
+    assert sym.act(s12, d_poly(4, 1, 3, 4)) == d_poly(4, 2, 3, 4)
+    assert sym.act(s12, d_poly(4, 1, 2, 3) * d_poly(4, 1, 2, 4)) == \
+        d_poly(4, 1, 2, 3) * d_poly(4, 1, 2, 4)
+    cycle = sym.IndexPermutation((3, 1, 5, 2, 4))
+    for i, j, k in ((1, 2, 3), (2, 4, 5), (1, 3, 5)):
+        assert sym.act(cycle, d_poly(5, i, j, k)) == \
+            d_poly(5, cycle.apply(i), cycle.apply(j), cycle.apply(k))
+
+
 def test_act_needs_four_indices():
+    # each element acts at its own rank only: a relabeling of {1..n} at n
+    # indices, the pentagon at 4
     with pytest.raises(AlgebraError):
         sym.act(sym.IndexPermutation((2, 1, 3)), gen_C(4, (1, 2)))
     with pytest.raises(AlgebraError):
         sym.act(sym.DihedralElement.rotation(1), gen_C(3, (1, 2)))
+    assert sym.act(sym.IndexPermutation((2, 1, 3)), gen_C(3, (1, 3))) == \
+        gen_C(3, (2, 3))
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_transpositions_map_rule_sources_into_the_ideal(rank):
+    # the soundness precondition of one reduction per relabeling orbit:
+    # each adjacent transposition maps every relation a swap or
+    # elimination rule is solved from into the ideal
+    rs = core.rewrite_system(rank)
+    sources = (list(core._commutator_instances(rank).values())
+               + enumerate_relations(rank, "pd_sum"))
+    for a in range(1, rank):
+        sigma = sym.IndexPermutation.transposition(rank, a, a + 1)
+        for rid in sources:
+            assert rs.reduce(sym.act(sigma, relation(rid))).is_zero, (sigma, rid)
+
+
+def test_relabeling_letters_agree_with_their_subset_words(rs4):
+    # the old route moved P and D through their expansion into C letters;
+    # moving the letter itself must land on the same normal form
+    for g in sym.IndexPermutation.all_elements(4):
+        for x in core.core_generators(4):
+            p = NCPoly.from_word(4, (x,))
+            assert rs4.reduce(sym.act(g, p)) == \
+                rs4.reduce(sym.act(g, expand_to_C(p))), (g, x)
 
 
 _PENTAGON_LETTERS = [Gen("C", sets[k]) for sets in (OMEGA_SETS, SMALL_OMEGA_SETS)
@@ -137,7 +182,7 @@ def test_dihedral_group_action_on_polys():
 
 def test_subset_map_bijective():
     for g in sym.DihedralElement.all_elements():
-        table = sym.dihedral_subset_map(g)
+        table = g.subset_map()
         assert len(set(table.values())) == 15
 
 
@@ -148,9 +193,11 @@ def test_casimir_transport():
 
 
 def test_group_orders():
-    assert sym.dihedral_group_order() == 10
-    assert sym.permutation_group_order() == 24
-    assert sym.closure_order() == 120
+    assert sym.closure_order("d5") == 10
+    assert sym.closure_order("p4") == 24
+    assert sym.closure_order("both") == 120
+    with pytest.raises(AlgebraError, match="unknown group"):
+        sym.closure_order("D5")
 
 
 def test_symmetry_tables_script(capsys):
@@ -186,7 +233,7 @@ def test_rotation_maps_inner_to_next_inner():
 def test_invariance_reports():
     suite = pentagon_suite()
     records = {group: sym.verify_relation_invariance(group, suite)
-               for group in ("D5", "P4")}
+               for group in ("d5", "p4")}
     for recs in records.values():
         assert recs and all(r.ok for r in recs)
     # both groups have images that match a relation syntactically and images
@@ -198,9 +245,11 @@ def test_invariance_reports():
 
 
 def test_quad_family_is_permutation_equivariant():
-    sigma = sym.IndexPermutation((2, 1, 4, 3))
-    for rid in enumerate_relations(4, "quad")[:12]:
-        img = sym.act(sigma, relation(rid))
-        I, J, K = (tuple(sorted(sigma.apply(i) for i in part))
-                   for part in rid.indices)
-        assert img == relation(core.RelationId("quad", 4, (I, J, K)))
+    for sigma in (sym.IndexPermutation((2, 1, 4, 3)),
+                  sym.IndexPermutation((3, 1, 5, 2, 4))):
+        rank = sigma.rank
+        for rid in enumerate_relations(rank, "quad")[:12]:
+            img = sym.act(sigma, relation(rid))
+            I, J, K = (tuple(sorted(sigma.apply(i) for i in part))
+                       for part in rid.indices)
+            assert img == relation(core.RelationId("quad", rank, (I, J, K)))
