@@ -2,8 +2,10 @@
 lattice closure at the boundaries, centrality and diagonality, leak
 semantics, and the evaluation homomorphism."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -406,3 +408,72 @@ def test_kernel_matches_fraction_reference(drawn, data):
     _assert_agrees(states, commutator_op(ops[0], ops[1]),
                    _ref_sum([(1, _ref_compose(states, a, b)),
                              (-1, _ref_compose(states, b, a))]))
+
+
+_spec = importlib.util.spec_from_file_location(
+    "operator_digest",
+    Path(__file__).parents[1] / "scripts" / "operator_digest.py")
+_operator_digest_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_operator_digest_script)
+operator_digest = _operator_digest_script.operator_digest
+
+# scripts/operator_digest.py digests of each letter's (den, cols, leak),
+# recorded when every state's stencil was evaluated on its own
+GOLDEN_OPERATOR_DIGESTS = {
+    ("integer", 4, "triangle"): {
+        "C12": "66e41358e7b4fb3c473598b9f04a3b9fb2489ea24af965fa04de633272e8c251",
+        "C23": "9f0670d6a8469a31139bd3bc1d922bb5045adcc75ba660235597284167d6effb",
+        "C123": "c3e5d3fde955bfe230c92e1ad9e690d17551db169c8f2014f869ca1c20574086",
+        "C34": "a24c341ce08642a2df2bc772a4d0fd87faf6e1aaf71689fc8f67a99127d0555d",
+        "C234": "6b4a9dc7c8dcfb56654f4359f81d683dee667cee69cd41ca25c6e6be52c077ff",
+    },
+    ("generic", 6, "triangle"): {
+        "C12": "74a40f0abb23290858fb94519be8bb28af67fa5846c07a67695232f95433988e",
+        "C23": "856f47bf9034d2e65bf6dae17a8c05dbb43d5025193375da59bf7c137770d1df",
+        "C123": "fb790e9ba7a87bc944a4b678f3b8ce324ea5d165f16764b1e30aaf22b7298d3a",
+        "C34": "e58c5b64e1445718f18e4581cb26911808e38df83302aa00b378bc435de5a6a0",
+        "C234": "b51b58f1f409941aa71985b739d1b36615079482f5959ef3385d5f80b5d33f20",
+    },
+    ("generic", 12, "triangle"): {
+        "C12": "9d36a8095b06e5c61e24e6d75ccd5673265d8678a7acecb400c47afa7ff4f040",
+        "C23": "b888f9dba872c2989e9b43ffe4bfef5b3d82a5ed673381bd979ec3bf5cc6a963",
+        "C123": "d5414d74b7e676ad30de5f4a47aa95a32bcadb979dc3145c2bb9fde9e02474d2",
+        "C34": "19a32113138a2c24c09c0fa93148fb90fd83037e5ac5f99c10d92076c5a9bbd5",
+        "C234": "1d65b8cfa28e6ee74baa758f2bb85a1e5ec6e054bb93ed01252533c7fa64b28b",
+    },
+    ("randomized", 12, "triangle"): {
+        "C12": "38018106d7f4ad625a6c902547cec5472bd8f7239b38986d7dd6b71ad0ea5f6f",
+        "C23": "a198609d7cd54c8c1e6f8048931c1f1913ad134eafc6b55509b98d1ed6bf4b5b",
+        "C123": "1cca588c7a13feacce9a67d672c2c39f86398061787c99d9eabd16722215cf28",
+        "C34": "5113b48ae253d7f326107e54a519f377f0a1277cbebbb465d2af1de1ea9f0787",
+        "C234": "46278559be5a452f3961ce9ac0271c2e29053a76a8cf2a32c0bc781236d6b8fa",
+    },
+    ("generic", 12, "chain"): {
+        "C12": "1288e2521b03ffb948354677b27634b04457d55f963ca542614a986afbfb07d9",
+        "C23": "8f111304ba6a4e753ea23ec608f7cfddaec0282c1acb368001c256a9735226f4",
+        "C123": "3dc47249a42c1c106eda560f3c3ff347b42bf73de29dc8203a94d0e0e03e091f",
+        "C34": "326e37eedc40c5fbbea270b93b2837583fc3dd5a5efea59c62c971d016e97c14",
+        "C234": "3648dd2d26b6a32029ba81c1f89c934b762b796c133445f61e69c0b007298006",
+    },
+    ("randomized", 12, "chain"): {
+        "C12": "fb25102bbf1eda238ba73c7051a15d5e933b62583477e358cfb2207fee00ae37",
+        "C23": "b464f0940ffac09b3c1bb98a891346c10b52b1795b91e9309252413a8ac6d5d5",
+        "C123": "7be97bbafd65733226355e8bcdd58ebad6e03cf0eb17f41d442704e0aebc2614",
+        "C34": "7b232d710b70fc4de3818db2f0412fbc03342b3b2adc813283bc256a2fa4972d",
+        "C234": "7bff912962fb95e8ee0d08fca32f94dad8b2f2b3e085f21f6463f24b7ecf62b5",
+    },
+}
+_DIGEST_PARAMS = {"integer": P_INT, "generic": P_GEN,
+                  "randomized": rep.randomized_params(12, rep.DEFAULT_SEED)}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_OPERATOR_DIGESTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_operator_digests(case):
+    name, window, shape = case
+    states = (triangle_states(window) if shape == "triangle"
+              else rep.chain_states(window))
+    got = {g: operator_digest(build_operator(g, _DIGEST_PARAMS[name], window,
+                                             states))
+           for g in GOLDEN_OPERATOR_DIGESTS[case]}
+    assert got == GOLDEN_OPERATOR_DIGESTS[case]
