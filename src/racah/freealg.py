@@ -260,21 +260,30 @@ def _combine(den: int, parts: list) -> tuple:
     """The gcd-normalised pair of ``(1/den) * sum(n * entry)`` over the
     ``(n, entry)`` in ``parts``, each entry a ``(den, {word: int})`` pair;
     integer arithmetic over the lcm of the entries' denominators."""
-    common = lcm(*(d for _, (d, _) in parts))
-    acc: dict[tuple, int] = {}
-    for n, (d, terms) in parts:
+    if not parts:
+        return 1, {}
+    common = 1
+    for _, (d, _) in parts:
+        if d != 1:
+            common = lcm(*(d for _, (d, _) in parts))
+            break
+    # the first part's terms are copied, not merged into an empty sum
+    (n, (d, terms)), *rest = parts
+    m = n * (common // d)
+    acc = dict(terms) if m == 1 else {w: m * c for w, c in terms.items()}
+    get = acc.get
+    for n, (d, terms) in rest:
         m = n * (common // d)
         for w, c in terms.items():
-            q = acc.get(w, 0) + m * c
-            if q:
-                acc[w] = q
-            elif w in acc:
-                del acc[w]
+            acc[w] = get(w, 0) + m * c
+    if 0 in acc.values():
+        acc = {w: c for w, c in acc.items() if c}
     den *= common
-    g = gcd(den, *acc.values())
-    if g > 1:
-        den //= g
-        acc = {w: c // g for w, c in acc.items()}
+    if den > 1:
+        g = gcd(den, *acc.values())
+        if g > 1:
+            den //= g
+            acc = {w: c // g for w, c in acc.items()}
     return den, acc
 
 
@@ -429,7 +438,8 @@ class RewriteSystem:
             if w in nf:
                 stack.pop()
                 continue
-            step = pending.get(w)
+            # a word whose kids are all memoized combines at its first visit
+            step = pending.pop(w, None)
             if step is None:
                 redex = self._find_redex(w)
                 if redex is None:
@@ -445,15 +455,15 @@ class RewriteSystem:
                         raise AssertionError(
                             f"termination measure did not drop: {mw} -> {mk}")
                 self._steps += 1
-                step = pending[w] = (den, kids, body.values())
+                step = (den, kids, body.values())
             den, kids, coeffs = step
             missing = [kw for kw in kids if kw not in nf]
             if missing:
+                pending[w] = step
                 stack.extend(missing)
                 continue
             nf[w] = _combine(den, list(zip(coeffs, map(nf.__getitem__, kids))))
             self._kids[w] = kids
-            del pending[w]
             stack.pop()
         return nf[word]
 
@@ -546,8 +556,9 @@ class RewriteSystem:
         self._adjacent.update(new)
         dropped = set()
         kids = self._kids
+        new_pairs = new.keys()
         for w in self._nf:
-            if (any(pair in new for pair in zip(w, w[1:]))
+            if (not new_pairs.isdisjoint(zip(w, w[1:]))
                     or not dropped.isdisjoint(kids.get(w, ()))):
                 dropped.add(w)
         for w in dropped:

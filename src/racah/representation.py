@@ -11,12 +11,13 @@ states, making every assertion an exact statement about the infinite module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import to_contiguous
 from .freealg import AlgebraError, NCPoly
@@ -41,11 +42,21 @@ class RepParams:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4", "N"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, float):
+                # Fraction(0.1) is the nearest binary fraction, not 1/10
+                raise AlgebraError(
+                    f"parameter {name} = {value!r} is a float; give an int"
+                    " or a Fraction")
+            object.__setattr__(self, name, Fraction(value))
+        cs = (self.c1, self.c2, self.c3, self.c4)
+        object.__setattr__(self, "_sums", {
+            frozenset(which): self.N + sum((cs[i - 1] for i in which), ZERO)
+            for k in range(5) for which in itertools.combinations((1, 2, 3, 4), k)})
 
     def n(self, *which: int) -> Fraction:
-        cs = (self.c1, self.c2, self.c3, self.c4)
-        return self.N + sum((cs[i - 1] for i in which), ZERO)
+        """N plus the c_i over the distinct indices ``which`` in 1..4."""
+        return self._sums[frozenset(which)]
 
     def describe(self) -> str:
         return (f"c=({self.c1},{self.c2},{self.c3},{self.c4}) N={self.N}")
@@ -72,25 +83,62 @@ def ensure_valid(p: RepParams, window: int) -> None:
 
 
 # -- coefficient stencils -----------------------------------------------------
-# Each returns the nonzero displacements {(dt, ds): value} of one generator
-# acting on |t,s>.  Boundary vanishing is carried by explicit factors (s-t),
-# s, and their shifts, so the lattice closes exactly.
+# A stencil gives the nonzero displacements {(dt, ds): value} of one
+# generator acting on |t,s>.  Boundary vanishing is carried by explicit
+# factors (s-t), s, and their shifts, so the lattice closes exactly.  The
+# factors that depend on t alone or on s alone come from ``t_row(p, t)`` and
+# ``s_row(p, s)``, which ``build_operator`` computes once per row of the
+# window; ``entries(p, t, s, trow, srow)`` combines them for one state.
 
-def c12_stencil(p: RepParams, t: int, s: int) -> dict:
-    n12, n123 = p.n(1, 2), p.n(1, 2, 3)
-    west = (s - t) * (p.N + 1 - t) * (p.N + 2 * p.c2 - t) * (2 * n123 - t - s - 1)
-    stay = (n12 - t) * (n12 - t - 1)
-    return {(-1, 0): west, (0, 0): stay}
+class Stencil(NamedTuple):
+    t_row: Callable[[RepParams, int], tuple]
+    s_row: Callable[[RepParams, int], tuple]
+    entries: Callable[[RepParams, int, int, tuple, tuple], dict]
+
+    def at(self, p: RepParams, t: int, s: int) -> dict:
+        """The displacements of the one state |t,s>."""
+        return self.entries(p, t, s, self.t_row(p, t), self.s_row(p, s))
 
 
-def c23_stencil(p: RepParams, t: int, s: int) -> dict:
+def _no_row(p: RepParams, i: int) -> tuple:
+    return ()
+
+
+def _west_t(p: RepParams, t: int) -> Fraction:
+    return (p.N + 1 - t) * (p.N + 2 * p.c2 - t)
+
+
+def _c12_t(p: RepParams, t: int) -> tuple:
+    n12 = p.n(1, 2)
+    return _west_t(p, t), (n12 - t) * (n12 - t - 1)
+
+
+def _c12_s(p: RepParams, s: int) -> tuple:
+    return (2 * p.n(1, 2, 3) - s - 1,)
+
+
+def _c12(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
+    west_t, stay = trow
+    (u,) = srow                              # 2 n123 - s - 1
+    return {(-1, 0): (s - t) * west_t * (u - t), (0, 0): stay}
+
+
+def _c23_t(p: RepParams, t: int) -> tuple:
     n23 = p.n(2, 3)
-    return {(0, 0): (n23 - t) * (n23 - t - 1), (1, 0): ONE}
+    return ((n23 - t) * (n23 - t - 1),)
 
 
-def c123_stencil(p: RepParams, t: int, s: int) -> dict:
+def _c23(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
+    return {(0, 0): trow[0], (1, 0): ONE}
+
+
+def _c123_s(p: RepParams, s: int) -> tuple:
     n123 = p.n(1, 2, 3)
-    return {(0, 0): (n123 - s) * (n123 - s - 1)}
+    return ((n123 - s) * (n123 - s - 1),)
+
+
+def _c123(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
+    return {(0, 0): srow[0]}
 
 
 def _east(p: RepParams, s: int) -> Fraction:
@@ -106,51 +154,80 @@ def _southeast(p: RepParams, s: int) -> Fraction:
                * (n123 - s) ** 2))
 
 
-def c34_stencil(p: RepParams, t: int, s: int) -> dict:
-    n12, n123, n1234 = p.n(1, 2), p.n(1, 2, 3), p.n(1, 2, 3, 4)
-    northwest = -(s - t) * (s - t + 1) * (p.N + 1 - t) * (p.N + 2 * p.c2 - t)
-    north = -(s - t) * (s - 2 * p.c3 - t + 1)
-    west = c12_stencil(p, t, s)[(-1, 0)] * (1 - _east(p, s))
-    # the (t-dependent) fraction numerator mirrors the one in c234_stencil;
+def _burst_s(p: RepParams, s: int) -> Fraction:
+    # the s-dependent fraction of the C34 and C234 diagonals
+    n123 = p.n(1, 2, 3)
+    return (n123 + 2 * p.c4 - 1) / (2 * (n123 - s) * (n123 - s - 1))
+
+
+def _diagonal_s(p: RepParams, s: int) -> Fraction:
+    # the s-only part of the C34 and C234 diagonals
+    n123, n1234 = p.n(1, 2, 3), p.n(1, 2, 3, 4)
+    return n1234 * (n1234 - 1) / 2 - (n123 - s) * (n123 - s - 1) / 2 \
+        + p.c4 * (p.c4 - 1) / 2
+
+
+def _c34_t(p: RepParams, t: int) -> tuple:
+    n12, n123 = p.n(1, 2), p.n(1, 2, 3)
+    # the (t-dependent) fraction numerator mirrors the one in C234's;
     # it is pinned by the containment commutators (constraint-solved, see
     # tests), which a (n123-t)(n12-c3-t-1) variant violates
-    stay = (-n123 * (n123 - t - 1) * (n12 - p.c3 - t) * (n123 + 2 * p.c4 - 1)
-            / (2 * (n123 - s) * (n123 - s - 1))
-            + n1234 * (n1234 - 1) / 2
-            - (n123 - s) * (n123 - s - 1) / 2
-            + (n12 - t) * (n12 - t - 1) / 2
-            + (p.c3 * (p.c3 - 1) + p.c4 * (p.c4 - 1)) / 2)
-    southeast = _southeast(p, s)
-    south = -southeast * (2 * n123 - t - s - 1) * (2 * n12 - s - t)
-    southwest = (-southeast * (2 * n123 - t - s - 1)
-                 * (p.N + 1 - t) * (2 * n123 - t - s) * (p.N + 2 * p.c2 - t))
-    return {(-1, 1): northwest, (0, 1): north, (-1, 0): west,
-            (0, 0): stay, (-1, -1): southwest, (0, -1): south}
+    return (_west_t(p, t), t + 2 * p.c3 - 1,
+            -n123 * (n123 - t - 1) * (n12 - p.c3 - t),
+            ((n12 - t) * (n12 - t - 1) + p.c3 * (p.c3 - 1)) / 2)
 
 
-def c234_stencil(p: RepParams, t: int, s: int) -> dict:
-    n23, n123, n1234 = p.n(2, 3), p.n(1, 2, 3), p.n(1, 2, 3, 4)
-    north = (s - t) * (2 * n23 - s - t - 1)
-    northeast = ONE
-    stay = (n123 * (n123 - t - 1) * (n23 - p.c1 - t) * (n123 + 2 * p.c4 - 1)
-            / (2 * (n123 - s) * (n123 - s - 1))
-            + n1234 * (n1234 - 1) / 2
-            - (n123 - s) * (n123 - s - 1) / 2
-            + (n23 - t) * (n23 - t - 1) / 2
-            + (p.c1 * (p.c1 - 1) + p.c4 * (p.c4 - 1)) / 2)
-    east = _east(p, s)
-    southeast = _southeast(p, s)
-    south = southeast * (s - 2 * p.c1 - t) * (2 * n123 - t - s - 1)
-    return {(0, 1): north, (1, 1): northeast, (0, 0): stay,
-            (1, 0): east, (0, -1): south, (1, -1): southeast}
+def _c34_s(p: RepParams, s: int) -> tuple:
+    n12, n123 = p.n(1, 2), p.n(1, 2, 3)
+    return (2 * n123 - s - 1, 2 * n12 - s, 1 - _east(p, s), _burst_s(p, s),
+            _diagonal_s(p, s), -_southeast(p, s))
 
 
-_STENCILS: dict[str, Callable] = {
-    "C12": c12_stencil,
-    "C23": c23_stencil,
-    "C123": c123_stencil,
-    "C34": c34_stencil,
-    "C234": c234_stencil,
+def _c34(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
+    west_t, north_t, stay_t, diag_t = trow
+    u, v, west_s, stay_s, diag_s, minus_southeast = srow
+    d = s - t
+    ut = u - t                               # 2 n123 - t - s - 1
+    # the two entries below share -southeast * ut
+    below = minus_southeast * ut
+    return {(-1, 1): -d * (d + 1) * west_t,
+            (0, 1): -d * (s - north_t),
+            (-1, 0): d * west_t * ut * west_s,
+            (0, 0): stay_t * stay_s + diag_s + diag_t,
+            (-1, -1): below * west_t * (ut + 1),
+            (0, -1): below * (v - t)}
+
+
+def _c234_t(p: RepParams, t: int) -> tuple:
+    n23, n123 = p.n(2, 3), p.n(1, 2, 3)
+    return (t + 2 * p.c1, n123 * (n123 - t - 1) * (n23 - p.c1 - t),
+            ((n23 - t) * (n23 - t - 1) + p.c1 * (p.c1 - 1)) / 2)
+
+
+def _c234_s(p: RepParams, s: int) -> tuple:
+    n23, n123 = p.n(2, 3), p.n(1, 2, 3)
+    return (2 * n123 - s - 1, 2 * n23 - s - 1, _burst_s(p, s),
+            _diagonal_s(p, s), _east(p, s), _southeast(p, s))
+
+
+def _c234(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
+    south_t, stay_t, diag_t = trow
+    u, w, stay_s, diag_s, east, southeast = srow
+    d = s - t
+    return {(0, 1): d * (w - t),
+            (1, 1): ONE,
+            (0, 0): stay_t * stay_s + diag_s + diag_t,
+            (1, 0): east,
+            (0, -1): southeast * (s - south_t) * (u - t),
+            (1, -1): southeast}
+
+
+_STENCILS: dict[str, Stencil] = {
+    "C12": Stencil(_c12_t, _c12_s, _c12),
+    "C23": Stencil(_c23_t, _no_row, _c23),
+    "C123": Stencil(_no_row, _c123_s, _c123),
+    "C34": Stencil(_c34_t, _c34_s, _c34),
+    "C234": Stencil(_c234_t, _c234_s, _c234),
 }
 
 _SCALARS: dict[str, Callable[[RepParams], Fraction]] = {
@@ -168,7 +245,7 @@ def coeff(gen: str, t: int, s: int, p: RepParams) -> dict:
         raise AlgebraError(f"no displacement stencil for {gen!r}")
     if t < 0 or s < 0 or s > t:
         raise AlgebraError(f"({t},{s}) is not a lattice state")
-    return {d: v for d, v in _STENCILS[gen](p, t, s).items() if v}
+    return {d: v for d, v in _STENCILS[gen].at(p, t, s).items() if v}
 
 
 # -- exact sparse operators ----------------------------------------------------
@@ -367,12 +444,16 @@ def build_operator(gen, p: RepParams, window: int,
         raise AlgebraError(
             f"{name} is not a contiguous-basis generator; decompose it first")
     stencil = _STENCILS[name]
+    rows = range(window + 1)
+    t_rows = [stencil.t_row(p, t) for t in rows]
+    s_rows = [stencil.s_row(p, s) for s in rows]
     pos = _positions(states)
     cols: dict[int, dict[int, Fraction]] = {}
     leak = set()
     for i, (t, s) in enumerate(states):
         col: dict[int, Fraction] = {}
-        for (dt, ds), val in stencil(p, t, s).items():
+        for (dt, ds), val in stencil.entries(p, t, s, t_rows[t],
+                                             s_rows[s]).items():
             if not val:
                 continue
             tt, ss = t + dt, s + ds
@@ -387,11 +468,10 @@ def build_operator(gen, p: RepParams, window: int,
             col[j] = val
         if col:
             cols[i] = col
-    den = 1
-    for col in cols.values():
-        for v in col.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-    icols = {x: {y: int(v * den) for y, v in col.items()}
+    den = math.lcm(*(v.denominator for col in cols.values()
+                     for v in col.values()))
+    icols = {x: {y: v.numerator * (den // v.denominator)
+                 for y, v in col.items()}
              for x, col in cols.items()}
     return SparseOperator(states, den, icols, frozenset(leak))
 

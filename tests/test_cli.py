@@ -415,6 +415,10 @@ REPORT_SHA256 = {
         "b00c4a3e9368fb96c923448f57d2a514e6a99403e3fa114bf8bcc246c0b9fd55",
     ("verify", "--rank", "4", "--suites", "pentagon", "--format", "json"):
         "93142a18d899997eb69d8ccb27b225b63c10baf8e029df32b82a18b97cba7632",
+    ("verify", "--rank", "5", "--suites", "casimirs", "--format", "json"):
+        "04af504a03a0eb64cfc9a62f37102966b65d24d358e30b8879e8110c85ec49a7",
+    ("verify", "--rank", "6", "--suites", "casimirs", "--format", "json"):
+        "57acef337f4d7101456df87dc030e99784ad31d8637725aabf626e4cdb1311be",
 }
 
 

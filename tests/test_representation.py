@@ -31,6 +31,23 @@ P_INT = rep.integer_params()
 P_GEN = rep.generic_params()
 
 
+@pytest.mark.parametrize("field", range(5))
+def test_params_reject_floats(field):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    values = [Fraction(1, 3), Fraction(1, 5), Fraction(2, 7), 1, 4]
+    values[field] = 0.1
+    with pytest.raises(AlgebraError, match="float"):
+        rep.RepParams(*values)
+
+
+def test_params_keep_ints_and_fractions_exact():
+    p = rep.RepParams(1, Fraction(1, 5), Fraction(2, 7), Fraction(1, 2), 4)
+    assert p.c1 == 1 and p.n(1, 2) == Fraction(26, 5)
+    assert p.n(1, 2, 3, 4) == 4 + 1 + Fraction(1, 5) + Fraction(2, 7) + HALF
+    assert p == rep.RepParams(Fraction(1), Fraction(1, 5), Fraction(2, 7),
+                              HALF, Fraction(4))
+
+
 def test_validate_integer_window4_accepted():
     assert validate_params(P_INT, 4) == []
 

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from racah import representation as rep
-from racah.core import FAMILIES, core_generators, enumerate_relations, relation
+from racah.core import (FAMILIES, casimir_rank1, core_generators, d_poly,
+                        enumerate_relations, gen_C, relation, rewrite_system)
+from racah.freealg import commutator
 from racah.verifier import (
     SUITE_NAMES,
     _SUITE_FAMILIES,
@@ -270,3 +272,14 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
     # a second run rewrites every polynomial again: nothing is kept across runs
     run_suite(cfg)
     assert len(keys) == 2 * len(distinct)
+
+
+@pytest.mark.parametrize("rank", (3, 4, 5, 6))
+def test_casimir_normal_form_brackets_reduce_to_zero(rank):
+    # the casimirs suite proves [C, g] = 0 through [nf(C), g]: C - nf(C) is
+    # an ideal member, so these reductions stand for the brackets with C
+    rs = rewrite_system(rank)
+    normal = rs.reduce(casimir_rank1(rank))
+    assert 0 < len(normal.terms) < len(casimir_rank1(rank).terms)
+    for g in (gen_C(rank, (1, 2)), gen_C(rank, (2, 3)), d_poly(rank, 1, 2, 3)):
+        assert rs.reduce(commutator(normal, g)).is_zero
