@@ -49,10 +49,12 @@ class RepParams:
                     f"parameter {name} = {value!r} is a float; give an int"
                     " or a Fraction")
             object.__setattr__(self, name, Fraction(value))
+        # every N + sum of c_i the stencils read, summed once per set
         cs = (self.c1, self.c2, self.c3, self.c4)
         object.__setattr__(self, "_sums", {
             frozenset(which): self.N + sum((cs[i - 1] for i in which), ZERO)
-            for k in range(5) for which in itertools.combinations((1, 2, 3, 4), k)})
+            for k in range(5)
+            for which in itertools.combinations((1, 2, 3, 4), k)})
 
     def n(self, *which: int) -> Fraction:
         """N plus the c_i over the distinct indices ``which`` in 1..4."""
