@@ -19,9 +19,7 @@ import time
 
 from racah.cli import _rep_params, _window
 from racah.freealg import AlgebraError
-from racah.representation import build_operator
-
-LETTERS = ("C12", "C23", "C123", "C34", "C234")
+from racah.representation import _STENCILS, build_operator
 
 
 def operator_digest(op) -> str:
@@ -45,11 +43,11 @@ def main() -> None:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     print(f"{params.describe()} window {window}")
-    for name in LETTERS:
+    for gen in _STENCILS:
         t0 = time.perf_counter()
-        op = build_operator(name, params, window)
+        op = build_operator(gen, params, window)
         elapsed = time.perf_counter() - t0
-        print(f"{name:5s} build_s {elapsed:.4f} sha256 {operator_digest(op)}")
+        print(f"{str(gen):5s} build_s {elapsed:.4f} sha256 {operator_digest(op)}")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,13 @@ import sys
 
 from . import symmetry
 from .core import rewrite_system
-from .expr import parse_expr
+from .expr import parse_expr, parse_letter
 from .freealg import AlgebraError, format_poly
 from .representation import (
     INTEGER_WINDOW,
     OperatorContext,
     RepParams,
+    _west_t,
     build_operator,
     default_param_sets,
     integer_params,
@@ -126,18 +127,14 @@ def cmd_symmetry(args) -> int:
         return 0
     if args.generator is None:
         raise AlgebraError("orbit needs a generator symbol, e.g. C12 or Om0")
-    terms = parse_expr(args.generator, rank=4).terms
-    if len(terms) != 1 or any(len(w) != 1 or c != 1 for w, c in terms.items()):
-        raise AlgebraError("orbit wants a single generator symbol")
-    ((word, _),) = terms.items()
-    for name in symmetry.orbit(word[0], args.group):
+    for name in symmetry.orbit(parse_letter(args.generator), args.group):
         print(name)
     return 0
 
 
 def cmd_rep_dump(args) -> int:
     params, window = _rep_params(args)
-    op = build_operator(args.gen, params, window)
+    op = build_operator(parse_letter(args.gen), params, window)
     leaky = op.leaky
     for (t, s) in triangle_states(window):
         for (tt, ss), q in sorted(op.column((t, s)).items()):
@@ -154,9 +151,8 @@ def cmd_rep_apply(args) -> int:
     ctx = OperatorContext(params, window)
     op = ctx.eval(parse_expr(args.expr, rank=4))
     if (t, s) in op.leaky:
-        print(f"state |{t},{s}> is unreliable at window {window}; widen it",
-              file=sys.stderr)
-        return 1
+        raise ConfigError(
+            f"state |{t},{s}> is unreliable at window {window}; widen it")
     combo = op.column((t, s))
     if not combo:
         print("0")
@@ -172,7 +168,7 @@ def cmd_rep_probe(args) -> int:
     params, window = _rep_params(args)
     hits = []
     for t in range(window + 1):
-        if params.N + 1 - t == 0 or params.N + 2 * params.c2 - t == 0:
+        if _west_t(params, t) == 0:
             hits.append(f"west factor vanishes for every s at t={t}")
     for line in hits or ["no factor zeros in this window"]:
         print(line)

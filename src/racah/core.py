@@ -349,22 +349,9 @@ def relation(rid: RelationId) -> NCPoly:
 
 
 def enumerate_relations(rank: int, family: str) -> list[RelationId]:
-    """Every instance of a family over {1..rank}, deduplicated only by the
-    family's own symmetry; empty at a rank where the family does not exist.
-    Instance counts per family:
-
-    central        pairs {I,J} with I inside J (one per containment) plus
-                   unordered disjoint pairs
-    decomposition  unordered partitions of a >=3 subset into three blocks
-    quad, quadB,
-    d_cyclic       ordered triples of disjoint nonempty subsets
-    ddef           middle index x unordered outer pair (n(n-1)(n-2)/2)
-    inner_P        unordered pair {j,k} x third index
-    outer_P        ordered (i,j) x the remaining unordered pair
-    dd             unordered D pairs sharing two indices, x 2 orientations
-    pdt            one per (l, complementary triple)
-    pd_pair        3 pair-partitions x 2 role orders = 6 at rank 4
-    """
+    """Every instance of a family over {1..rank}: the payloads its
+    ``FAMILIES`` entry enumerates, deduplicated only by the family's own
+    symmetry; empty at a rank where the family does not exist."""
     RankConfig(rank)
     return [RelationId(family, rank, tuple(payload))
             for payload in _family(family).instances(rank)]
@@ -760,12 +747,13 @@ def casimir_rank1(rank: int = 3) -> NCPoly:
                             C(1), C(2), C(3), C(1, 2, 3))
 
 
-def casimir_frak(i: int, rank: int = 4) -> NCPoly:
-    """The pentagon-labeled central element attached to vertex i: the
-    rank-1 element with ``Ga_i``, ``Om_{i+2}``, ``Om_{i-2}``, the
-    ``om_{i-1}``, ``om_i``, ``om_{i+1}`` and ``Om_i`` in place of ``D123``,
-    ``C12``, ``C23``, ``C1``, ``C2``, ``C3`` and ``C123``."""
-    Om, om, _ = _labels(rank)
-    # the unwrapped label checks the rank and the vertex
-    return _quartic_casimir(pentagon_poly(rank, "Ga", i), Om(i + 2), Om(i - 2),
+def casimir_frak(i: int) -> NCPoly:
+    """The pentagon-labeled central element attached to vertex i (at 4
+    indices, where the labels live): the rank-1 element with ``Ga_i``,
+    ``Om_{i+2}``, ``Om_{i-2}``, the ``om_{i-1}``, ``om_i``, ``om_{i+1}`` and
+    ``Om_i`` in place of ``D123``, ``C12``, ``C23``, ``C1``, ``C2``, ``C3``
+    and ``C123``."""
+    Om, om, _ = _labels(4)
+    # the unwrapped label checks the vertex
+    return _quartic_casimir(pentagon_poly(4, "Ga", i), Om(i + 2), Om(i - 2),
                             om(i - 1), om(i), om(i + 1), Om(i))

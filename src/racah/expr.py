@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .core import d_poly, gen_C, gen_P, pentagon_poly
-from .freealg import AlgebraError, NCPoly, anticommutator, commutator
+from .freealg import AlgebraError, Gen, NCPoly, anticommutator, commutator
 
 # [0-9], not \d: \d and int() also take every other script's digits
 _TOKEN = re.compile(r"""
@@ -169,4 +169,16 @@ def parse_expr(text: str, rank: int = 4) -> NCPoly:
     return out
 
 
-__all__ = ["ParseError", "parse_expr"]
+def parse_letter(text: str, rank: int = 4) -> Gen:
+    """The one letter ``text`` parses to with coefficient 1: ``C23`` and
+    ``Om0`` give the same letter; ``0``, ``2*C12`` and ``Ga0`` (a sum of two
+    words) are no letter."""
+    terms = parse_expr(text, rank).terms
+    if len(terms) == 1:
+        ((word, c),) = terms.items()
+        if len(word) == 1 and c == 1:
+            return word[0]
+    raise ParseError(f"{text!r} is not a single generator symbol")
+
+
+__all__ = ["ParseError", "parse_expr", "parse_letter"]

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .core import to_contiguous
-from .freealg import AlgebraError, NCPoly
+from .freealg import AlgebraError, Gen, NCPoly
 
 State = tuple[int, int]                   # (t, s) with t >= 0 and 0 <= s <= t
 
@@ -96,10 +96,6 @@ class Stencil(NamedTuple):
     t_row: Callable[[RepParams, int], tuple]
     s_row: Callable[[RepParams, int], tuple]
     entries: Callable[[RepParams, int, int, tuple, tuple], dict]
-
-    def at(self, p: RepParams, t: int, s: int) -> dict:
-        """The displacements of the one state |t,s>."""
-        return self.entries(p, t, s, self.t_row(p, t), self.s_row(p, s))
 
 
 def _no_row(p: RepParams, i: int) -> tuple:
@@ -224,30 +220,22 @@ def _c234(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
             (1, -1): southeast}
 
 
-_STENCILS: dict[str, Stencil] = {
-    "C12": Stencil(_c12_t, _c12_s, _c12),
-    "C23": Stencil(_c23_t, _no_row, _c23),
-    "C123": Stencil(_no_row, _c123_s, _c123),
-    "C34": Stencil(_c34_t, _c34_s, _c34),
-    "C234": Stencil(_c234_t, _c234_s, _c234),
+# The contiguous letters: each acts by a stencil or as a scalar.
+_STENCILS: dict[Gen, Stencil] = {
+    Gen("C", (1, 2)): Stencil(_c12_t, _c12_s, _c12),
+    Gen("C", (2, 3)): Stencil(_c23_t, _no_row, _c23),
+    Gen("C", (1, 2, 3)): Stencil(_no_row, _c123_s, _c123),
+    Gen("C", (3, 4)): Stencil(_c34_t, _c34_s, _c34),
+    Gen("C", (2, 3, 4)): Stencil(_c234_t, _c234_s, _c234),
 }
 
-_SCALARS: dict[str, Callable[[RepParams], Fraction]] = {
-    "C1": lambda p: p.c1 * (p.c1 - 1),
-    "C2": lambda p: p.c2 * (p.c2 - 1),
-    "C3": lambda p: p.c3 * (p.c3 - 1),
-    "C4": lambda p: p.c4 * (p.c4 - 1),
-    "C1234": lambda p: p.n(1, 2, 3, 4) * (p.n(1, 2, 3, 4) - 1),
+_SCALARS: dict[Gen, Callable[[RepParams], Fraction]] = {
+    Gen("C", (1,)): lambda p: p.c1 * (p.c1 - 1),
+    Gen("C", (2,)): lambda p: p.c2 * (p.c2 - 1),
+    Gen("C", (3,)): lambda p: p.c3 * (p.c3 - 1),
+    Gen("C", (4,)): lambda p: p.c4 * (p.c4 - 1),
+    Gen("C", (1, 2, 3, 4)): lambda p: p.n(1, 2, 3, 4) * (p.n(1, 2, 3, 4) - 1),
 }
-
-
-def coeff(gen: str, t: int, s: int, p: RepParams) -> dict:
-    """Nonzero displacement coefficients of one non-scalar generator."""
-    if gen not in _STENCILS:
-        raise AlgebraError(f"no displacement stencil for {gen!r}")
-    if t < 0 or s < 0 or s > t:
-        raise AlgebraError(f"({t},{s}) is not a lattice state")
-    return {d: v for d, v in _STENCILS[gen].at(p, t, s).items() if v}
 
 
 # -- exact sparse operators ----------------------------------------------------
@@ -429,23 +417,22 @@ def commutator_op(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a.compose(b) - b.compose(a)
 
 
-def build_operator(gen, p: RepParams, window: int,
+def build_operator(gen: Gen, p: RepParams, window: int,
                    states: tuple[State, ...] | None = None) -> SparseOperator:
     """Assemble one contiguous-basis generator over the window.
 
     The leak flag is set exactly on the states from which the raising
     stencils reach past t = window.
     """
-    name = str(gen)
     if states is None:
         states = triangle_states(window)
     ensure_valid(p, window)
-    if name in _SCALARS:
-        return SparseOperator.scalar(states, _SCALARS[name](p))
-    if name not in _STENCILS:
+    if gen in _SCALARS:
+        return SparseOperator.scalar(states, _SCALARS[gen](p))
+    if gen not in _STENCILS:
         raise AlgebraError(
-            f"{name} is not a contiguous-basis generator; decompose it first")
-    stencil = _STENCILS[name]
+            f"{gen} is not a contiguous-basis generator; decompose it first")
+    stencil = _STENCILS[gen]
     rows = range(window + 1)
     t_rows = [stencil.t_row(p, t) for t in rows]
     s_rows = [stencil.s_row(p, s) for s in rows]
@@ -461,7 +448,7 @@ def build_operator(gen, p: RepParams, window: int,
             tt, ss = t + dt, s + ds
             if tt < 0 or ss < 0 or ss > tt:
                 raise AssertionError(
-                    f"lattice leak: {name} maps ({t},{s}) to ({tt},{ss}) "
+                    f"lattice leak: {gen} maps ({t},{s}) to ({tt},{ss}) "
                     f"with nonzero coefficient {val}")
             j = pos.get((tt, ss))
             if j is None:
@@ -497,12 +484,12 @@ class ContiguousRewrite:
         self._words = ()
 
     def words(self, key: tuple, p: NCPoly) -> list:
-        """(letters, scalar names, coefficient) per word of ``p``, whose
-        ``key()`` is ``key``."""
+        """(operator letters, scalar letters, coefficient) per word of
+        ``p``, whose ``key()`` is ``key``."""
         if key != self.key:
             self._words = [
-                (tuple(g for g in word if str(g) not in _SCALARS),
-                 tuple(str(g) for g in word if str(g) in _SCALARS), c)
+                (tuple(g for g in word if g not in _SCALARS),
+                 tuple(g for g in word if g in _SCALARS), c)
                 for word, c in to_contiguous(p).terms.items()]
             self.key = key
         return self._words
@@ -528,7 +515,7 @@ class OperatorContext:
         self.window = window
         self.rank = rank
         self.states = triangle_states(window) if rank == 4 else chain_states(window)
-        self._scalars = {name: fn(params) for name, fn in _SCALARS.items()}
+        self._scalars = {g: fn(params) for g, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
         self._rewrite = ContiguousRewrite() if rewrite is None else rewrite
@@ -562,8 +549,8 @@ class OperatorContext:
             return got
         terms: dict[tuple, Fraction] = {}
         for letters, scalars, c in self._rewrite.words(key, p):
-            for name in scalars:
-                c *= self._scalars[name]
+            for g in scalars:
+                c *= self._scalars[g]
             if c:
                 terms[letters] = terms.get(letters, ZERO) + c
         parts = [(c, self._word_op(w)) for w, c in terms.items() if c]

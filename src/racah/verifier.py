@@ -25,7 +25,6 @@ from .core import (
     casimir_rank1,
     catalog_commutator,
     core_generators,
-    d_poly,
     enumerate_relations,
     gen_C,
     presentation_rank1,
@@ -209,10 +208,9 @@ class _Runner:
         # [normal, g] reduces to zero, [cas, g] is zero in the quotient too.
         # The normal form is reduced once and is far shorter than cas.
         normal = self.rs.reduce(cas)
-        for label, g in (("C12", gen_C(rank, (1, 2))),
-                         ("C23", gen_C(rank, (2, 3))),
-                         ("D123", d_poly(rank, 1, 2, 3))):
-            head = (suite, "casimir_rank1_comm", label,
+        for letter in (Gen("C", (1, 2)), Gen("C", (2, 3)), Gen("D", (1, 2, 3))):
+            g = NCPoly.from_word(rank, (letter,))
+            head = (suite, "casimir_rank1_comm", str(letter),
                     "the quartic central element commutes with the"
                     " non-central generators")
             if not self.symbolic(head, commutator(normal, g)):

@@ -18,11 +18,11 @@ from racah.core import (
     relation,
     rewrite_system,
 )
+from racah.expr import parse_letter
 from racah.freealg import Gen, NCPoly, commutator
 from racah.representation import (
     OperatorContext,
     build_operator,
-    coeff,
     commutator_op,
 )
 from racah.verifier import (
@@ -159,19 +159,18 @@ def test_criterion_6_casimirs(param_sets):
 
 def test_criterion_7_representation_structure(param_sets):
     failures = []
-    p = rep.integer_params()
+    # (letter, from state, to state, entry) on the integer set's window;
+    # the boundary factors are checked by the closure loop below
+    p, w = rep.integer_params(), rep.INTEGER_WINDOW
     spots = [
-        (coeff("C23", 2, 0, p).get((0, 0)), Fraction(6)),
-        (coeff("C12", 1, 0, p).get((-1, 0)), Fraction(-120)),
-        (coeff("C123", 1, 1, p).get((0, 0)), Fraction(20)),
-        (coeff("C234", 2, 0, p).get((1, 0)), Fraction(6, 5)),
-        (coeff("C234", 2, 1, p).get((1, -1)), Fraction(2, 75)),
-        (coeff("C12", 2, 2, p).get((-1, 0)), None),          # (s-t) factor
-        (coeff("C234", 2, 0, p).get((0, -1)), None),         # factor s
-        (coeff("C234", 2, 0, p).get((1, -1)), None),
-        (coeff("C234", 1, 1, p).get((0, 1)), None),          # (s-t) factor
+        ("C23", (2, 0), (2, 0), Fraction(6)),
+        ("C12", (1, 0), (0, 0), Fraction(-120)),
+        ("C123", (1, 1), (1, 1), Fraction(20)),
+        ("C234", (2, 0), (3, 0), Fraction(6, 5)),
+        ("C234", (2, 1), (3, 0), Fraction(2, 75)),
     ]
-    for got, want in spots:
+    for gname, x, y, want in spots:
+        got = build_operator(parse_letter(gname), p, w).entry(x, y)
         if got != want:
             failures.append(f"spot value {got} != {want}")
     for name, params, window in param_sets:
@@ -203,7 +202,7 @@ def test_criterion_7_representation_structure(param_sets):
         # lattice closure at every boundary: construction itself asserts
         # no off-lattice coefficient; spot-check the boundary rows too
         for gname in ("C12", "C23", "C123", "C34", "C234"):
-            op = build_operator(gname, params, window)
+            op = build_operator(parse_letter(gname), params, window)
             for (t, s) in op.states:
                 if not (s == 0 or s == t or t == 0):
                     continue

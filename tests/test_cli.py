@@ -50,14 +50,26 @@ def test_symmetry_orbit_rejects_shift_and_half_letters(capsys, symbol):
     assert symbol in captured.err
 
 
-# orbit takes one bare generator: no sum, no zero, no coefficient to drop
-# Ga0 names 1/2[C123, C234], a sum of two words
-@pytest.mark.parametrize("expr", ["0", "C12+C13", "2*C12", "Ga0"])
-def test_symmetry_orbit_rejects_non_generator(capsys, expr):
-    assert main(["symmetry", "orbit", expr, "--group", "d5"]) == 2
+# orbit and rep dump take one bare generator: no sum, no zero, no
+# coefficient to drop; Ga0 names 1/2[C123, C234], a sum of two words.
+# rep dump then needs a contiguous letter.
+_NON_LETTERS = ["0", "C12+C13", "2*C12", "Ga0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *(pytest.param(["symmetry", "orbit", expr, "--group", "d5"],
+                   "single generator", id=expr) for expr in _NON_LETTERS),
+    *(pytest.param(["rep", "dump", "--gen", expr], "single generator",
+                   id=f"rep-dump-{expr}") for expr in _NON_LETTERS),
+    *(pytest.param(["rep", "dump", "--gen", expr],
+                   "not a contiguous-basis generator", id=f"rep-dump-{expr}")
+      for expr in ("P12", "D123", "C13")),
+])
+def test_symmetry_orbit_rejects_non_generator(capsys, argv, message):
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "single generator" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -160,6 +172,14 @@ def test_rep_dump_format(capsys, params_file):
     assert "/" in first[5] or first[5].lstrip("-").isdigit()
 
 
+def test_rep_dump_reads_any_symbol_of_its_letter(capsys):
+    # Om0 is the pentagon label of C23
+    assert main(["rep", "dump", "--gen", "C23"]) == 0
+    c23 = capsys.readouterr().out
+    assert main(["rep", "dump", "--gen", "Om0"]) == 0
+    assert capsys.readouterr().out == c23
+
+
 def test_rep_apply(capsys, params_file):
     assert main(["rep", "apply", "--expr", "[C12,C34]", "--state", "1,0",
                  "--params", params_file]) == 0
@@ -167,10 +187,12 @@ def test_rep_apply(capsys, params_file):
 
 
 def test_rep_apply_unreliable_state(capsys, params_file):
+    # a configuration error, like a state past the window; 1 means FAILED
     code = main(["rep", "apply", "--expr", "C23", "--state", "5,0",
                  "--params", params_file])
-    assert code == 1
-    assert "unreliable" in capsys.readouterr().err
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unreliable" in captured.err
 
 
 def test_rep_apply_rejects_non_lattice_state(capsys, params_file):

@@ -3,8 +3,8 @@ from hypothesis import given
 
 from conftest import poly_strategy
 from racah.core import d_poly, gen_C, gen_P, gen_P1, pentagon_poly
-from racah.expr import ParseError, parse_expr
-from racah.freealg import NCPoly, anticommutator, commutator, format_poly
+from racah.expr import ParseError, parse_expr, parse_letter
+from racah.freealg import Gen, NCPoly, anticommutator, commutator, format_poly
 
 
 def test_generators():
@@ -49,10 +49,22 @@ def test_parse_errors():
             parse_expr(bad)
 
 
+def test_parse_letter():
+    assert parse_letter("C23") == parse_letter("Om0") == Gen("C", (2, 3))
+    assert parse_letter("D231") == Gen("D", (1, 2, 3))      # even reordering
+    assert parse_letter("C5", rank=5) == Gen("C", (5,))
+    # no letter: zero, a sum, a coefficient, a sign, a product
+    for bad in ("0", "C12+C13", "2*C12", "Ga0", "-C12", "D213", "C12 C23"):
+        with pytest.raises(ParseError, match="single generator symbol"):
+            parse_letter(bad)
+    with pytest.raises(ParseError):
+        parse_letter("C5")                                   # rank 4
+
+
 def test_star_import_names_only_what_expr_has():
     namespace = {}
     exec("from racah.expr import *", namespace)
-    assert {"ParseError", "parse_expr"} <= namespace.keys()
+    assert {"ParseError", "parse_expr", "parse_letter"} <= namespace.keys()
 
 
 def test_rank_bounds():

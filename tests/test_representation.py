@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from conftest import poly_strategy
 from racah import core, representation as rep
 from racah.core import gen_C, to_contiguous
-from racah.freealg import HALF, AlgebraError, NCPoly, commutator
+from racah.expr import parse_letter
+from racah.freealg import HALF, AlgebraError, Gen, NCPoly, commutator
 from racah.representation import (
     OperatorContext,
     ParamError,
     SparseOperator,
     build_operator,
-    coeff,
     commutator_op,
     triangle_states,
     validate_params,
@@ -66,44 +66,55 @@ def test_validate_generic_any_window():
 
 
 # -- frozen spot values (independent hand evaluation of the closed forms) --
+# Each is read off the operator build_operator assembles, on an interior
+# state of the integer set's window 4 unless named otherwise.
+
+def _op(name, p=P_INT, window=rep.INTEGER_WINDOW):
+    return build_operator(parse_letter(name), p, window)
+
 
 def test_coeff_east_stay_value():
-    assert coeff("C23", 2, 1, P_INT)[(0, 0)] == 6          # (5-2)(5-3)
+    assert _op("C23").entry((2, 1), (2, 1)) == 6           # (5-2)(5-3)
 
 
 def test_coeff_west_value():
-    assert coeff("C12", 1, 0, P_INT)[(-1, 0)] == -120      # (-1)(3)(4)(10)
+    assert _op("C12").entry((1, 0), (0, 0)) == -120        # (-1)(3)(4)(10)
 
 
 def test_coeff_west_vanishes_on_diagonal():
-    assert (-1, 0) not in coeff("C12", 2, 2, P_INT)
+    # (s-t) = 0: |2,2> has no west image |1,2>, which is off the lattice
+    assert _op("C12").column((2, 2)) == {(2, 2): 6}        # (5-2)(5-2-1)
 
 
 def test_coeff_diagonal_value():
-    assert coeff("C123", 3, 1, P_INT)[(0, 0)] == 20        # 5*4
-    assert coeff("C123", 7, 1, P_GEN)[(0, 0)] == \
+    assert _op("C123").entry((3, 1), (3, 1)) == 20         # 5*4
+    assert _op("C123", P_GEN, 8).entry((7, 1), (7, 1)) == \
         (P_GEN.n(1, 2, 3) - 1) * (P_GEN.n(1, 2, 3) - 2)
 
 
 def test_coeff_east_burst_value():
-    assert coeff("C234", 3, 0, P_INT)[(1, 0)] == Fraction(6, 5)
+    c234 = _op("C234")
+    assert c234.entry((3, 0), (4, 0)) == Fraction(6, 5)
     # independent oracle: the raw product over the raw denominator
-    assert coeff("C234", 3, 1, P_INT)[(1, -1)] == Fraction(264, 9900)
+    assert c234.entry((3, 1), (4, 0)) == Fraction(264, 9900)
     assert Fraction(264, 9900) == Fraction(2, 75)
 
 
 def test_coeff_boundary_zeros():
-    low = coeff("C234", 3, 0, P_INT)
-    assert (0, -1) not in low and (1, -1) not in low       # factor s
-    top = coeff("C234", 2, 2, P_INT)
-    assert (0, 1) not in top                               # factor (s-t)
-    c34low = coeff("C34", 3, 0, P_INT)
-    assert (0, -1) not in c34low and (-1, -1) not in c34low
+    # a factor that failed to vanish on a lattice edge would give a nonzero
+    # entry off the lattice, and build_operator raises on that; in-lattice
+    # images of the edge states stay
+    c234 = _op("C234")
+    assert set(c234.column((3, 0))) == {(3, 1), (4, 1), (3, 0), (4, 0)}
+    assert (2, 3) not in c234.column((2, 2))                # factor (s-t)
+    assert set(_op("C34").column((3, 0))) == {(2, 1), (3, 1), (2, 0), (3, 0)}
 
 
-def test_coeff_rejects_bad_state():
-    with pytest.raises(Exception):
-        coeff("C12", 1, 2, P_INT)
+def test_letter_tables_cover_the_contiguous_letters():
+    # each contiguous letter acts by exactly one of a stencil or a scalar
+    stencils, scalars = set(rep._STENCILS), set(rep._SCALARS)
+    assert not stencils & scalars
+    assert stencils | scalars == {Gen("C", s) for s in core.CONTIGUOUS[4]}
 
 
 # -- operators ----------------------------------------------------------------
@@ -131,20 +142,20 @@ def test_c23_action_on_origin(ctx_integer):
 def test_lattice_closure_at_boundaries():
     # every generator maps window states into the lattice; build_operator
     # raises if a nonzero coefficient ever points off-lattice
-    for gen in ("C12", "C23", "C123", "C34", "C234"):
+    for gen in rep._STENCILS:
         build_operator(gen, P_GEN, 6)
     for gen in ("C12", "C34"):
-        op = build_operator(gen, P_GEN, 6)
+        op = build_operator(parse_letter(gen), P_GEN, 6)
         for x, col in ((x, op.column(x)) for x in op.states):
             for (tt, ss) in col:
                 assert 0 <= ss <= tt
 
 
 def test_leak_flags():
-    op = build_operator("C23", P_GEN, 5)
+    op = _op("C23", P_GEN, 5)
     assert all((t, s) in op.leaky for (t, s) in op.states if t == 5)
     assert all((t, s) not in op.leaky for (t, s) in op.states if t < 5)
-    west = build_operator("C12", P_GEN, 5)
+    west = _op("C12", P_GEN, 5)
     assert not west.leaky
 
 
@@ -295,7 +306,7 @@ def test_zero_scalar_word_adds_no_leak(ctx_integer):
 
 def test_zero_coefficient_adds_no_leak():
     states = triangle_states(3)
-    c23 = build_operator("C23", P_INT, 3)
+    c23 = _op("C23", P_INT, 3)
     ident = SparseOperator.identity(states)
     assert c23.leaky == {x for x in states if x[0] == 3}
     total = SparseOperator.linear_combination(states, [(0, c23), (1, ident)])
@@ -490,7 +501,8 @@ def test_operator_digests(case):
     name, window, shape = case
     states = (triangle_states(window) if shape == "triangle"
               else rep.chain_states(window))
-    got = {g: operator_digest(build_operator(g, _DIGEST_PARAMS[name], window,
+    got = {g: operator_digest(build_operator(parse_letter(g),
+                                             _DIGEST_PARAMS[name], window,
                                              states))
            for g in GOLDEN_OPERATOR_DIGESTS[case]}
     assert got == GOLDEN_OPERATOR_DIGESTS[case]
