@@ -19,7 +19,7 @@ import time
 
 from racah.cli import _rep_params, _window
 from racah.freealg import AlgebraError
-from racah.representation import _STENCILS, build_operator
+from racah.representation import DISPLACEMENT_LETTERS, build_operator
 
 
 def operator_digest(op) -> str:
@@ -43,7 +43,7 @@ def main() -> None:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     print(f"{params.describe()} window {window}")
-    for gen in _STENCILS:
+    for gen in DISPLACEMENT_LETTERS:
         t0 = time.perf_counter()
         op = build_operator(gen, params, window)
         elapsed = time.perf_counter() - t0

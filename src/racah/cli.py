@@ -17,12 +17,12 @@ from .representation import (
     INTEGER_WINDOW,
     OperatorContext,
     RepParams,
-    _west_t,
     build_operator,
     default_param_sets,
     integer_params,
     triangle_states,
     validate_params,
+    west_factor,
 )
 from .verifier import (
     ASCII_INTEGER,
@@ -168,7 +168,7 @@ def cmd_rep_probe(args) -> int:
     params, window = _rep_params(args)
     hits = []
     for t in range(window + 1):
-        if _west_t(params, t) == 0:
+        if west_factor(params, t) == 0:
             hits.append(f"west factor vanishes for every s at t={t}")
     for line in hits or ["no factor zeros in this window"]:
         print(line)

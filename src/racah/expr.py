@@ -169,11 +169,11 @@ def parse_expr(text: str, rank: int = 4) -> NCPoly:
     return out
 
 
-def parse_letter(text: str, rank: int = 4) -> Gen:
-    """The one letter ``text`` parses to with coefficient 1: ``C23`` and
+def parse_letter(text: str) -> Gen:
+    """The one rank-4 letter ``text`` parses to with coefficient 1: ``C23`` and
     ``Om0`` give the same letter; ``0``, ``2*C12`` and ``Ga0`` (a sum of two
     words) are no letter."""
-    terms = parse_expr(text, rank).terms
+    terms = parse_expr(text).terms
     if len(terms) == 1:
         ((word, c),) = terms.items()
         if len(word) == 1 and c == 1:

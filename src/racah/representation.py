@@ -102,13 +102,15 @@ def _no_row(p: RepParams, i: int) -> tuple:
     return ()
 
 
-def _west_t(p: RepParams, t: int) -> Fraction:
+def west_factor(p: RepParams, t: int) -> Fraction:
+    """The west factor (N+1-t)(N+2c2-t) of C12's and C34's stencils; where it
+    vanishes, no state of row t has a west image."""
     return (p.N + 1 - t) * (p.N + 2 * p.c2 - t)
 
 
 def _c12_t(p: RepParams, t: int) -> tuple:
     n12 = p.n(1, 2)
-    return _west_t(p, t), (n12 - t) * (n12 - t - 1)
+    return west_factor(p, t), (n12 - t) * (n12 - t - 1)
 
 
 def _c12_s(p: RepParams, s: int) -> tuple:
@@ -170,7 +172,7 @@ def _c34_t(p: RepParams, t: int) -> tuple:
     # the (t-dependent) fraction numerator mirrors the one in C234's;
     # it is pinned by the containment commutators (constraint-solved, see
     # tests), which a (n123-t)(n12-c3-t-1) variant violates
-    return (_west_t(p, t), t + 2 * p.c3 - 1,
+    return (west_factor(p, t), t + 2 * p.c3 - 1,
             -n123 * (n123 - t - 1) * (n12 - p.c3 - t),
             ((n12 - t) * (n12 - t - 1) + p.c3 * (p.c3 - 1)) / 2)
 
@@ -228,6 +230,9 @@ _STENCILS: dict[Gen, Stencil] = {
     Gen("C", (3, 4)): Stencil(_c34_t, _c34_s, _c34),
     Gen("C", (2, 3, 4)): Stencil(_c234_t, _c234_s, _c234),
 }
+
+# The letters whose operators move states, in table order.
+DISPLACEMENT_LETTERS: tuple[Gen, ...] = tuple(_STENCILS)
 
 _SCALARS: dict[Gen, Callable[[RepParams], Fraction]] = {
     Gen("C", (1,)): lambda p: p.c1 * (p.c1 - 1),

@@ -52,7 +52,6 @@ def test_parse_errors():
 def test_parse_letter():
     assert parse_letter("C23") == parse_letter("Om0") == Gen("C", (2, 3))
     assert parse_letter("D231") == Gen("D", (1, 2, 3))      # even reordering
-    assert parse_letter("C5", rank=5) == Gen("C", (5,))
     # no letter: zero, a sum, a coefficient, a sign, a product
     for bad in ("0", "C12+C13", "2*C12", "Ga0", "-C12", "D213", "C12 C23"):
         with pytest.raises(ParseError, match="single generator symbol"):

@@ -106,7 +106,8 @@ def test_coeff_boundary_zeros():
     # images of the edge states stay
     c234 = _op("C234")
     assert set(c234.column((3, 0))) == {(3, 1), (4, 1), (3, 0), (4, 0)}
-    assert (2, 3) not in c234.column((2, 2))                # factor (s-t)
+    # |2,2> lacks only its (s-t)-factor image |2,3>, which is off the lattice
+    assert set(c234.column((2, 2))) == {(2, 1), (3, 1), (2, 2), (3, 2), (3, 3)}
     assert set(_op("C34").column((3, 0))) == {(2, 1), (3, 1), (2, 0), (3, 0)}
 
 
