@@ -514,16 +514,9 @@ def _rel_omega_outer(rank, i):
     return lhs - rhs
 
 
-@dataclass(frozen=True)
-class Rank1PresentationParams:
-    alpha: NCPoly
-    beta: NCPoly
-    delta: NCPoly
-
-
-def presentation_rank1(rank: int = 3) -> tuple[list[NCPoly], Rank1PresentationParams]:
-    """The three-relation presentation of the rank-1 algebra on indices 1,2,3,
-    with its central structure elements."""
+def presentation_rank1(rank: int = 3) -> list[NCPoly]:
+    """The three relations of the rank-1 algebra's presentation on indices
+    1,2,3."""
     C = lambda *s: gen_C(rank, s)
     A = C(2, 3)
     B = C(1, 2)
@@ -533,16 +526,15 @@ def presentation_rank1(rank: int = 3) -> tuple[list[NCPoly], Rank1PresentationPa
     alpha = (C(2) - C(3)) * (C(1) - C(1, 2, 3))
     beta = (C(1) - C(2)) * (C(3) - C(1, 2, 3))
     delta = C(1, 2, 3) + C(1) + C(2) + C(3)
-    rels = [
+    return [
         com(A, B) - 2 * D,
         com(A, D) - (acom(A, B) + A * A - delta * A + alpha),
         com(D, B) - (acom(A, B) + B * B - delta * B - beta),
     ]
-    return rels, Rank1PresentationParams(alpha, beta, delta)
 
 
 def _rel_pres_rank1(rank, which):
-    return presentation_rank1(rank)[0][which]
+    return presentation_rank1(rank)[which]
 
 
 # -- instance enumeration --------------------------------------------------------

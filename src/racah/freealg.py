@@ -124,11 +124,6 @@ class NCPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(g.degree for g in w) for w in self.terms)
-
     def coeff(self, word: Word) -> Fraction:
         return self.terms.get(tuple(word), ZERO)
 

@@ -472,58 +472,44 @@ def build_operator(gen: Gen, p: RepParams, window: int,
 
 # -- evaluation homomorphism ----------------------------------------------------
 
-class ContiguousRewrite:
-    """The contiguous rewrite of the polynomial evaluated last: per word,
-    its operator letters, its scalar letters and its coefficient.
+@lru_cache(maxsize=1)
+def _contiguous_words(key: tuple) -> list:
+    """(operator letters, scalar letters, coefficient) per contiguous word
+    of the polynomial whose ``key()`` is ``key``.
 
-    Contexts that evaluate the same polynomials in turn, one per parameter
-    set, share one, so ``to_contiguous`` runs once per polynomial and not
-    once per context.  It keeps only the latest polynomial, so nothing
-    outlives the run that made it.
+    The contexts of a run evaluate the same polynomials in turn, one per
+    parameter set, so keeping the last rewrite runs ``to_contiguous`` once
+    per polynomial and not once per context.
     """
-
-    __slots__ = ("key", "_words")
-
-    def __init__(self):
-        self.key = None
-        self._words = ()
-
-    def words(self, key: tuple, p: NCPoly) -> list:
-        """(operator letters, scalar letters, coefficient) per word of
-        ``p``, whose ``key()`` is ``key``."""
-        if key != self.key:
-            self._words = [
-                (tuple(g for g in word if g not in _SCALARS),
-                 tuple(g for g in word if g in _SCALARS), c)
-                for word, c in to_contiguous(p).terms.items()]
-            self.key = key
-        return self._words
+    rank, terms = key
+    words = to_contiguous(NCPoly(rank, dict(terms))).terms
+    return [(tuple(g for g in word if g not in _SCALARS),
+             tuple(g for g in word if g in _SCALARS), c)
+            for word, c in words.items()]
 
 
 class OperatorContext:
     """Caches word operators, a letter being a one-letter word, and
     evaluates polynomials over them.
 
-    ``rank`` 4 uses the full triangular window, ``rank`` 3 the s=0 chain
-    (the rank-1 slice).  Evaluation is homomorphic: products compose,
-    sums add, and leak flags propagate so results are asserted only where
-    exact.  Contexts given one ``rewrite`` share the contiguous rewrite of
-    each polynomial they evaluate in turn.
+    ``rank`` only picks the state space: 4 the full triangular window, 3
+    the s=0 chain (the rank-1 slice).  A polynomial is rewritten at its
+    own rank; a rank-3 polynomial's contiguous letters are rank-4 letters
+    too, so a rank-4 context evaluates it as it is.  Evaluation is
+    homomorphic: products compose, sums add, and leak flags propagate so
+    results are asserted only where exact.
     """
 
-    def __init__(self, params: RepParams, window: int, rank: int = 4,
-                 rewrite: ContiguousRewrite | None = None):
+    def __init__(self, params: RepParams, window: int, rank: int = 4):
         if rank not in (3, 4):
             raise AlgebraError("operator window exists for 3 or 4 indices")
         ensure_valid(params, window)
         self.params = params
         self.window = window
-        self.rank = rank
         self.states = triangle_states(window) if rank == 4 else chain_states(window)
         self._scalars = {g: fn(params) for g, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
-        self._rewrite = ContiguousRewrite() if rewrite is None else rewrite
 
     def _word_op(self, word) -> SparseOperator:
         got = self._word_ops.get(word)
@@ -546,14 +532,12 @@ class OperatorContext:
         exact, and since a word whose coefficient folds or cancels to zero
         takes its leak set with it, the reliable states can only grow.
         """
-        if p.rank != self.rank:
-            p = NCPoly(self.rank, p.terms)  # relabel the ambient rank
         key = p.key()
         got = self._poly_ops.get(key)
         if got is not None:
             return got
         terms: dict[tuple, Fraction] = {}
-        for letters, scalars, c in self._rewrite.words(key, p):
+        for letters, scalars, c in _contiguous_words(key):
             for g in scalars:
                 c *= self._scalars[g]
             if c:

@@ -121,10 +121,6 @@ class IndexPermutation:
     def apply(self, i: int) -> int:
         return self.images[i - 1]
 
-    def subset_map(self) -> dict[tuple, tuple]:
-        """Every subset I of {1..n} to the sorted image of its indices."""
-        return {I: tuple(sorted(map(self.apply, I))) for I in subsets(self.rank)}
-
     @lru_cache(maxsize=None)
     def letter_map(self) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
         """The image letter of every letter of ``core.alphabet(n)``, and the
@@ -168,8 +164,8 @@ def act(g, p: NCPoly) -> NCPoly:
 
 def _perm15(g) -> tuple[int, ...]:
     """``g`` as a permutation of the positions of the 15 subset generators."""
-    table = g.subset_map()
-    return tuple(_POSITION[table[I]] for I in _ALL_SUBSETS_4)
+    images = g.letter_map()[0]
+    return tuple(_POSITION[images[Gen("C", I)].indices] for I in _ALL_SUBSETS_4)
 
 
 def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:

@@ -33,7 +33,6 @@ from .core import (
 )
 from .freealg import AlgebraError, Gen, NCPoly, commutator
 from .representation import (
-    ContiguousRewrite,
     OperatorContext,
     RepParams,
     SparseOperator,
@@ -141,11 +140,8 @@ class _Runner:
             cfg.rank, tuple(cfg.suites),
             tuple((name, p.describe(), w) for name, p, w in cfg.param_sets))
         self.rs = rewrite_system(cfg.rank)
-        # one contiguous rewrite per polynomial, shared by every context
-        self.rewrite = ContiguousRewrite()
-        self.contexts = [
-            (name, OperatorContext(p, w, rank=4, rewrite=self.rewrite))
-            for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
+        self.contexts = [(name, OperatorContext(p, w))
+                         for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
 
     # -- the record emitters ---------------------------------------------------
 
@@ -237,14 +233,13 @@ class _Runner:
     def rank1_suite(self, suite: str):
         self.family_suite(suite)
         # the s = 0 chain of each parameter set, where C23 raises and C12 lowers
-        chain = [(name, OperatorContext(p, w, rank=3, rewrite=self.rewrite))
+        chain = [(name, OperatorContext(p, w, rank=3))
                  for name, p, w in self.cfg.param_sets]
         self.represent((suite, "raising_normalized", "A",
                         "the east coefficient of the first generator is 1"),
                        gen_C(3, (2, 3)), chain,
                        lambda op: op.entry((0, 0), (1, 0)) == 1)
-        rels, _ = presentation_rank1(3)
-        for k, r in enumerate(rels):
+        for k, r in enumerate(presentation_rank1(3)):
             self.represent((suite, "presentation_slice", str(k),
                             FAMILIES["pres_rank1"].anchor), r, chain)
         self.represent((suite, "casimir_slice", "c",

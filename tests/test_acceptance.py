@@ -218,8 +218,7 @@ def test_criterion_8_rank1_slice(param_sets):
         chain = OperatorContext(params, window, rank=3)
         if chain.eval(gen_C(3, (2, 3))).entry((0, 0), (1, 0)) != 1:
             failures.append(f"{name}: raising coefficient is not 1")
-        rels, _ = presentation_rank1(3)
-        for k, r in enumerate(rels):
+        for k, r in enumerate(presentation_rank1(3)):
             if not chain.eval(r).is_zero_on_reliable():
                 failures.append(f"{name}: presentation relation {k} fails")
         if not chain.eval(casimir_rank1(3)).is_zero_on_reliable():
@@ -244,7 +243,7 @@ def test_criterion_9_engine_properties(param_sets):
     fresh = build_rewrite_system(3)
     for poly in (gen_C(3, (2, 3)) * gen_C(3, (1, 2)),
                  commutator(casimir_rank1(3), gen_C(3, (1, 2))),
-                 presentation_rank1(3)[0][1]):
+                 presentation_rank1(3)[1]):
         nf, steps = fresh.reduce_with_stats(poly)
         bound = fresh.step_bound(poly)
         if not (0 <= steps <= bound):

@@ -203,7 +203,7 @@ def test_d_cyclic_lemma(rs4):
 
 
 def test_presentation_matches_quadratic_relation_term_by_term():
-    rels, params = presentation_rank1(3)
+    rels = presentation_rank1(3)
     A, B = gen_C(3, (2, 3)), gen_C(3, (1, 2))
     # [A, D] - ({A,B} + A^2 - dA + a) must literally be the negated
     # quadratic-relation instance once the interval-free subset is removed
@@ -212,14 +212,6 @@ def test_presentation_matches_quadratic_relation_term_by_term():
     rel2 = expand_to_C(rels[1]).substitute(
         lambda g: decompose_to_basis(3, g.indices))
     assert rel2 == flat
-
-
-def test_presentation_params_fields():
-    _, params = presentation_rank1(3)
-    C = lambda *s: gen_C(3, s)
-    assert params.alpha == (C(2) - C(3)) * (C(1) - C(1, 2, 3))
-    assert params.beta == (C(1) - C(2)) * (C(3) - C(1, 2, 3))
-    assert params.delta == C(1, 2, 3) + C(1) + C(2) + C(3)
 
 
 def test_casimir_rank1_symbolically_central(rs3):

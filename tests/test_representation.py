@@ -73,26 +73,26 @@ def _op(name, p=P_INT, window=rep.INTEGER_WINDOW):
     return build_operator(parse_letter(name), p, window)
 
 
-def test_coeff_east_stay_value():
+def test_entry_east_stay_value():
     assert _op("C23").entry((2, 1), (2, 1)) == 6           # (5-2)(5-3)
 
 
-def test_coeff_west_value():
+def test_entry_west_value():
     assert _op("C12").entry((1, 0), (0, 0)) == -120        # (-1)(3)(4)(10)
 
 
-def test_coeff_west_vanishes_on_diagonal():
+def test_column_west_vanishes_on_diagonal():
     # (s-t) = 0: |2,2> has no west image |1,2>, which is off the lattice
     assert _op("C12").column((2, 2)) == {(2, 2): 6}        # (5-2)(5-2-1)
 
 
-def test_coeff_diagonal_value():
+def test_entry_diagonal_value():
     assert _op("C123").entry((3, 1), (3, 1)) == 20         # 5*4
     assert _op("C123", P_GEN, 8).entry((7, 1), (7, 1)) == \
         (P_GEN.n(1, 2, 3) - 1) * (P_GEN.n(1, 2, 3) - 2)
 
 
-def test_coeff_east_burst_value():
+def test_entry_east_burst_value():
     c234 = _op("C234")
     assert c234.entry((3, 0), (4, 0)) == Fraction(6, 5)
     # independent oracle: the raw product over the raw denominator
@@ -100,7 +100,7 @@ def test_coeff_east_burst_value():
     assert Fraction(264, 9900) == Fraction(2, 75)
 
 
-def test_coeff_boundary_zeros():
+def test_column_boundary_zeros():
     # a factor that failed to vanish on a lattice edge would give a nonzero
     # entry off the lattice, and build_operator raises on that; in-lattice
     # images of the edge states stay
@@ -219,10 +219,19 @@ def test_rank1_slice():
     assert A.entry((0, 0), (1, 0)) == 1
     assert A.entry((0, 0), (0, 0)) == 20                   # (5-0)(5-1)
     assert D.column((0, 0))                                 # nonzero map
-    rels, _ = core.presentation_rank1(3)
-    for r in rels:
+    for r in core.presentation_rank1(3):
         assert ctx.eval(r).is_zero_on_reliable()
     assert ctx.eval(core.casimir_rank1(3)).is_zero_on_reliable()
+
+
+def test_rank3_polynomial_needs_no_relabel(contexts):
+    # a rank-4 context rewrites a rank-3 polynomial at its own rank, into
+    # the same letters as its rank-4 copy
+    for name, ctx in contexts:
+        for p in (*core.presentation_rank1(3), core.casimir_rank1(3)):
+            got, relabeled = ctx.eval(p), ctx.eval(NCPoly(4, p.terms))
+            assert (got.den, got.cols, got.leaky) == \
+                (relabeled.den, relabeled.cols, relabeled.leaky), name
 
 
 def test_operator_arithmetic_exact():
@@ -494,6 +503,16 @@ GOLDEN_OPERATOR_DIGESTS = {
 }
 _DIGEST_PARAMS = {"integer": P_INT, "generic": P_GEN,
                   "randomized": rep.randomized_params(12, rep.DEFAULT_SEED)}
+
+
+def test_operator_digest_script_prints_golden_digests(monkeypatch, capsys):
+    # the script's own entry point: argparse, racah.cli's parameter and
+    # window readers, and the integer set at its widest window by default
+    monkeypatch.setattr("sys.argv", ["operator_digest.py"])
+    _operator_digest_script.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {row[0]: row[-1] for row in rows if row[-2] == "sha256"} == \
+        GOLDEN_OPERATOR_DIGESTS[("integer", rep.INTEGER_WINDOW, "triangle")]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_OPERATOR_DIGESTS),

@@ -145,6 +145,15 @@ def test_compiled_rules_match_golden_digest(rank):
     assert rs.steps == GOLDEN_SATURATION_STEPS[rank]
 
 
+def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
+    # the script's own entry point, argparse and racah.cli's rank reader
+    monkeypatch.setattr("sys.argv", ["rule_digest.py", "--rank", "3"])
+    _rule_digest_script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sha256 {GOLDEN_RULE_DIGESTS[3]}" in lines
+    assert f"steps {GOLDEN_SATURATION_STEPS[3]}" in lines
+
+
 # the script reads --rank as the CLI does: ASCII digits, and 3..9 only
 @pytest.mark.parametrize("rank, message", [
     ("10", "3..9"), ("2", "3..9"), ("\u0663", "not an integer"),

@@ -7,7 +7,8 @@ import pytest
 
 from racah import representation as rep
 from racah.core import (FAMILIES, casimir_rank1, core_generators, d_poly,
-                        enumerate_relations, gen_C, relation, rewrite_system)
+                        enumerate_relations, gen_C, presentation_rank1,
+                        relation, rewrite_system)
 from racah.freealg import commutator
 from racah.verifier import (
     SUITE_NAMES,
@@ -262,14 +263,22 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
         return rewrite(p)
 
     monkeypatch.setattr(rep, "to_contiguous", counting)
+    # an entry left by an earlier test would hide one call
+    rep._contiguous_words.cache_clear()
+    suites = ("definitions", "rank1")
     cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(4),
-                      suites=("definitions",))
-    distinct = {relation(rid).key() for family in _SUITE_FAMILIES["definitions"]
+                      suites=suites)
+    # the rank1 suite's chain contexts evaluate rank-3 polynomials
+    chain = [gen_C(3, (2, 3)), *presentation_rank1(3), casimir_rank1(3)]
+    distinct = {relation(rid).key() for suite in suites
+                for family in _SUITE_FAMILIES[suite]
                 for rid in enumerate_relations(4, family)}
+    distinct |= {p.key() for p in chain}
     run_suite(cfg)
     assert len(keys) == len(set(keys)) == len(distinct)
     assert set(keys) == distinct
-    # a second run rewrites every polynomial again: nothing is kept across runs
+    # a second run rewrites every polynomial again: only the last
+    # polynomial's rewrite is kept, and the next run starts with another
     run_suite(cfg)
     assert len(keys) == 2 * len(distinct)
 
