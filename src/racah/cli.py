@@ -41,8 +41,12 @@ def _load_params(path: str | None, window_flag: int | None):
     """Parameter sets for a run: from a config file, or the built-in three."""
     if path is None:
         return default_param_sets(12 if window_flag is None else window_flag)
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    cfg = parse_config(text)
     params = params_from_config(cfg)
     # an explicit flag wins; otherwise the file's window, then a default
     window = cfg.get("window", 12) if window_flag is None else window_flag

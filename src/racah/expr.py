@@ -43,11 +43,16 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+# nesting levels of brackets and signs read, five stack frames each
+MAX_DEPTH = 128
+
+
 class _Parser:
     def __init__(self, tokens: list[str], rank: int):
         self.toks = tokens
         self.i = 0
         self.rank = rank
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -104,6 +109,16 @@ class _Parser:
         return base
 
     def atom(self) -> NCPoly:
+        # every bracket and every sign nests through here
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nested too deeply (limit {MAX_DEPTH})")
+        self.depth += 1
+        out = self.primary()
+        self.depth -= 1
+        return out
+
+    def primary(self) -> NCPoly:
         t = self.next()
         if t == "(":
             out = self.expr()

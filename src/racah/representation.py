@@ -472,6 +472,16 @@ def build_operator(gen: Gen, p: RepParams, window: int,
 
 # -- evaluation homomorphism ----------------------------------------------------
 
+class _Key(tuple):
+    """A polynomial's ``key()``, hashed once for both of ``eval``'s caches."""
+
+    def __init__(self, key: tuple):
+        self.hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 @lru_cache(maxsize=1)
 def _contiguous_words(key: tuple) -> list:
     """(operator letters, scalar letters, coefficient) per contiguous word
@@ -510,6 +520,8 @@ class OperatorContext:
         self._scalars = {g: fn(params) for g, fn in _SCALARS.items()}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
+        # the words of the polynomials evaluated so far
+        self._seen: set[tuple] = set()
 
     def _word_op(self, word) -> SparseOperator:
         got = self._word_ops.get(word)
@@ -531,8 +543,14 @@ class OperatorContext:
         its word's coefficient before any operator is composed.  That is
         exact, and since a word whose coefficient folds or cancels to zero
         takes its leak set with it, the reliable states can only grow.
+
+        A word of two or more letters gets its own operator only when a
+        second polynomial uses it.  Until then, the new words that begin
+        with a letter are summed over their suffixes and composed with it
+        once, and each word keeps the leak set ``compose`` would give it,
+        so the result equals the per-word sum exactly.
         """
-        key = p.key()
+        key = _Key(p.key())
         got = self._poly_ops.get(key)
         if got is not None:
             return got
@@ -540,9 +558,28 @@ class OperatorContext:
         for letters, scalars, c in _contiguous_words(key):
             for g in scalars:
                 c *= self._scalars[g]
-            if c:
-                terms[letters] = terms.get(letters, ZERO) + c
-        parts = [(c, self._word_op(w)) for w, c in terms.items() if c]
+            terms[letters] = terms.get(letters, ZERO) + c
+        terms = {w: c for w, c in terms.items() if c}
+        parts, groups = [], {}
+        for w, c in terms.items():
+            if len(w) < 2 or w in self._word_ops or w in self._seen:
+                parts.append((c, self._word_op(w)))
+            else:
+                groups.setdefault(w[0], []).append((c, self._word_op(w[1:])))
+        for a, group in groups.items():
+            left = self._word_op((a,))
+            # each word's leaks by compose's rule: its suffix's, and the
+            # suffix columns whose image meets the letter's.  A zero operator
+            # carries them into the sum, which drops those columns.
+            leak = set()
+            for _, op in group:
+                leak.update(op._leak, (x for x, col in op.cols.items()
+                                       if not left._leak.isdisjoint(col)))
+            group.append((1, SparseOperator(self.states, 1, {},
+                                            frozenset(leak))))
+            parts.append((1, left.compose(
+                SparseOperator.linear_combination(self.states, group))))
+        self._seen.update(terms)
         out = SparseOperator.linear_combination(self.states, parts)
         self._poly_ops[key] = out
         return out

@@ -131,6 +131,24 @@ def test_operator_where_an_atom_belongs(capsys, argv):
     assert captured.out == "" and "unexpected token" in captured.err
 
 
+# about 300 nested brackets ended in a RecursionError traceback with exit 1,
+# the code of a FAILED record
+_DEEP = "(" * 300 + "C12" + ")" * 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", _DEEP],
+    ["rep", "apply", "--expr", "[C12," * 300 + "C23" + "]" * 300,
+     "--state", "0,0"],
+    ["symmetry", "orbit", _DEEP],
+], ids=["reduce", "rep-apply", "symmetry-orbit"])
+def test_expression_nested_too_deeply(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
+
+
 # digits are ASCII only: int() alone also reads other scripts' digits and
 # underscores, so these read as C12, rank 3, rank 1000 and window 2
 def test_reduce_rejects_non_ascii_digits(capsys):
@@ -404,6 +422,23 @@ def test_verify_rejects_suites_in_params_file(capsys, tmp_path, params_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--suites" in captured.err
+
+
+# a params file that is not UTF-8 ended in a UnicodeDecodeError traceback
+# with exit 1, the code of a FAILED record
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "4", "--suites", "casimirs"],
+    ["rep", "dump", "--gen", "C12"],
+    ["rep", "apply", "--expr", "C12", "--state", "0,0"],
+    ["rep", "probe"],
+], ids=["verify", "rep-dump", "rep-apply", "rep-probe"])
+def test_params_file_not_utf8(capsys, tmp_path, params_file, argv):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_bytes(open(params_file, "rb").read() + b"# \xff\n")
+    assert main(argv + ["--params", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(cfg) in captured.err and "UTF-8" in captured.err
 
 
 def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):

@@ -49,6 +49,20 @@ def test_parse_errors():
             parse_expr(bad)
 
 
+def test_nesting_depth():
+    # every bracket and every sign is one level of the recursive descent
+    from racah.expr import MAX_DEPTH
+    parens = lambda n: "(" * n + "C12" + ")" * n
+    brackets = lambda n: "[C12," * n + "C23" + "]" * n
+    signs = lambda n: "C12*" + "-" * n + "C12"
+    assert parse_expr(parens(MAX_DEPTH)) == parse_expr("C12")
+    assert not parse_expr(brackets(MAX_DEPTH)).is_zero
+    assert parse_expr(signs(MAX_DEPTH)) == parse_expr("C12*C12")
+    for nested in (parens, brackets, signs):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expr(nested(MAX_DEPTH + 1))
+
+
 def test_parse_letter():
     assert parse_letter("C23") == parse_letter("Om0") == Gen("C", (2, 3))
     assert parse_letter("D231") == Gen("D", (1, 2, 3))      # even reordering

@@ -2,7 +2,9 @@
 lattice closure at the boundaries, centrality and diagonality, leak
 semantics, and the evaluation homomorphism."""
 
+import functools
 import importlib.util
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +27,7 @@ from racah.representation import (
     triangle_states,
     validate_params,
 )
-from racah.verifier import _SUITE_FAMILIES
+from racah.verifier import _SUITE_FAMILIES, substituted_defect
 
 P_INT = rep.integer_params()
 P_GEN = rep.generic_params()
@@ -325,6 +327,112 @@ def test_zero_coefficient_adds_no_leak():
     zero = 0 * c23
     assert not zero.leaky and zero.is_zero_on_reliable()
     assert len(zero.reliable_states()) == len(states)
+
+
+# -- a word's operator is built only when a second polynomial uses it ---------
+
+def _per_word(ctx, words, memo):
+    """Reference evaluation of the contiguous ``words`` of a polynomial:
+    scalar letters folded into the coefficients, every word composed letter
+    by letter from the right into its own operator (kept in ``memo``), and
+    the words summed by ``linear_combination``."""
+    def word_op(word):
+        if word not in memo:
+            memo[word] = (
+                SparseOperator.identity(ctx.states) if not word
+                else build_operator(word[0], ctx.params, ctx.window,
+                                    ctx.states) if len(word) == 1
+                else word_op(word[:1]).compose(word_op(word[1:])))
+        return memo[word]
+
+    terms = {}
+    for word, c in words.items():
+        for g in word:
+            if g in rep._SCALARS:
+                c *= rep._SCALARS[g](ctx.params)
+        letters = tuple(g for g in word if g not in rep._SCALARS)
+        terms[letters] = terms.get(letters, 0) + c
+    return SparseOperator.linear_combination(
+        ctx.states, [(c, word_op(w)) for w, c in terms.items()])
+
+
+def _same_operator(a, b):
+    return a.den == b.den and a.cols == b.cols and a.leaky == b.leaky
+
+
+@functools.lru_cache(maxsize=1)
+def _rank4_suite_polys():
+    """Each polynomial a rank-4 run of definitions, lemmas, theorem_bigthm,
+    casimirs and the Jacobi sample evaluates, with its contiguous words."""
+    polys = [core.relation(rid)
+             for suite in ("definitions", "lemmas", "theorem_bigthm")
+             for family in _SUITE_FAMILIES[suite]
+             for rid in core.enumerate_relations(4, family)]
+    cas = core.casimir_rank1(4)
+    polys += [cas, *(commutator(cas, g) for g in (
+        gen_C(4, (1, 2)), gen_C(4, (2, 3)), core.d_poly(4, 1, 2, 3)))]
+    polys += [core.casimir_frak(i) for i in range(5)]
+    polys += [gen_C(4, s) for s in core.CONTIGUOUS[4]]
+    triples = list(itertools.combinations(core.core_generators(4), 3))
+    step = max(1, len(triples) // 8)
+    polys += [substituted_defect(4, *t) for t in triples[::step]]
+    return [(p, to_contiguous(p).terms) for p in polys]
+
+
+@pytest.mark.parametrize("params, window", [
+    *(pytest.param(params, w, id=f"{name}-w{w}") for w in (0, 1, 3, 6, 12)
+      for name, params in (("generic", P_GEN),
+                           ("randomized", rep.randomized_params(w)))),
+    pytest.param(P_INT, 4, id="integer-w4"),
+])
+def test_eval_equals_the_per_word_sum(params, window):
+    ctx, memo = OperatorContext(params, window), {}
+    for p, words in _rank4_suite_polys():
+        assert _same_operator(ctx.eval(p), _per_word(ctx, words, memo)), p
+
+
+@given(st.lists(poly_strategy(max_words=4, max_len=3), min_size=1,
+                max_size=3))
+@settings(max_examples=25)
+def test_eval_equals_the_per_word_sum_on_any_polynomials(polys):
+    # shared words are first seen in one polynomial and built in the next
+    ctx, memo = OperatorContext(P_GEN, 6), {}
+    for p in [*polys, sum(polys, NCPoly.zero(4))]:
+        assert _same_operator(
+            ctx.eval(p), _per_word(ctx, to_contiguous(p).terms, memo)), p
+
+
+def test_grouped_words_keep_their_own_leaks():
+    # C12 and C123 commute, so the two suffixes cancel in the group sum,
+    # but each word still reaches past the window through C23
+    C = lambda *s: gen_C(4, s)
+    p = C(2, 3) * C(1, 2) * C(1, 2, 3) - C(2, 3) * C(1, 2, 3) * C(1, 2)
+    ctx = OperatorContext(P_GEN, 6)
+    op = ctx.eval(p)
+    assert op.is_zero_on_reliable()
+    assert op.leaky == {x for x in ctx.states if x[0] == 6}
+    assert _same_operator(op, _per_word(ctx, to_contiguous(p).terms, {}))
+
+
+def test_word_operator_cached_on_second_use():
+    ctx = OperatorContext(P_GEN, 6)
+    word = tuple(Gen("C", s) for s in ((1, 2), (2, 3), (3, 4)))
+    p = NCPoly.from_word(4, word)
+    ctx.eval(p)
+    ctx.eval(p)                              # the same polynomial again
+    assert word not in ctx._word_ops and word[1:] in ctx._word_ops
+    ctx.eval(p + gen_C(4, (1, 2, 3)))
+    assert word in ctx._word_ops
+
+
+def test_single_use_words_keep_no_operator():
+    # D123|D124|D134 is the one sampled defect with words of five letters
+    ctx = OperatorContext(P_GEN, 12)
+    defect = substituted_defect(4, *(Gen("D", s) for s in
+                                     ((1, 2, 3), (1, 2, 4), (1, 3, 4))))
+    assert max(map(len, to_contiguous(defect).terms)) == 5
+    assert ctx.eval(defect).is_zero_on_reliable()
+    assert max(map(len, ctx._word_ops)) == 4
 
 
 # -- the position-keyed kernel against a plain Fraction reference --------------
