@@ -472,16 +472,6 @@ def build_operator(gen: Gen, p: RepParams, window: int,
 
 # -- evaluation homomorphism ----------------------------------------------------
 
-class _Key(tuple):
-    """A polynomial's ``key()``, hashed once for both of ``eval``'s caches."""
-
-    def __init__(self, key: tuple):
-        self.hash = tuple.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-
 @lru_cache(maxsize=1)
 def _contiguous_words(key: tuple) -> list:
     """(operator letters, scalar letters, coefficient) per contiguous word
@@ -550,7 +540,7 @@ class OperatorContext:
         once, and each word keeps the leak set ``compose`` would give it,
         so the result equals the per-word sum exactly.
         """
-        key = _Key(p.key())
+        key = p.key()
         got = self._poly_ops.get(key)
         if got is not None:
             return got
