@@ -46,6 +46,41 @@ def _tokenize(text: str) -> list[str]:
 # nesting levels of brackets and signs read, five stack frames each
 MAX_DEPTH = 128
 
+# Products expand: a nested commutator can more than double its terms per
+# level and a power multiplies its base out, so a short input can name an
+# expansion no memory holds.  One product may form at most MAX_TERMS term
+# pairs and words of at most MAX_WORD letters; an exponent is at most
+# MAX_WORD.
+MAX_TERMS = 4096
+MAX_WORD = 256
+
+
+def _longest(p: NCPoly) -> int:
+    return max(map(len, p.terms), default=0)
+
+
+def _check_expansion(pairs: int, longest: int):
+    """Raises unless an expansion of ``pairs`` term products with words of
+    at most ``longest`` letters stays inside the caps."""
+    if pairs > MAX_TERMS:
+        raise ParseError(
+            f"expression expands past {MAX_TERMS} terms in one product")
+    if longest > MAX_WORD:
+        raise ParseError(
+            f"expression expands to words longer than {MAX_WORD} letters")
+
+
+def _check_product(a: NCPoly, b: NCPoly):
+    _check_expansion(len(a.terms) * len(b.terms), _longest(a) + _longest(b))
+
+
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        # int() refuses strings of more than sys.get_int_max_str_digits()
+        raise ParseError(f"integer of {len(tok)} digits is too long") from None
+
 
 class _Parser:
     def __init__(self, tokens: list[str], rank: int):
@@ -89,12 +124,12 @@ class _Parser:
             t = self.peek()
             if t == "*":
                 self.next()
-                out = out * self.power()
-            elif t is not None and (t[0].isdigit() or t[0] in "([{"
-                                    or _TOKEN.match(t).lastgroup == "gen"):
-                out = out * self.power()
-            else:
+            elif t is None or not (t[0].isdigit() or t[0] in "([{"
+                                   or _TOKEN.match(t).lastgroup == "gen"):
                 break
+            rhs = self.power()
+            _check_product(out, rhs)
+            out = out * rhs
         return sign * out
 
     # power := atom ('^' int)?
@@ -105,7 +140,13 @@ class _Parser:
             n = self.next()
             if not n.isdigit():
                 raise ParseError(f"exponent must be a nonnegative integer, found {n!r}")
-            return base ** int(n)
+            n = _integer(n)
+            if n > MAX_WORD:
+                raise ParseError(f"exponent {n} is above the limit {MAX_WORD}")
+            # base ** n multiplies base in n times; the last product is the
+            # largest
+            _check_expansion(len(base.terms) ** n, _longest(base) * n)
+            return base ** n
         return base
 
     def atom(self) -> NCPoly:
@@ -129,25 +170,28 @@ class _Parser:
             self.expect(",")
             b = self.expr()
             self.expect("]")
+            _check_product(a, b)
             return commutator(a, b)
         if t == "{":
             a = self.expr()
             self.expect(",")
             b = self.expr()
             self.expect("}")
+            _check_product(a, b)
             return anticommutator(a, b)
         if t == "-":
             return -self.atom()
         if t.isdigit():
-            num = int(t)
+            num = _integer(t)
             if self.peek() == "/":
                 self.next()
-                den = self.next()
-                if not den.isdigit():
-                    raise ParseError(f"malformed rational, found {den!r}")
-                if int(den) == 0:
-                    raise ParseError(f"zero denominator in {t}/{den}")
-                return NCPoly.const(self.rank, Fraction(num, int(den)))
+                tok = self.next()
+                if not tok.isdigit():
+                    raise ParseError(f"malformed rational, found {tok!r}")
+                den = _integer(tok)
+                if den == 0:
+                    raise ParseError(f"zero denominator in {t}/{tok}")
+                return NCPoly.const(self.rank, Fraction(num, den))
             return NCPoly.const(self.rank, num)
         if _TOKEN.match(t).lastgroup != "gen":
             raise ParseError(f"unexpected token {t!r}")

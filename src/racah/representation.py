@@ -472,14 +472,15 @@ def build_operator(gen: Gen, p: RepParams, window: int,
 
 # -- evaluation homomorphism ----------------------------------------------------
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _contiguous_words(key: tuple) -> list:
     """(operator letters, scalar letters, coefficient) per contiguous word
     of the polynomial whose ``key()`` is ``key``.
 
-    The contexts of a run evaluate the same polynomials in turn, one per
-    parameter set, so keeping the last rewrite runs ``to_contiguous`` once
-    per polynomial and not once per context.
+    The contexts of a run evaluate the same polynomials one context after
+    another, so keeping every rewrite runs ``to_contiguous`` once per
+    polynomial and not once per context.  ``verifier.run_suite`` clears the
+    cache when its run ends, so no rewrite outlives the run.
     """
     rank, terms = key
     words = to_contiguous(NCPoly(rank, dict(terms))).terms

@@ -36,6 +36,7 @@ from .representation import (
     OperatorContext,
     RepParams,
     SparseOperator,
+    _contiguous_words,
     commutator_op,
     validate_params,
 )
@@ -132,7 +133,11 @@ class _Runner:
     """Runs suites into one report.  Every record comes from one of three
     emitters, each given the record's head (suite, family, payload, anchor):
     ``symbolic`` proves by reduction, ``represent`` falsifies in the
-    representation, ``outcome`` states a pass/fail group check."""
+    representation, ``outcome`` states a pass/fail group check.
+
+    A representation context is named by ``(name, params, window, rank)``
+    and built only after every suite has run: ``run`` evaluates the
+    contexts one at a time, so only one context's operators are alive."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -140,8 +145,10 @@ class _Runner:
             cfg.rank, tuple(cfg.suites),
             tuple((name, p.describe(), w) for name, p, w in cfg.param_sets))
         self.rs = rewrite_system(cfg.rank)
-        self.contexts = [(name, OperatorContext(p, w))
+        self.contexts = [(name, p, w, 4)
                          for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
+        # context -> its (head, value, check) jobs, contexts in first-use order
+        self._jobs: dict[tuple, list] = {}
 
     # -- the record emitters ---------------------------------------------------
 
@@ -155,8 +162,18 @@ class _Runner:
     def represent(self, head: tuple, value, contexts=None,
                   check=SparseOperator.is_zero_on_reliable):
         """One verdict per context on ``value``: a polynomial to evaluate,
-        or a function from a context to an already-composed operator."""
-        for name, ctx in self.contexts if contexts is None else contexts:
+        or a function from a context to an already-composed operator.  The
+        verdicts are queued under each context, and ``run`` evaluates them
+        after the suites."""
+        for context in self.contexts if contexts is None else contexts:
+            self._jobs.setdefault(context, []).append((head, value, check))
+
+    def _evaluate(self, context: tuple, jobs: list):
+        """Builds ``context`` and adds its queued verdicts, in queue order;
+        the context and its operators are freed when this returns."""
+        name, params, window, rank = context
+        ctx = OperatorContext(params, window, rank)
+        for head, value, check in jobs:
             op = value(ctx) if callable(value) else ctx.eval(value)
             self.report.add(*head, "representation-eval", name,
                             *_verdict(op, check))
@@ -223,18 +240,19 @@ class _Runner:
                 g = gen_C(4, sset)
                 # composed from the two cached operators: evaluating the
                 # polynomial commutator instead gives the same verdicts,
-                # several times slower
+                # several times slower.  The defaults bind this ci and g,
+                # since the context runs the function after the loop.
                 self.represent(
                     (suite, "casimir_pentagon_comm", f"{i},{g}",
                      "each pentagon central element commutes with the ten"
                      " basis generators"),
-                    lambda ctx: commutator_op(ctx.eval(ci), ctx.eval(g)))
+                    lambda ctx, ci=ci, g=g:
+                        commutator_op(ctx.eval(ci), ctx.eval(g)))
 
     def rank1_suite(self, suite: str):
         self.family_suite(suite)
         # the s = 0 chain of each parameter set, where C23 raises and C12 lowers
-        chain = [(name, OperatorContext(p, w, rank=3))
-                 for name, p, w in self.cfg.param_sets]
+        chain = [(name, p, w, 3) for name, p, w in self.cfg.param_sets]
         self.represent((suite, "raising_normalized", "A",
                         "the east coefficient of the first generator is 1"),
                        gen_C(3, (2, 3)), chain,
@@ -259,6 +277,8 @@ class _Runner:
     def run(self) -> VerificationReport:
         for suite in self.cfg.suites:
             _SUITES[suite](self, suite)
+        for context, jobs in self._jobs.items():
+            self._evaluate(context, jobs)
         return self.report.finish()
 
 
@@ -304,7 +324,11 @@ class SuiteConfig:
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    return _Runner(cfg).run()
+    try:
+        return _Runner(cfg).run()
+    finally:
+        # the shared rewrites serve one run's contexts, never the next run
+        _contiguous_words.cache_clear()
 
 
 # -- double-commutator machinery ---------------------------------------------------

@@ -149,6 +149,20 @@ def test_expression_nested_too_deeply(capsys, argv):
     assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
 
 
+# these expanded until memory ran out: a nested commutator more than doubles
+# its terms per level, and a power multiplies its base out
+@pytest.mark.parametrize("text, message", [
+    ("[C12,[C23," * 10 + "C34" + "]]" * 10, "terms in one product"),
+    ("(C12+C23)^30", "terms in one product"),
+    ("C1^100000", "exponent 100000 is above the limit"),
+], ids=["nested", "power-of-sum", "power-of-letter"])
+def test_reduce_rejects_runaway_expansion(capsys, text, message):
+    assert main(["reduce", "--rank", "4", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 # digits are ASCII only: int() alone also reads other scripts' digits and
 # underscores, so these read as C12, rank 3, rank 1000 and window 2
 def test_reduce_rejects_non_ascii_digits(capsys):

@@ -63,6 +63,32 @@ def test_nesting_depth():
             parse_expr(nested(MAX_DEPTH + 1))
 
 
+def test_expansion_caps():
+    # a product forms at most MAX_TERMS term pairs and words of at most
+    # MAX_WORD letters; past either the parser raises instead of expanding
+    from racah.expr import MAX_TERMS, MAX_WORD
+    nested = lambda n: "[C12,[C23," * n + "C34" + "]]" * n
+    assert len(parse_expr(nested(6)).terms) == 2030         # 12 levels
+    with pytest.raises(ParseError, match=f"past {MAX_TERMS} terms"):
+        parse_expr(nested(10))
+    assert MAX_TERMS == 2 ** 12
+    assert len(parse_expr("(C12+C23)^12").terms) == MAX_TERMS
+    for text in ("(C12+C23)^13", "(C12+C23)^30", "(C12+C23)(C12+C23)^12"):
+        with pytest.raises(ParseError, match=f"past {MAX_TERMS} terms"):
+            parse_expr(text)
+    assert parse_expr(f"C1^{MAX_WORD}") == parse_expr("C1") ** MAX_WORD
+    with pytest.raises(ParseError, match=f"above the limit {MAX_WORD}"):
+        parse_expr("C1^100000")
+    with pytest.raises(ParseError, match=f"longer than {MAX_WORD} letters"):
+        parse_expr("C12 " * (MAX_WORD + 1))
+    with pytest.raises(ParseError, match=f"longer than {MAX_WORD} letters"):
+        parse_expr(f"(C12 C23)^{MAX_WORD // 2 + 1}")
+    # int() refuses more than 4300 digits by default
+    for text in ("1" * 5000, "1/" + "1" * 5000, "C1^" + "1" * 5000):
+        with pytest.raises(ParseError, match="5000 digits is too long"):
+            parse_expr(text)
+
+
 def test_parse_letter():
     assert parse_letter("C23") == parse_letter("Om0") == Gen("C", (2, 3))
     assert parse_letter("D231") == Gen("D", (1, 2, 3))      # even reordering

@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import weakref
 
 import pytest
 
 from racah import representation as rep
+from racah import verifier
 from racah.core import (FAMILIES, casimir_rank1, core_generators, d_poly,
                         enumerate_relations, gen_C, presentation_rank1,
                         relation, rewrite_system)
@@ -277,10 +279,69 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
     run_suite(cfg)
     assert len(keys) == len(set(keys)) == len(distinct)
     assert set(keys) == distinct
-    # a second run rewrites every polynomial again: only the last
-    # polynomial's rewrite is kept, and the next run starts with another
+    # a second run rewrites every polynomial again: run_suite clears the
+    # rewrites when its run ends
     run_suite(cfg)
     assert len(keys) == 2 * len(distinct)
+
+
+def test_rewrites_do_not_outlive_the_run(monkeypatch):
+    cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(2),
+                      suites=("definitions",))
+    run_suite(cfg)
+    assert rep._contiguous_words.cache_info().currsize == 0
+    # and when an evaluation raises, with rewrites already cached
+    evaluate, cached = rep.OperatorContext.eval, []
+
+    def failing(self, p):
+        evaluate(self, p)
+        cached.append(rep._contiguous_words.cache_info().currsize)
+        raise RuntimeError("evaluation failed")
+
+    monkeypatch.setattr(rep.OperatorContext, "eval", failing)
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        run_suite(cfg)
+    assert cached == [1]
+    assert rep._contiguous_words.cache_info().currsize == 0
+
+
+def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
+    # each context is built after the previous one is freed, and only the
+    # newest context evaluates
+    refs = []
+    init, evaluate = rep.OperatorContext.__init__, rep.OperatorContext.eval
+
+    def tracked_init(self, *args, **kw):
+        assert all(ref() is None for ref in refs)
+        init(self, *args, **kw)
+        refs.append(weakref.ref(self))
+
+    def tracked_eval(self, p):
+        assert [ref() for ref in refs] == [None] * (len(refs) - 1) + [self]
+        return evaluate(self, p)
+
+    monkeypatch.setattr(rep.OperatorContext, "__init__", tracked_init)
+    monkeypatch.setattr(rep.OperatorContext, "eval", tracked_eval)
+    report = run_suite(SuiteConfig(rank=4, param_sets=rep.default_param_sets(2),
+                                   suites=("definitions", "rank1")))
+    # three parameter sets, each on the window and on the s = 0 chain
+    assert len(refs) == 6
+    assert all(ref() is None for ref in refs)
+    assert not report.failed
+
+
+def test_pentagon_commutators_are_fifty_pairs(monkeypatch):
+    # the casimirs suite's [E_i, g] checks run after the suite's loops; each
+    # still composes its own pair of operators
+    pairs, compose = [], verifier.commutator_op
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(verifier, "commutator_op", recorded)
+    run_suite(SuiteConfig(rank=4, param_sets=SMALL, suites=("casimirs",)))
+    assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs) == 5 * 10
 
 
 @pytest.mark.parametrize("rank", (3, 4, 5, 6))
