@@ -7,17 +7,15 @@ from racah.freealg import Gen
 
 
 def main() -> None:
-    rot = sym.DihedralElement.rotation(1)
-    refl = sym.DihedralElement.reflection(0)
+    rot = sym.PENTAGON[1].letter_map(4)[0]
+    refl = sym.PENTAGON[5].letter_map(4)[0]
     print("pentagon rotation on subset generators:")
-    for I, J in sorted(rot.subset_map().items()):
-        a = "C" + "".join(map(str, I))
-        b = "C" + "".join(map(str, J))
-        print(f"  {a:6s} -> {b}")
+    for x in sorted(rot, key=lambda x: x.indices):
+        print(f"  {str(x):6s} -> {rot[x]}")
     print("\nreflection about the top vertex:")
-    for I, J in sorted(refl.subset_map().items()):
-        if I != J:
-            print(f"  C{''.join(map(str, I))} <-> C{''.join(map(str, J))}")
+    for x in sorted(refl, key=lambda x: x.indices):
+        if refl[x] != x:
+            print(f"  {x} <-> {refl[x]}")
 
     print("\norbits of C12:")
     for group in ("d5", "p4", "both"):

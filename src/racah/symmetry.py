@@ -1,7 +1,13 @@
-"""Index relabelings at any rank and the pentagon dihedral group at 4
-indices, each acting on polynomials by moving letters: expression
-transport, invariance checking, and the closure of the combined action on
-the 15 subset generators."""
+"""Symmetries as permutations of points, acting on polynomials by moving
+letters: expression transport, invariance checking, and the closure of the
+combined action on the 15 subset generators.
+
+One type serves both groups.  A permutation of {1..n} relabels every letter
+at n indices.  At n-1 indices it moves the subset letters only, reading each
+``C_I`` as a subset of {1..n} taken up to its complement.  The pentagon
+group is the ten permutations of {1..5} that keep the cycle 1-2-3-4-5-1,
+since its labels ``om_k`` and ``Om_k`` are the point k and the edge
+{k+2, k+3} (mod 5, with 5 for 0) read that way."""
 
 from __future__ import annotations
 
@@ -9,88 +15,11 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (
-    OMEGA_SETS,
-    SMALL_OMEGA_SETS,
-    _perm_sign,
-    alphabet,
-    decompose_to_basis,
-    expand_to_C,
-    gen_C,
-    rewrite_system,
-    subsets,
-)
+from .core import _perm_sign, alphabet, expand_to_C, rewrite_system, subsets
 from .freealg import AlgebraError, Gen, NCPoly
 
 _ALL_SUBSETS_4 = tuple(subsets(4))
 _POSITION = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
-_SET_OF_DECOMPOSITION = {decompose_to_basis(4, I).key(): I for I in _ALL_SUBSETS_4}
-
-
-@dataclass(frozen=True)
-class DihedralElement:
-    """One symmetry of the pentagon: label i maps to shift - i under a
-    reflection, to i + shift otherwise (all mod 5)."""
-
-    reflected: bool
-    shift: int
-
-    rank = 4  # the pentagon labels exist at 4 indices only
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", self.shift % 5)
-
-    @staticmethod
-    def rotation(k: int) -> "DihedralElement":
-        return DihedralElement(False, k)
-
-    @staticmethod
-    def reflection(axis: int) -> "DihedralElement":
-        # fixes the vertex at `axis` and its opposite edge
-        return DihedralElement(True, 2 * axis)
-
-    @property
-    def axis(self) -> int:
-        if not self.reflected:
-            raise AlgebraError("a rotation has no reflection axis")
-        return (3 * self.shift) % 5  # vertex a with 2a = shift (mod 5)
-
-    def apply(self, i: int) -> int:
-        return (self.shift - i) % 5 if self.reflected else (i + self.shift) % 5
-
-    def subset_map(self) -> dict[tuple, tuple]:
-        """How this symmetry permutes all 15 subset generators.
-
-        The ten labelled sets, the contiguous basis, move with their vertex;
-        the rest follow by linearity of their decomposition and always land
-        on a single generator again (checked by the lookup).
-        """
-        out: dict[tuple, tuple] = {}
-        for sets in (OMEGA_SETS, SMALL_OMEGA_SETS):
-            out |= {sets[k]: sets[self.apply(k)] for k in range(5)}
-        for I in _ALL_SUBSETS_4:
-            if I not in out:
-                image = decompose_to_basis(4, I).substitute(
-                    lambda x: gen_C(4, out[x.indices]))
-                out[I] = _SET_OF_DECOMPOSITION[image.key()]
-        return out
-
-    @lru_cache(maxsize=None)
-    def letter_map(self) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
-        """The image of each subset letter, and no sign: a shift or
-        half-commutator letter is no single subset word, so it has no
-        image letter here.  Cached and shared, so never modified."""
-        return ({Gen("C", I): Gen("C", J) for I, J in self.subset_map().items()},
-                frozenset())
-
-    @staticmethod
-    def all_elements() -> tuple["DihedralElement", ...]:
-        return tuple(DihedralElement(r, k) for r in (False, True) for k in range(5))
-
-    def __str__(self) -> str:
-        if self.reflected:
-            return f"refl{self.axis}"
-        return f"rot{self.shift}"
 
 
 @dataclass(frozen=True)
@@ -102,10 +31,6 @@ class IndexPermutation:
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise AlgebraError(f"not a permutation of 1..n: {self.images}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.images)
 
     @staticmethod
     def transposition(n: int, a: int, b: int) -> "IndexPermutation":
@@ -122,14 +47,29 @@ class IndexPermutation:
         return self.images[i - 1]
 
     @lru_cache(maxsize=None)
-    def letter_map(self) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
-        """The image letter of every letter of ``core.alphabet(n)``, and the
-        letters whose image is its negative: ``C_I -> C_σ(I)``,
-        ``P_I -> P_σ(I)``, and ``D_ijk -> ±D`` on the sorted image, with
-        the parity sign ``d_poly`` gives ``D_σ(i)σ(j)σ(k)``.  Cached and
-        shared, so never modified."""
+    def letter_map(self, rank: int) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
+        """The image letter of every letter this permutation of {1..n}
+        moves at ``rank`` indices, and the letters whose image is its
+        negative.  At n indices every letter of ``core.alphabet(n)`` moves:
+        ``C_I -> C_σ(I)``, ``P_I -> P_σ(I)``, and ``D_ijk -> ±D`` on the
+        sorted image, with the parity sign ``d_poly`` gives
+        ``D_σ(i)σ(j)σ(k)``.  At n-1 indices only the subset letters move,
+        unsigned: ``C_I -> C_J`` with J = σ(I), or its complement in {1..n}
+        when σ(I) contains n.  Cached and shared, so never modified."""
+        n = len(self.images)
+        if rank == n - 1:
+            points = frozenset(self.images)
+            images = {}
+            for I in subsets(rank):
+                J = frozenset(map(self.apply, I))
+                images[Gen("C", I)] = Gen("C", tuple(sorted(
+                    points - J if n in J else J)))
+            return images, frozenset()
+        if rank != n:
+            raise AlgebraError(f"{self} acts at {n} or {n - 1} indices,"
+                               f" not {rank}")
         images, flips = {}, set()
-        for x in alphabet(self.rank):
+        for x in alphabet(rank):
             image = tuple(map(self.apply, x.indices))
             images[x] = Gen(x.kind, tuple(sorted(image)))
             if x.kind == "D" and _perm_sign(image) < 0:
@@ -140,15 +80,20 @@ class IndexPermutation:
         return "".join(str(i) for i in self.images)
 
 
-def act(g, p: NCPoly) -> NCPoly:
-    """Transport ``p``, a polynomial at ``g``'s own rank, along ``g``: every
-    letter becomes its image under ``g.letter_map()``, and a word changes
-    sign once per letter whose image is negated.  A relabeling moves every
-    letter; a pentagon symmetry moves subset letters only, so expand shift
-    and half-commutator letters with ``expand_to_C`` first."""
-    if p.rank != g.rank:
-        raise AlgebraError(f"{g} acts at {g.rank} indices, not {p.rank}")
-    images, flips = g.letter_map()
+# the pentagon's ten symmetries: rotations i -> i + k, then reflections
+# i -> k - i (mod 5, with 5 for 0)
+PENTAGON = tuple(IndexPermutation(tuple((s * i + k - 1) % 5 + 1
+                                        for i in range(1, 6)))
+                 for s in (1, -1) for k in range(5))
+
+
+def act(g: IndexPermutation, p: NCPoly) -> NCPoly:
+    """Transport ``p`` along ``g``: every letter becomes its image under
+    ``g.letter_map(p.rank)``, and a word changes sign once per letter whose
+    image is negated.  A permutation of {1..n} moves every letter at n
+    indices and only subset letters at n-1, so there expand shift and
+    half-commutator letters with ``expand_to_C`` first."""
+    images, flips = g.letter_map(p.rank)
     try:
         return NCPoly(p.rank, {
             tuple(map(images.__getitem__, w)):
@@ -162,9 +107,9 @@ def act(g, p: NCPoly) -> NCPoly:
 
 # -- closure of the combined action ------------------------------------------------
 
-def _perm15(g) -> tuple[int, ...]:
+def _perm15(g: IndexPermutation) -> tuple[int, ...]:
     """``g`` as a permutation of the positions of the 15 subset generators."""
-    images = g.letter_map()[0]
+    images = g.letter_map(4)[0]
     return tuple(_POSITION[images[Gen("C", I)].indices] for I in _ALL_SUBSETS_4)
 
 
@@ -186,7 +131,7 @@ def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
 # each group's generators at 4 indices: one rotation and one reflection for
 # d5, the three adjacent index swaps for p4, all five for both
 _GENERATORS = {
-    "d5": (DihedralElement.rotation(1), DihedralElement.reflection(0)),
+    "d5": (PENTAGON[1], PENTAGON[5]),
     "p4": tuple(IndexPermutation.transposition(4, a, a + 1) for a in (1, 2, 3)),
 }
 _GENERATORS["both"] = _GENERATORS["d5"] + _GENERATORS["p4"]
@@ -225,7 +170,7 @@ class InvarianceRecord:
     ok: bool
 
 
-_GROUP_ELEMENTS = {"d5": DihedralElement.all_elements(),
+_GROUP_ELEMENTS = {"d5": PENTAGON,
                    "p4": IndexPermutation.all_elements(4)}
 
 

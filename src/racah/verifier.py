@@ -377,7 +377,7 @@ def _triple_orbits(rank: int, triples):
     letters, so each transposition's letter table is read without its
     signs."""
     tables = [symmetry.IndexPermutation.transposition(rank, a, a + 1)
-              .letter_map()[0] for a in range(1, rank)]
+              .letter_map(rank)[0] for a in range(1, rank)]
     seen = set()
     for triple in triples:
         start = frozenset(triple)

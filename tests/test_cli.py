@@ -34,6 +34,29 @@ def test_symmetry_closure(capsys):
         " index swaps"]
 
 
+# sha256 of `symmetry orbit X --group G` for every subset letter X, in
+# letter order within d5, p4 and both, and of `symmetry closure`: pinned
+# before the pentagon became permutations of five points
+SUBSET_LETTERS = ("C1 C2 C3 C4 C12 C13 C14 C23 C24 C34 C123 C124 C134 C234"
+                  " C1234").split()
+
+
+def test_symmetry_orbits_golden(capsys):
+    for group in ("d5", "p4", "both"):
+        for letter in SUBSET_LETTERS:
+            assert main(["symmetry", "orbit", letter, "--group", group]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "76ae9e7aa0a698f6be1141e84d230fe0d2e476d4fcc0a53ed44f0c42b43e742d"
+
+
+def test_symmetry_closure_golden(capsys):
+    assert main(["symmetry", "closure"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == \
+        "8f6d351d02d41cee020bcbaf8c214f27c67f076cf84bbaf58a7b242f7d9338ac"
+
+
 def test_symmetry_orbit(capsys):
     assert main(["symmetry", "orbit", "C12", "--group", "d5"]) == 0
     lines = capsys.readouterr().out.split()

@@ -1,5 +1,6 @@
 """Pentagon action, index relabeling, transport of expressions, closure."""
 
+import hashlib
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 
 from conftest import poly_strategy
 from racah import core, symmetry as sym
-from racah.core import (OMEGA_SETS, SMALL_OMEGA_SETS, casimir_frak, d_poly,
-                        enumerate_relations, expand_to_C, gen_C, pentagon_poly,
-                        relation)
+from racah.core import (FAMILIES, OMEGA_SETS, SMALL_OMEGA_SETS, casimir_frak,
+                        d_poly, enumerate_relations, expand_to_C, gen_C,
+                        pentagon_poly, relation)
 from racah.freealg import AlgebraError, Gen, NCPoly, commutator
 from racah.verifier import _SUITE_FAMILIES
 
@@ -26,18 +27,35 @@ def pent(kind, k):
     return pentagon_poly(4, kind, k)
 
 
+def vertex(g, k):
+    """The pentagon label (0..4) that ``g`` sends label ``k`` to: label k
+    is the point k of {1..5}, with 5 for 0."""
+    return g.apply(k or 5) % 5
+
+
+ROTATIONS, REFLECTIONS = sym.PENTAGON[:5], sym.PENTAGON[5:]
+
+
+def test_pentagon_elements():
+    assert [str(g) for g in sym.PENTAGON] == [
+        "12345", "23451", "34512", "45123", "51234",
+        "43215", "54321", "15432", "21543", "32154"]
+
+
 def test_rotation_examples():
-    r = sym.DihedralElement.rotation(1)
+    r = sym.PENTAGON[1]
     assert sym.act(r, pent("Om", 0)) == pent("Om", 1)
     assert sym.act(r, gen_C(4, (2, 3))) == gen_C(4, (3, 4))
-    r5 = sym.DihedralElement.rotation(5)
-    assert r5 == sym.DihedralElement(False, 0)
+    # five turns are no turn at all
     for I in ((1, 3), (2, 4), (1, 2, 4)):
-        assert sym.act(r5, gen_C(4, I)) == gen_C(4, I)
+        p = gen_C(4, I)
+        for _ in range(5):
+            p = sym.act(r, p)
+        assert p == gen_C(4, I) == sym.act(sym.PENTAGON[0], p)
 
 
 def test_reflection_gamma_sign():
-    refl = sym.DihedralElement.reflection(0)
+    refl = sym.PENTAGON[5]
     assert sym.act(refl, pent("Ga", 0)) == -pent("Ga", 0)
     assert sym.act(refl, pent("Ga", 1)) == -pent("Ga", 4)
     assert sym.act(refl, pent("om", 2)) == pent("om", 3)
@@ -46,17 +64,24 @@ def test_reflection_gamma_sign():
 def test_gamma_signs_come_from_the_commutators():
     # no sign table: substituting subset letters gives Ga_k -> +-Ga_{g(k)},
     # minus exactly for the reflections
-    for g in sym.DihedralElement.all_elements():
-        sign = -1 if g.reflected else 1
+    for g in sym.PENTAGON:
+        sign = -1 if g in REFLECTIONS else 1
         for k in range(5):
-            assert sym.act(g, pent("Ga", k)) == sign * pent("Ga", g.apply(k))
+            assert sym.act(g, pent("Ga", k)) == sign * pent("Ga", vertex(g, k))
 
 
-def test_axis_roundtrip():
-    for a in range(5):
-        refl = sym.DihedralElement.reflection(a)
-        assert refl.axis == a
-        assert refl.apply(a) == a
+def test_labels_move_with_their_vertex():
+    for g in sym.PENTAGON:
+        for k in range(5):
+            assert sym.act(g, pent("om", k)) == pent("om", vertex(g, k))
+            assert sym.act(g, pent("Om", k)) == pent("Om", vertex(g, k))
+
+
+def test_reflection_fixes_one_vertex():
+    fixed = [[i for i in range(1, 6) if g.apply(i) == i] for g in REFLECTIONS]
+    assert all(len(points) == 1 for points in fixed)
+    assert sorted(points[0] for points in fixed) == [1, 2, 3, 4, 5]
+    assert all(g.apply(i) != i for g in ROTATIONS[1:] for i in range(1, 6))
 
 
 def test_permutation_examples(rs4):
@@ -74,10 +99,10 @@ def test_permutation_examples(rs4):
     assert sym.act(ident, p) == p
 
 
-@pytest.mark.parametrize("g", [sym.DihedralElement.rotation(1)], ids=str)
+@pytest.mark.parametrize("g", [sym.PENTAGON[1]], ids=["rot1"])
 def test_act_rejects_shift_and_half_letters(g):
-    # a pentagon symmetry moves subset letters only: P and D letters are
-    # no single subset word, so expand_to_C them first
+    # a permutation of {1..5} moves subset letters only at 4 indices: P and
+    # D letters are no single subset word, so expand_to_C them first
     for p in (d_poly(4, 1, 2, 3), core.gen_P(4, 1, 2), core.gen_P1(4, 3)):
         with pytest.raises(AlgebraError, match="expand_to_C"):
             sym.act(g, p)
@@ -101,14 +126,37 @@ def test_relabeling_moves_shift_and_half_letters():
 
 
 def test_act_needs_four_indices():
-    # each element acts at its own rank only: a relabeling of {1..n} at n
-    # indices, the pentagon at 4
-    with pytest.raises(AlgebraError):
+    # a permutation of {1..n} acts at n indices, as a relabeling, and at
+    # n-1, on subset letters up to complement; at any other rank it raises
+    with pytest.raises(AlgebraError, match="acts at 3 or 2 indices, not 4"):
         sym.act(sym.IndexPermutation((2, 1, 3)), gen_C(4, (1, 2)))
-    with pytest.raises(AlgebraError):
-        sym.act(sym.DihedralElement.rotation(1), gen_C(3, (1, 2)))
+    with pytest.raises(AlgebraError, match="acts at 5 or 4 indices, not 3"):
+        sym.act(sym.PENTAGON[1], gen_C(3, (1, 2)))
     assert sym.act(sym.IndexPermutation((2, 1, 3)), gen_C(3, (1, 3))) == \
         gen_C(3, (2, 3))
+
+
+def test_swap_with_the_extra_point_by_hand():
+    # tau = (3 4) at 3 indices: {3} goes to {4}, read as its complement
+    tau = sym.IndexPermutation.transposition(4, 3, 4)
+    assert sym.act(tau, gen_C(3, (3,))) == gen_C(3, (1, 2, 3))
+    assert sym.act(tau, gen_C(3, (1, 2, 3))) == gen_C(3, (3,))
+    assert sym.act(tau, gen_C(3, (1, 2))) == gen_C(3, (1, 2))
+    assert sym.act(tau, gen_C(3, (1, 3))) == gen_C(3, (2, 3))
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_swap_with_the_extra_point_keeps_every_relation(rank):
+    # tau = (n n+1) on n+1 points, acting at n indices, maps every catalog
+    # relation into the ideal: the subset letters up to complement carry
+    # the symmetry of n+1 points, not only of n
+    rs = core.rewrite_system(rank)
+    tau = sym.IndexPermutation.transposition(rank + 1, rank, rank + 1)
+    rids = [rid for family in FAMILIES
+            for rid in enumerate_relations(rank, family)]
+    assert len(rids) == {3: 46, 4: 452}[rank]
+    for rid in rids:
+        assert rs.reduce(sym.act(tau, expand_to_C(relation(rid)))).is_zero, rid
 
 
 @pytest.mark.parametrize("rank", [4, 5])
@@ -146,7 +194,7 @@ _SUBSET_LETTERS = [Gen("C", s) for s in
        poly_strategy(max_words=2, max_len=2, alphabet=_PENTAGON_LETTERS))
 @settings(max_examples=15)
 def test_dihedral_is_algebra_homomorphism_pentagon(a, b):
-    g = sym.DihedralElement(True, 3)
+    g = sym.PENTAGON[8]  # i -> 3 - i
     assert sym.act(g, a * b) == sym.act(g, a) * sym.act(g, b)
     assert sym.act(g, a + b) == sym.act(g, a) + sym.act(g, b)
 
@@ -155,7 +203,7 @@ def test_dihedral_is_algebra_homomorphism_pentagon(a, b):
        poly_strategy(max_words=2, max_len=2, alphabet=_SUBSET_LETTERS))
 @settings(max_examples=15)
 def test_dihedral_is_algebra_homomorphism_subsets(a, b):
-    g = sym.DihedralElement(False, 2)
+    g = sym.PENTAGON[2]  # i -> i + 2
     assert sym.act(g, a * b) == sym.act(g, a) * sym.act(g, b)
 
 
@@ -172,22 +220,59 @@ def test_permutation_is_algebra_homomorphism(a, b):
 
 
 def test_dihedral_group_action_on_polys():
-    g = sym.DihedralElement.rotation(2)
-    h = sym.DihedralElement.reflection(1)
-    gh = sym.DihedralElement(True, 4)  # i -> 2 - i, then + 2
-    assert all(gh.apply(i) == g.apply(h.apply(i)) for i in range(5))
+    g = sym.PENTAGON[2]   # i -> i + 2
+    h = sym.PENTAGON[7]   # i -> 2 - i
+    gh = sym.PENTAGON[9]  # i -> 2 - i, then + 2
+    assert all(gh.apply(i) == g.apply(h.apply(i)) for i in range(1, 6))
     p = gen_C(4, (1, 4)) + 2 * pent("Ga", 3)
     assert sym.act(g, sym.act(h, p)) == sym.act(gh, p)
 
 
-def test_subset_map_bijective():
-    for g in sym.DihedralElement.all_elements():
-        table = g.subset_map()
-        assert len(set(table.values())) == 15
+def test_letter_tables_bijective():
+    # every permutation of {1..5} permutes the 15 subset letters at 4
+    # indices, no two alike; one that fixes 5 moves them as the
+    # relabeling of {1..4} does
+    subset_letters = [Gen("C", I) for I in core.subsets(4)]
+    tables = set()
+    for g in sym.IndexPermutation.all_elements(5):
+        images, flips = g.letter_map(4)
+        assert not flips
+        assert sorted(images, key=str) == sorted(subset_letters, key=str)
+        assert len(set(images.values())) == 15
+        tables.add(tuple(images[x] for x in subset_letters))
+        if g.apply(5) == 5:
+            relabeling = sym.IndexPermutation(g.images[:4]).letter_map(4)[0]
+            assert all(images[x] == relabeling[x] for x in subset_letters)
+    assert len(tables) == 120
+
+
+# each pentagon element's image of C1 C2 C3 C4 C12 C13 C14 C23 C24 C34 C123
+# C124 C134 C234 C1234, as the lookup through the basis decomposition gave
+# them before the pentagon became permutations of five points
+PENTAGON_TABLES = {
+    "12345": "1 2 3 4 12 13 14 23 24 34 123 124 134 234 1234",
+    "23451": "2 3 4 1234 23 24 134 34 124 123 234 14 13 12 1",
+    "34512": "3 4 1234 1 34 124 13 123 14 234 12 134 24 23 2",
+    "45123": "4 1234 1 2 123 14 24 234 134 12 23 13 124 34 3",
+    "51234": "1234 1 2 3 234 134 124 12 13 23 34 24 14 123 4",
+    "43215": "4 3 2 1 34 24 14 23 13 12 234 134 124 123 1234",
+    "54321": "1234 4 3 2 123 124 134 34 24 23 12 13 14 234 1",
+    "15432": "1 1234 4 3 234 14 13 123 124 34 23 24 134 12 2",
+    "21543": "2 1 1234 4 12 134 24 234 14 123 34 124 13 23 3",
+    "32154": "3 2 1 1234 23 13 124 12 134 234 123 14 24 34 4",
+}
+
+
+@pytest.mark.parametrize("g", sym.PENTAGON, ids=str)
+def test_pentagon_letter_tables(g):
+    images = g.letter_map(4)[0]
+    got = " ".join("".join(map(str, images[Gen("C", I)].indices))
+                   for I in core.subsets(4))
+    assert got == PENTAGON_TABLES[str(g)]
 
 
 def test_casimir_transport():
-    r = sym.DihedralElement.rotation(1)
+    r = sym.PENTAGON[1]
     for i in range(5):
         assert sym.act(r, casimir_frak(i)) == casimir_frak((i + 1) % 5)
 
@@ -202,9 +287,14 @@ def test_group_orders():
 
 def test_symmetry_tables_script(capsys):
     symmetry_tables.main()
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    lines = out.splitlines()
     assert "group orders: pentagon 10, relabeling 24, combined 120" in lines
     assert "  d5   ( 5): C12, C123, C23, C234, C34" in lines
+    # the whole printout, pinned before the pentagon became permutations
+    # of five points
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6430db81849f82a6b5cc714e3d2c08daf5a674a97339263be13dabb3ebe36451"
 
 
 def test_orbits():
@@ -224,7 +314,7 @@ def pentagon_suite():
 
 
 def test_rotation_maps_inner_to_next_inner():
-    r = sym.DihedralElement.rotation(1)
+    r = sym.PENTAGON[1]
     for i in range(5):
         img = sym.act(r, relation(core.RelationId("omega_inner", 4, (i,))))
         assert img == relation(core.RelationId("omega_inner", 4, ((i + 1) % 5,)))
@@ -247,7 +337,7 @@ def test_invariance_reports():
 def test_quad_family_is_permutation_equivariant():
     for sigma in (sym.IndexPermutation((2, 1, 4, 3)),
                   sym.IndexPermutation((3, 1, 5, 2, 4))):
-        rank = sigma.rank
+        rank = len(sigma.images)
         for rid in enumerate_relations(rank, "quad")[:12]:
             img = sym.act(sigma, relation(rid))
             I, J, K = (tuple(sorted(sigma.apply(i) for i in part))
