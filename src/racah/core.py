@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
@@ -193,9 +194,47 @@ def _contiguous_image(rank: int, g: Gen) -> NCPoly:
     return to_contiguous(expand_to_C(NCPoly.from_word(rank, (g,))))
 
 
+@lru_cache(maxsize=None)
+def _contiguous_pair(rank: int, g: Gen) -> tuple[int, dict]:
+    """``_contiguous_image(rank, g)`` as integer numerators over one
+    denominator (already gcd-normalised, as in ``RewriteSystem._intern``)."""
+    terms = _contiguous_image(rank, g).terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {w: c.numerator * (den // c.denominator)
+                 for w, c in terms.items()}
+
+
 def to_contiguous(p: NCPoly) -> NCPoly:
-    """Any polynomial, rewritten over contiguous subset generators only."""
-    return p.substitute(lambda g: _contiguous_image(p.rank, g))
+    """Any polynomial, rewritten over contiguous subset generators only.
+
+    Equal to ``p.substitute(lambda g: _contiguous_image(p.rank, g))``, term
+    order included: each word is expanded letter by letter as integer
+    numerators over one denominator, dropping a cancelled term where the
+    product of polynomials would, and the coefficients become ``Fraction``s
+    once, at the end.
+    """
+    parts = []
+    for word, c in p.terms.items():
+        den, terms = c.denominator, {(): c.numerator}
+        for g in word:
+            d, image = _contiguous_pair(p.rank, g)
+            out: dict[tuple, int] = {}
+            for u, m in terms.items():
+                for v, n in image.items():
+                    uv = u + v
+                    out[uv] = out.get(uv, 0) + m * n
+            if 0 in out.values():
+                out = {w: n for w, n in out.items() if n}
+            den, terms = den * d, out
+        parts.append((den, terms))
+    common = lcm(*(d for d, _ in parts))
+    acc: dict[tuple, int] = {}
+    for d, terms in parts:
+        m = common // d
+        for w, n in terms.items():
+            acc[w] = acc.get(w, 0) + m * n
+    return NCPoly(p.rank, {w: Fraction(n, common)
+                           for w, n in acc.items() if n})
 
 
 # -- rules solved out of catalog relations ----------------------------------

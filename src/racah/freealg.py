@@ -30,6 +30,15 @@ class UnknownGeneratorError(AlgebraError):
     """A word contains a symbol the rewrite system has no ordering entry for."""
 
 
+def rational(value, what: str = "coefficient") -> Fraction:
+    """``value`` as an exact ``Fraction``; a float is refused, since
+    Fraction(0.1) is the nearest binary fraction, not 1/10."""
+    if isinstance(value, float):
+        raise AlgebraError(
+            f"{what} {value!r} is a float; give an int or a Fraction")
+    return Fraction(value)
+
+
 # Generator kinds.  Sort order: pair shift generators, then singleton shift
 # generators, then half-commutator generators; the one "foreign" kind, the
 # subset generators, sorts after the core and is eliminated by expansion
@@ -108,7 +117,7 @@ class NCPoly:
 
     @staticmethod
     def const(rank: int, value) -> "NCPoly":
-        return NCPoly(rank, {(): Fraction(value)})
+        return NCPoly(rank, {(): rational(value)})
 
     @staticmethod
     def one(rank: int) -> "NCPoly":
@@ -116,7 +125,7 @@ class NCPoly:
 
     @staticmethod
     def from_word(rank: int, word: Iterable[Gen], coeff=1) -> "NCPoly":
-        return NCPoly(rank, {tuple(word): Fraction(coeff)})
+        return NCPoly(rank, {tuple(word): rational(coeff)})
 
     # -- predicates --------------------------------------------------------
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .core import to_contiguous
-from .freealg import AlgebraError, Gen, NCPoly
+from .freealg import AlgebraError, Gen, NCPoly, rational
 
 State = tuple[int, int]                   # (t, s) with t >= 0 and 0 <= s <= t
 
@@ -42,13 +42,8 @@ class RepParams:
 
     def __post_init__(self):
         for name in ("c1", "c2", "c3", "c4", "N"):
-            value = getattr(self, name)
-            if isinstance(value, float):
-                # Fraction(0.1) is the nearest binary fraction, not 1/10
-                raise AlgebraError(
-                    f"parameter {name} = {value!r} is a float; give an int"
-                    " or a Fraction")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, rational(getattr(self, name),
+                                                    f"parameter {name} ="))
         # every N + sum of c_i the stencils read, summed once per set
         cs = (self.c1, self.c2, self.c3, self.c4)
         object.__setattr__(self, "_sums", {
@@ -300,7 +295,7 @@ class SparseOperator:
 
     @staticmethod
     def scalar(states: tuple[State, ...], value: Fraction) -> "SparseOperator":
-        value = Fraction(value)
+        value = rational(value)
         if value == 0:
             return SparseOperator(states, 1, {})
         return SparseOperator(states, value.denominator,
@@ -316,7 +311,7 @@ class SparseOperator:
         reliable output column is summed in a dense list of integers, and
         becomes a dict only where the sum is not zero.
         """
-        parts = [(Fraction(c), op) for c, op in parts]
+        parts = [(rational(c), op) for c, op in parts]
         if any(op.states != states for _, op in parts):
             raise AlgebraError("operators live on different windows")
         parts = [(c, op) for c, op in parts if c]
@@ -473,9 +468,17 @@ def build_operator(gen: Gen, p: RepParams, window: int,
 # -- evaluation homomorphism ----------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _contiguous_words(key: tuple) -> list:
-    """(operator letters, scalar letters, coefficient) per contiguous word
-    of the polynomial whose ``key()`` is ``key``.
+def _contiguous_words(key: tuple) -> tuple[int, list]:
+    """The polynomial whose ``key()`` is ``key`` rewritten over contiguous
+    words: one positive denominator ``den`` and a list of (operator
+    letters, scalar monomial, integer numerator) entries, with
+    ``gcd(den, *numerators) == 1``.
+
+    A scalar letter acts as a multiple of the identity, so the words that
+    differ only in where their scalar letters stand are one entry, their
+    monomial being the sorted scalar letters.  The entries come grouped by
+    operator letters, in the order those letters first appear in the
+    rewrite, so ``eval`` meets the words in the order it always has.
 
     The contexts of a run evaluate the same polynomials one context after
     another, so keeping every rewrite runs ``to_contiguous`` once per
@@ -484,9 +487,22 @@ def _contiguous_words(key: tuple) -> list:
     """
     rank, terms = key
     words = to_contiguous(NCPoly(rank, dict(terms))).terms
-    return [(tuple(g for g in word if g not in _SCALARS),
-             tuple(g for g in word if g in _SCALARS), c)
-            for word, c in words.items()]
+    den = math.lcm(*(c.denominator for c in words.values()))
+    merged: dict[tuple, dict[tuple, int]] = {}
+    for word, c in words.items():
+        letters = tuple(g for g in word if g not in _SCALARS)
+        monomial = tuple(sorted((g for g in word if g in _SCALARS),
+                                key=Gen.sort_key))
+        slot = merged.setdefault(letters, {})
+        slot[monomial] = (slot.get(monomial, 0)
+                          + c.numerator * (den // c.denominator))
+    entries = [(letters, monomial, n) for letters, slot in merged.items()
+               for monomial, n in slot.items() if n]
+    g = math.gcd(den, *(n for _, _, n in entries))
+    if g > 1:
+        den //= g
+        entries = [(letters, m, n // g) for letters, m, n in entries]
+    return den, entries
 
 
 class OperatorContext:
@@ -509,6 +525,8 @@ class OperatorContext:
         self.window = window
         self.states = triangle_states(window) if rank == 4 else chain_states(window)
         self._scalars = {g: fn(params) for g, fn in _SCALARS.items()}
+        # each scalar monomial's value, as (numerator, denominator)
+        self._monomials: dict[tuple, tuple[int, int]] = {}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
         # the words of the polynomials evaluated so far
@@ -533,7 +551,9 @@ class OperatorContext:
         A scalar letter acts as c*I with no leaks, so it is multiplied into
         its word's coefficient before any operator is composed.  That is
         exact, and since a word whose coefficient folds or cancels to zero
-        takes its leak set with it, the reliable states can only grow.
+        takes its leak set with it, the reliable states can only grow.  Each
+        scalar monomial's value is computed once per context, and a word's
+        coefficient is summed in integers and becomes one ``Fraction``.
 
         A word of two or more letters gets its own operator only when a
         second polynomial uses it.  Until then, the new words that begin
@@ -545,12 +565,26 @@ class OperatorContext:
         got = self._poly_ops.get(key)
         if got is not None:
             return got
-        terms: dict[tuple, Fraction] = {}
-        for letters, scalars, c in _contiguous_words(key):
-            for g in scalars:
-                c *= self._scalars[g]
-            terms[letters] = terms.get(letters, ZERO) + c
-        terms = {w: c for w, c in terms.items() if c}
+        den, entries = _contiguous_words(key)
+        values = self._monomials
+        # each operator word's coefficient is num / (d * den), in integers
+        sums: dict[tuple, list[int]] = {}
+        for letters, monomial, n in entries:
+            value = values.get(monomial)
+            if value is None:
+                q = ONE
+                for g in monomial:
+                    q *= self._scalars[g]
+                value = values[monomial] = q.numerator, q.denominator
+            vn, vd = value
+            acc = sums.setdefault(letters, [0, vd])
+            if acc[1] == vd:
+                acc[0] += n * vn
+            else:
+                acc[0] = acc[0] * vd + n * vn * acc[1]
+                acc[1] *= vd
+        terms = {w: Fraction(num, d * den)
+                 for w, (num, d) in sums.items() if num}
         parts, groups = [], {}
         for w, c in terms.items():
             if len(w) < 2 or w in self._word_ops or w in self._seen:

@@ -47,13 +47,14 @@ COEFFS = [Fraction(n) for n in (-3, -2, -1, 1, 2, 3)] + \
          [Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
 
 
-def poly_strategy(rank=4, alphabet=None, max_words=3, max_len=3):
+def poly_strategy(rank=4, alphabet=None, max_words=3, max_len=3,
+                  coeffs=COEFFS):
     import hypothesis.strategies as st
 
     gens = alphabet if alphabet is not None else core.alphabet(rank)
     words = st.lists(st.sampled_from(gens), min_size=0, max_size=max_len) \
         .map(tuple)
-    term = st.tuples(words, st.sampled_from(COEFFS))
+    term = st.tuples(words, st.sampled_from(coeffs))
     return st.lists(term, min_size=0, max_size=max_words).map(
         lambda terms: sum((NCPoly.from_word(rank, w, c) for w, c in terms),
                           NCPoly.zero(rank)))

@@ -4,8 +4,11 @@ linear-system oracle), relation builders, and the central elements."""
 import itertools
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
+from conftest import poly_strategy
 from racah import core
 from racah.core import (
     RelationId,
@@ -25,6 +28,7 @@ from racah.core import (
     relation,
 )
 from racah.freealg import AlgebraError, Gen, NCPoly, commutator
+from racah.verifier import substituted_defect
 
 
 def test_gen_C_set_symmetry():
@@ -333,3 +337,37 @@ def test_catalog_commutator_is_the_bracket():
 def test_catalog_commutator_rejects_subset_letters(pair):
     with pytest.raises(AlgebraError):
         catalog_commutator(4, *pair)
+
+
+# -- the integer rewrite into the contiguous basis ----------------------------
+
+def _assert_rewrite_is_the_substitution(p):
+    got = core.to_contiguous(p)
+    want = p.substitute(lambda g: core._contiguous_image(p.rank, g))
+    assert got == want, p
+    # the term order too: the representation composes words in this order
+    assert list(got.terms) == list(want.terms), p
+
+
+def test_to_contiguous_is_the_letter_substitution_on_the_catalog():
+    polys = [relation(rid) for rank in (3, 4) for family in core.FAMILIES
+             for rid in enumerate_relations(rank, family)]
+    polys += [casimir_rank1(3), casimir_rank1(4)]
+    polys += [casimir_frak(i) for i in range(5)]
+    # the rank-4 Jacobi defects a representation run samples
+    triples = list(itertools.combinations(core_generators(4), 3))
+    sample = triples[::len(triples) // 8]
+    assert len(sample) == 9
+    polys += [substituted_defect(4, *t) for t in sample]
+    for p in polys:
+        _assert_rewrite_is_the_substitution(p)
+
+
+_ODD_COEFFS = [Fraction(1, 3), Fraction(-5, 7), Fraction(7, 2),
+               Fraction(-1), Fraction(4)]
+
+
+@given(st.one_of(*(poly_strategy(rank=rank, max_words=4, coeffs=_ODD_COEFFS)
+                   for rank in (3, 4))))
+def test_to_contiguous_is_the_letter_substitution_on_any_polynomial(p):
+    _assert_rewrite_is_the_substitution(p)

@@ -10,6 +10,7 @@ from conftest import poly_strategy
 import racah
 from racah.core import gen_C, gen_P
 from racah.freealg import (
+    AlgebraError,
     Gen,
     NCPoly,
     RankMismatchError,
@@ -113,6 +114,22 @@ def test_scalar_arithmetic_exact():
     p = Fraction(1, 3) * X + Fraction(1, 6) * X
     assert p == Fraction(1, 2) * X
     assert (p * 2).coeff((Gen("C", (1, 2)),)) == 1
+
+
+# Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+
+def test_const_rejects_floats():
+    with pytest.raises(AlgebraError, match="float"):
+        NCPoly.const(4, 0.1)
+    assert NCPoly.const(4, 2) == NCPoly.const(4, Fraction(4, 2))
+
+
+def test_from_word_rejects_float_coefficients():
+    C12 = Gen("C", (1, 2))
+    with pytest.raises(AlgebraError, match="float"):
+        NCPoly.from_word(4, (C12,), 0.1)
+    assert NCPoly.from_word(4, (C12,), Fraction(1, 10)) == Fraction(1, 10) * X
+    assert NCPoly.from_word(4, (C12,), 3) == 3 * X
 
 
 def test_power():

@@ -246,6 +246,29 @@ def test_operator_arithmetic_exact():
     assert a.compose(b).entry((2, 2), (2, 2)) == Fraction(1, 9)
 
 
+# Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+
+def test_scalar_operator_rejects_floats():
+    states = triangle_states(2)
+    with pytest.raises(AlgebraError, match="float"):
+        SparseOperator.scalar(states, 0.1)
+    assert SparseOperator.scalar(states, 3).entry((1, 0), (1, 0)) == 3
+
+
+def test_linear_combination_rejects_float_coefficients():
+    states = triangle_states(2)
+    ident = SparseOperator.identity(states)
+    with pytest.raises(AlgebraError, match="float"):
+        SparseOperator.linear_combination(states, [(1, ident), (0.1, ident)])
+    with pytest.raises(AlgebraError, match="float"):
+        ident * 0.1
+    with pytest.raises(AlgebraError, match="float"):
+        0.1 * ident
+    tenth = SparseOperator.linear_combination(
+        states, [(Fraction(1, 10), ident), (2, ident)])
+    assert tenth.entry((2, 1), (2, 1)) == Fraction(21, 10)
+
+
 def test_linear_combination_rejects_mixed_windows():
     small = SparseOperator.identity(triangle_states(2))
     large = SparseOperator.identity(triangle_states(3))
@@ -434,6 +457,52 @@ def test_single_use_words_keep_no_operator():
     assert max(map(len, to_contiguous(defect).terms)) == 5
     assert ctx.eval(defect).is_zero_on_reliable()
     assert max(map(len, ctx._word_ops)) == 4
+
+
+# -- the merged integer rewrite ------------------------------------------------
+
+def test_scalar_orders_merge_into_one_entry():
+    C = lambda *s: gen_C(4, s)
+    p = C(1) * C(2) * C(1, 2) + C(2) * C(1, 2) * C(1)
+    assert rep._contiguous_words(p.key()) == (
+        1, [((Gen("C", (1, 2)),), (Gen("C", (1,)), Gen("C", (2,))), 2)])
+
+
+def _assert_merged_rewrite(p):
+    """The entries are the rewrite's words summed by operator letters and
+    sorted scalar letters, over a positive, gcd-normalised denominator."""
+    den, entries = rep._contiguous_words(p.key())
+    assert den > 0 and math.gcd(den, *(n for *_, n in entries)) == 1
+    want = {}
+    for word, c in to_contiguous(p).terms.items():
+        letters = tuple(g for g in word if g not in rep._SCALARS)
+        monomial = tuple(sorted((g for g in word if g in rep._SCALARS),
+                                key=Gen.sort_key))
+        want[letters, monomial] = want.get((letters, monomial), 0) + c
+    got = {(letters, m): Fraction(n, den) for letters, m, n in entries}
+    assert len(got) == len(entries) and 0 not in got.values()
+    assert got == {k: c for k, c in want.items() if c}, p
+
+
+def test_merged_rewrite_of_the_rank4_suites():
+    for p in _rank4_suite_polys():
+        _assert_merged_rewrite(p)
+
+
+@given(poly_strategy(max_words=4, max_len=4,
+                     coeffs=[Fraction(1, 3), Fraction(-5, 7), Fraction(3)]))
+def test_merged_rewrite_of_any_polynomial(p):
+    _assert_merged_rewrite(p)
+
+
+def test_scalar_orders_that_cancel_leave_no_word(ctx_generic):
+    C = lambda *s: gen_C(4, s)
+    p = C(1) * C(1, 2) * C(2) - C(2) * C(1) * C(1, 2)
+    assert rep._contiguous_words(p.key()) == (1, [])
+    op = ctx_generic.eval(p)
+    assert not op.cols and not op.leaky
+    assert _same_operator(op, _per_word(ctx_generic, to_contiguous(p).terms,
+                                        {}))
 
 
 # -- the position-keyed kernel against a plain Fraction reference --------------
