@@ -99,29 +99,32 @@ def d_poly(rank: int, i: int, j: int, k: int) -> NCPoly:
                             _perm_sign((i, j, k)))
 
 
+def points_subset(rank: int, points) -> tuple[int, ...]:
+    """A subset of {1..rank+1} read up to complement as a subset of
+    {1..rank}: ``points`` itself, or its complement when it holds rank+1."""
+    J = set(points)
+    return tuple(sorted(set(range(1, rank + 2)) - J if rank + 1 in J else J))
+
+
 # -- pentagon labels (rank 2 only) ---------------------------------------------
 
-OMEGA_SETS = {0: (2, 3), 1: (3, 4), 2: (1, 2, 3), 3: (2, 3, 4), 4: (1, 2)}
-SMALL_OMEGA_SETS = {0: (1, 2, 3, 4), 1: (1,), 2: (2,), 3: (3,), 4: (4,)}
-
-
 def pentagon_poly(rank: int, kind: str, k: int) -> NCPoly:
-    """The subset polynomial a pentagon label names: ``Om_k`` and ``om_k``
-    are the subset generators on ``OMEGA_SETS[k]`` and
-    ``SMALL_OMEGA_SETS[k]``, and ``Ga_k = ½[Om_{k+2}, Om_{k-2}]`` (vertices
-    mod 5).  The labels are names, not letters of the alphabet."""
+    """The subset polynomial a pentagon label names.  The labels sit on the
+    pentagon 1-2-3-4-5-1 (vertices mod 5, with 5 for 0): ``om_k`` is the
+    vertex k and ``Om_k`` the edge {k+2, k+3}, each read as a subset of
+    {1..4} up to complement, and ``Ga_k = ½[Om_{k+2}, Om_{k-2}]``.  The
+    labels are names, not letters of the alphabet."""
     if rank != 4:
         raise AlgebraError("pentagon labels need exactly 4 indices")
     if k not in range(5):
         raise AlgebraError(f"pentagon label {kind}{k} is not one of 0..4")
-    if kind == "Om":
-        return gen_C(rank, OMEGA_SETS[k])
-    if kind == "om":
-        return gen_C(rank, SMALL_OMEGA_SETS[k])
     if kind == "Ga":
-        return HALF * com(gen_C(rank, OMEGA_SETS[(k + 2) % 5]),
-                          gen_C(rank, OMEGA_SETS[(k - 2) % 5]))
-    raise AlgebraError(f"unknown pentagon kind {kind!r}")
+        return HALF * com(pentagon_poly(rank, "Om", (k + 2) % 5),
+                          pentagon_poly(rank, "Om", (k - 2) % 5))
+    if kind not in ("Om", "om"):
+        raise AlgebraError(f"unknown pentagon kind {kind!r}")
+    vertices = (k + 2, k + 3) if kind == "Om" else (k,)
+    return gen_C(rank, points_subset(rank, (v % 5 or 5 for v in vertices)))
 
 
 def _labels(rank: int) -> list[Callable[[int], NCPoly]]:

@@ -138,16 +138,22 @@ class NCPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_rank(self, other: "NCPoly"):
+    def _operand(self, other):
+        """A polynomial or number operand as a polynomial of this rank; a
+        number goes through ``rational``, so a float raises."""
+        if isinstance(other, (int, float, Fraction)):
+            return NCPoly(self.rank, {(): rational(other, "operand")})
+        if not isinstance(other, NCPoly):
+            return NotImplemented
         if self.rank != other.rank:
             raise RankMismatchError(
-                f"rank {self.rank} vs rank {other.rank} operands"
-            )
+                f"rank {self.rank} vs rank {other.rank} operands")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.const(self.rank, other)
-        self._require_same_rank(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, ZERO) + c
@@ -159,18 +165,19 @@ class NCPoly:
         return NCPoly(self.rank, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.const(self.rank, other)
-        return self + (-other)
+        other = self._operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+        if isinstance(other, (int, float, Fraction)):
+            q = rational(other, "operand")
             return NCPoly(self.rank, {w: c * q for w, c in self.terms.items()})
-        self._require_same_rank(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return other
         out: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -179,7 +186,7 @@ class NCPoly:
         return NCPoly(self.rank, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             return self.__mul__(other)
         return NotImplemented
 

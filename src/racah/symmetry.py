@@ -1,25 +1,25 @@
 """Symmetries as permutations of points, acting on polynomials by moving
-letters: expression transport, invariance checking, and the closure of the
-combined action on the 15 subset generators.
+letters: expression transport, invariance checking, and the groups the
+pentagon and the index relabelings generate.
 
-One type serves both groups.  A permutation of {1..n} relabels every letter
+One type serves every group.  A permutation of {1..n} relabels every letter
 at n indices.  At n-1 indices it moves the subset letters only, reading each
-``C_I`` as a subset of {1..n} taken up to its complement.  The pentagon
-group is the ten permutations of {1..5} that keep the cycle 1-2-3-4-5-1,
+``C_I`` as a subset of {1..n} taken up to its complement
+(``core.points_subset``).  The groups at 4 indices are sets of permutations
+of {1..5}: the pentagon group is the ten that keep the cycle 1-2-3-4-5-1,
 since its labels ``om_k`` and ``Om_k`` are the point k and the edge
-{k+2, k+3} (mod 5, with 5 for 0) read that way."""
+{k+2, k+3} (mod 5, with 5 for 0) read that way, and the relabelings of
+{1..4} are the 24 that fix 5.  One breadth-first search, ``orbit_of``,
+closes the groups and finds the orbits of letters and of letter triples."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import _perm_sign, alphabet, expand_to_C, rewrite_system, subsets
+from .core import (_perm_sign, alphabet, expand_to_C, points_subset,
+                   rewrite_system, subsets)
 from .freealg import AlgebraError, Gen, NCPoly
-
-_ALL_SUBSETS_4 = tuple(subsets(4))
-_POSITION = {I: k for k, I in enumerate(_ALL_SUBSETS_4)}
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,16 @@ class IndexPermutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise AlgebraError(f"not a permutation of 1..n: {self.images}")
+        if (not isinstance(self.images, tuple)
+                or sorted(self.images) != list(range(1, len(self.images) + 1))):
+            raise AlgebraError(
+                f"not a tuple permutation of 1..n: {self.images!r}")
 
     @staticmethod
     def transposition(n: int, a: int, b: int) -> "IndexPermutation":
         im = list(range(1, n + 1))
         im[a - 1], im[b - 1] = b, a
         return IndexPermutation(tuple(im))
-
-    @staticmethod
-    def all_elements(n: int):
-        return tuple(IndexPermutation(p)
-                     for p in itertools.permutations(range(1, n + 1)))
 
     def apply(self, i: int) -> int:
         return self.images[i - 1]
@@ -58,13 +55,9 @@ class IndexPermutation:
         when σ(I) contains n.  Cached and shared, so never modified."""
         n = len(self.images)
         if rank == n - 1:
-            points = frozenset(self.images)
-            images = {}
-            for I in subsets(rank):
-                J = frozenset(map(self.apply, I))
-                images[Gen("C", I)] = Gen("C", tuple(sorted(
-                    points - J if n in J else J)))
-            return images, frozenset()
+            return {Gen("C", I):
+                    Gen("C", points_subset(rank, map(self.apply, I)))
+                    for I in subsets(rank)}, frozenset()
         if rank != n:
             raise AlgebraError(f"{self} acts at {n} or {n - 1} indices,"
                                f" not {rank}")
@@ -105,59 +98,63 @@ def act(g: IndexPermutation, p: NCPoly) -> NCPoly:
                            " expand it with expand_to_C first") from None
 
 
-# -- closure of the combined action ------------------------------------------------
+# -- one orbit search for groups, letters and triples --------------------------
 
-def _perm15(g: IndexPermutation) -> tuple[int, ...]:
-    """``g`` as a permutation of the positions of the 15 subset generators."""
-    images = g.letter_map(4)[0]
-    return tuple(_POSITION[images[Gen("C", I)].indices] for I in _ALL_SUBSETS_4)
-
-
-def _mulclose(gens: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    els = set(gens)
-    boundary = list(els)
-    while boundary:
-        new = []
-        for a in gens:
-            for b in boundary:
-                c = tuple(a[i] for i in b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        boundary = new
-    return els
+def orbit_of(start, moves) -> list:
+    """Everything the ``moves`` (functions of one argument) reach from
+    ``start``: a breadth-first search, listing ``start`` and then each new
+    image in the order the search meets it."""
+    orbit, seen = [start], {start}
+    for x in orbit:
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
-# each group's generators at 4 indices: one rotation and one reflection for
-# d5, the three adjacent index swaps for p4, all five for both
+# each group's generators as permutations of {1..5}: one rotation and one
+# reflection for d5, the three adjacent swaps of {1..4} for p4, all five
+# for both
 _GENERATORS = {
     "d5": (PENTAGON[1], PENTAGON[5]),
-    "p4": tuple(IndexPermutation.transposition(4, a, a + 1) for a in (1, 2, 3)),
+    "p4": tuple(IndexPermutation.transposition(5, a, a + 1) for a in (1, 2, 3)),
 }
 _GENERATORS["both"] = _GENERATORS["d5"] + _GENERATORS["p4"]
 
 
-def _closure(group: str) -> set[tuple[int, ...]]:
-    """The named group as permutations of the 15 subset generators."""
+def _generators(group: str) -> tuple[IndexPermutation, ...]:
     if group not in _GENERATORS:
         raise AlgebraError(f"unknown group {group!r}; use d5, p4 or both")
-    return _mulclose({_perm15(g) for g in _GENERATORS[group]})
+    return _GENERATORS[group]
+
+
+@lru_cache(maxsize=None)
+def group_elements(group: str) -> tuple[IndexPermutation, ...]:
+    """The group d5, p4 or both generate, as permutations of {1..5}: the
+    orbit of the identity under h -> g∘h for each generator g, so the
+    identity comes first."""
+    return tuple(orbit_of(
+        IndexPermutation((1, 2, 3, 4, 5)),
+        [lambda h, g=g: IndexPermutation(tuple(map(g.apply, h.images)))
+         for g in _generators(group)]))
 
 
 def closure_order(group: str) -> int:
-    """Order of the group that d5, p4 or both together generate on the 15
-    subset generators."""
-    return len(_closure(group))
+    """Order of the group that d5, p4 or both together generate; every
+    permutation of {1..5} moves the 15 subset generators differently."""
+    return len(group_elements(group))
 
 
 def orbit(symbol: Gen, group: str) -> list[str]:
     """Orbit of a subset generator at 4 indices under d5, p4, or both."""
-    if symbol.kind != "C" or symbol.indices not in _POSITION:
+    tables = [g.letter_map(4)[0] for g in _generators(group)]
+    if symbol not in tables[0]:
         raise AlgebraError(f"{symbol} is not a subset generator at 4 indices;"
                            " orbits act on C letters")
-    k = _POSITION[symbol.indices]
-    images = {perm[k] for perm in _closure(group)}
-    return sorted(str(Gen("C", _ALL_SUBSETS_4[j])) for j in images)
+    moves = [images.__getitem__ for images in tables]
+    return sorted(map(str, orbit_of(symbol, moves)))
 
 
 # -- invariance of relation suites ---------------------------------------------------
@@ -170,16 +167,10 @@ class InvarianceRecord:
     ok: bool
 
 
-_GROUP_ELEMENTS = {"d5": PENTAGON,
-                   "p4": IndexPermutation.all_elements(4)}
-
-
 def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
-    """Check that every image under ``group`` ("d5" or "p4") of every
-    suite relation is (plus or minus) another suite relation, or at least
-    reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
-    if group not in _GROUP_ELEMENTS:
-        raise AlgebraError(f"unknown group {group!r}; use d5 or p4")
+    """Check that every image under ``group`` ("d5", "p4" or "both") of
+    every suite relation is (plus or minus) another suite relation, or at
+    least reduces to zero.  ``suite`` is a list of (label, NCPoly) pairs."""
     sources = [(label, expand_to_C(poly)) for label, poly in suite]
     table: dict[tuple, str] = {}
     for label, poly in sources:
@@ -188,7 +179,7 @@ def verify_relation_invariance(group: str, suite) -> list[InvarianceRecord]:
 
     rs = rewrite_system(4)
     records = []
-    for element in _GROUP_ELEMENTS[group]:
+    for element in group_elements(group):
         name = str(element)
         for label, source in sources:
             img = act(element, source)

@@ -378,20 +378,15 @@ def _triple_orbits(rank: int, triples):
     signs."""
     tables = [symmetry.IndexPermutation.transposition(rank, a, a + 1)
               .letter_map(rank)[0] for a in range(1, rank)]
+    moves = [lambda t, images=images: frozenset(map(images.__getitem__, t))
+             for images in tables]
     seen = set()
     for triple in triples:
         start = frozenset(triple)
-        if start in seen:
-            continue
-        seen.add(start)
-        orbit = [start]
-        for t in orbit:
-            for images in tables:
-                image = frozenset(map(images.__getitem__, t))
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
-        yield triple, len(orbit)
+        if start not in seen:
+            orbit = symmetry.orbit_of(start, moves)
+            seen.update(orbit)
+            yield triple, len(orbit)
 
 
 def run_jacobi(run: _Runner):

@@ -132,6 +132,34 @@ def test_from_word_rejects_float_coefficients():
     assert NCPoly.from_word(4, (C12,), 3) == 3 * X
 
 
+# a number operand goes through the same exact conversion as a coefficient
+_OPERATORS = {
+    "add": lambda p, x: p + x,
+    "sub": lambda p, x: p - x,
+    "mul": lambda p, x: p * x,
+    "radd": lambda p, x: x + p,
+    "rsub": lambda p, x: x - p,
+    "rmul": lambda p, x: x * p,
+}
+
+
+@pytest.mark.parametrize("op", _OPERATORS.values(), ids=_OPERATORS)
+def test_operators_reject_float_operands(op):
+    with pytest.raises(AlgebraError, match="float"):
+        op(X, 0.1)
+    # ints and Fractions stay exact
+    assert op(X, Fraction(1, 10)) == op(X, NCPoly.const(4, Fraction(1, 10)))
+    assert op(X, 3) == op(X, NCPoly.const(4, 3))
+
+
+@pytest.mark.parametrize("op", _OPERATORS.values(), ids=_OPERATORS)
+def test_operators_refuse_other_operands(op):
+    # NotImplemented, so Python raises its own TypeError
+    for other in ("C12", None, object()):
+        with pytest.raises(TypeError):
+            op(X, other)
+
+
 def test_power():
     assert X ** 0 == ONE
     assert X ** 3 == X * X * X

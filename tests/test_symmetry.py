@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 
 from conftest import poly_strategy
 from racah import core, symmetry as sym
-from racah.core import (FAMILIES, OMEGA_SETS, SMALL_OMEGA_SETS, casimir_frak,
-                        d_poly, enumerate_relations, expand_to_C, gen_C,
-                        pentagon_poly, relation)
+from racah.core import (FAMILIES, casimir_frak, d_poly, enumerate_relations,
+                        expand_to_C, gen_C, pentagon_poly, relation)
 from racah.freealg import AlgebraError, Gen, NCPoly, commutator
 from racah.verifier import _SUITE_FAMILIES
 
@@ -34,6 +34,17 @@ def vertex(g, k):
 
 
 ROTATIONS, REFLECTIONS = sym.PENTAGON[:5], sym.PENTAGON[5:]
+
+# the subsets the labels Om_k and om_k name, as a table written out before
+# the labels were read off the pentagon's edges and vertices
+OMEGA_SETS = {0: (2, 3), 1: (3, 4), 2: (1, 2, 3), 3: (2, 3, 4), 4: (1, 2)}
+SMALL_OMEGA_SETS = {0: (1, 2, 3, 4), 1: (1,), 2: (2,), 3: (3,), 4: (4,)}
+
+
+def test_pentagon_labels_match_the_written_table():
+    for k in range(5):
+        assert pent("Om", k) == gen_C(4, OMEGA_SETS[k])
+        assert pent("om", k) == gen_C(4, SMALL_OMEGA_SETS[k])
 
 
 def test_pentagon_elements():
@@ -176,7 +187,8 @@ def test_transpositions_map_rule_sources_into_the_ideal(rank):
 def test_relabeling_letters_agree_with_their_subset_words(rs4):
     # the old route moved P and D through their expansion into C letters;
     # moving the letter itself must land on the same normal form
-    for g in sym.IndexPermutation.all_elements(4):
+    for images in itertools.permutations(range(1, 5)):
+        g = sym.IndexPermutation(images)
         for x in core.core_generators(4):
             p = NCPoly.from_word(4, (x,))
             assert rs4.reduce(sym.act(g, p)) == \
@@ -234,7 +246,7 @@ def test_letter_tables_bijective():
     # relabeling of {1..4} does
     subset_letters = [Gen("C", I) for I in core.subsets(4)]
     tables = set()
-    for g in sym.IndexPermutation.all_elements(5):
+    for g in map(sym.IndexPermutation, itertools.permutations(range(1, 6))):
         images, flips = g.letter_map(4)
         assert not flips
         assert sorted(images, key=str) == sorted(subset_letters, key=str)
@@ -283,6 +295,31 @@ def test_group_orders():
     assert sym.closure_order("both") == 120
     with pytest.raises(AlgebraError, match="unknown group"):
         sym.closure_order("D5")
+
+
+def test_group_elements():
+    # every group is a set of permutations of {1..5}, identity first
+    everything = set(map(sym.IndexPermutation,
+                         itertools.permutations(range(1, 6))))
+    groups = {name: sym.group_elements(name) for name in ("d5", "p4", "both")}
+    for elements in groups.values():
+        assert str(elements[0]) == "12345"
+        assert len(set(elements)) == len(elements)
+    assert set(groups["d5"]) == set(sym.PENTAGON)
+    assert set(groups["p4"]) == {g for g in everything if g.apply(5) == 5}
+    assert len(groups["p4"]) == 24
+    assert set(groups["both"]) == everything
+    with pytest.raises(AlgebraError, match="unknown group"):
+        sym.group_elements("S5")
+
+
+def test_images_must_be_a_tuple():
+    # a list would pass the permutation check and then fail to hash in
+    # the cached letter_map
+    with pytest.raises(AlgebraError, match="tuple"):
+        sym.IndexPermutation([2, 1, 3])
+    with pytest.raises(AlgebraError, match="permutation of 1..n"):
+        sym.IndexPermutation((2, 2, 3))
 
 
 def test_symmetry_tables_script(capsys):
