@@ -199,8 +199,9 @@ class NCPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NCPoly.const(self.rank, other)
+        # a number compares as a constant; a float raises, as in + - *
+        if isinstance(other, (int, float, Fraction)):
+            other = self._operand(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms

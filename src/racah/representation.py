@@ -507,7 +507,8 @@ def _contiguous_words(key: tuple) -> tuple[int, list]:
 
 class OperatorContext:
     """Caches word operators, a letter being a one-letter word, and
-    evaluates polynomials over them.
+    evaluates polynomials over them; ``plan`` tells it which polynomials
+    will follow, so it keeps each word operator only while one needs it.
 
     ``rank`` only picks the state space: 4 the full triangular window, 3
     the s=0 chain (the rank-1 slice).  A polynomial is rewritten at its
@@ -529,8 +530,48 @@ class OperatorContext:
         self._monomials: dict[tuple, tuple[int, int]] = {}
         self._word_ops: dict[tuple, SparseOperator] = {}
         self._poly_ops: dict[tuple, SparseOperator] = {}
-        # the words of the polynomials evaluated so far
-        self._seen: set[tuple] = set()
+        # the plan: per planned polynomial not yet evaluated (by key), its
+        # multi-letter words and their multi-letter suffixes, all the word
+        # operators its eval may build; per word, how many of those
+        # polynomials hold it, and how many hold it as a word or a suffix
+        self._planned: dict[tuple, tuple[tuple, tuple]] = {}
+        self._holders: dict[tuple, int] = {}
+        self._needers: dict[tuple, int] = {}
+
+    def plan(self, polys) -> None:
+        """Announces the polynomials this context will evaluate, before the
+        first ``eval``, so ``eval`` keeps a word's operator exactly as long
+        as a later one needs it; a polynomial planned twice counts once.
+
+        The plan is only a hint: a polynomial evaluated without a plan is
+        evaluated exactly too, and an operator dropped after its planned
+        last use is built again when asked for.
+        """
+        for p in polys:
+            key = p.key()
+            if key in self._planned:
+                continue
+            words = {letters for letters, _, _ in _contiguous_words(key)[1]
+                     if len(letters) > 1}
+            tails = {w[i:] for w in words for i in range(len(w) - 1)}
+            self._planned[key] = tuple(words), tuple(tails)
+            for counts, ws in ((self._holders, words), (self._needers, tails)):
+                for w in ws:
+                    counts[w] = counts.get(w, 0) + 1
+
+    @staticmethod
+    def _release(counts: dict, words) -> list:
+        """Takes one planned use of each of ``words`` off ``counts``; returns
+        the words no planned polynomial is left to use."""
+        done = []
+        for w in words:
+            n = counts[w] - 1
+            if n:
+                counts[w] = n
+            else:
+                del counts[w]
+                done.append(w)
+        return done
 
     def _word_op(self, word) -> SparseOperator:
         got = self._word_ops.get(word)
@@ -556,16 +597,22 @@ class OperatorContext:
         coefficient is summed in integers and becomes one ``Fraction``.
 
         A word of two or more letters gets its own operator only when a
-        second polynomial uses it.  Until then, the new words that begin
-        with a letter are summed over their suffixes and composed with it
-        once, and each word keeps the leak set ``compose`` would give it,
-        so the result equals the per-word sum exactly.
+        later planned polynomial holds it too (see ``plan``).  The other
+        words that begin with a letter are summed over their suffixes and
+        composed with it once, and each word keeps the leak set
+        ``compose`` would give it, so the result equals the per-word sum
+        exactly.  After the sum of a planned polynomial, every word operator
+        that no later planned polynomial holds, as a word or as a suffix,
+        is dropped; letters stay.
         """
         key = p.key()
         got = self._poly_ops.get(key)
         if got is not None:
             return got
         den, entries = _contiguous_words(key)
+        planned = self._planned.pop(key, None)
+        if planned is not None:
+            self._release(self._holders, planned[0])
         values = self._monomials
         # each operator word's coefficient is num / (d * den), in integers
         sums: dict[tuple, list[int]] = {}
@@ -587,7 +634,7 @@ class OperatorContext:
                  for w, (num, d) in sums.items() if num}
         parts, groups = [], {}
         for w, c in terms.items():
-            if len(w) < 2 or w in self._word_ops or w in self._seen:
+            if len(w) < 2 or w in self._word_ops or w in self._holders:
                 parts.append((c, self._word_op(w)))
             else:
                 groups.setdefault(w[0], []).append((c, self._word_op(w[1:])))
@@ -604,9 +651,11 @@ class OperatorContext:
                                             frozenset(leak))))
             parts.append((1, left.compose(
                 SparseOperator.linear_combination(self.states, group))))
-        self._seen.update(terms)
         out = SparseOperator.linear_combination(self.states, parts)
         self._poly_ops[key] = out
+        if planned is not None:
+            for w in self._release(self._needers, planned[1]):
+                self._word_ops.pop(w, None)
         return out
 
 

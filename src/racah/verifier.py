@@ -169,10 +169,12 @@ class _Runner:
             self._jobs.setdefault(context, []).append((head, value, check))
 
     def _evaluate(self, context: tuple, jobs: list):
-        """Builds ``context`` and adds its queued verdicts, in queue order;
-        the context and its operators are freed when this returns."""
+        """Builds ``context``, plans it with the queued polynomials and adds
+        its queued verdicts, in queue order; the context and its operators
+        are freed when this returns."""
         name, params, window, rank = context
         ctx = OperatorContext(params, window, rank)
+        ctx.plan(value for _, value, _ in jobs if not callable(value))
         for head, value, check in jobs:
             op = value(ctx) if callable(value) else ctx.eval(value)
             self.report.add(*head, "representation-eval", name,

@@ -152,6 +152,18 @@ def test_operators_reject_float_operands(op):
     assert op(X, 3) == op(X, NCPoly.const(4, 3))
 
 
+def test_equality_rejects_float_operands():
+    # a float used to compare unequal to every polynomial, its value too
+    for p, x in ((NCPoly.const(4, 1), 1.0), (NCPoly.zero(4), 0.0), (X, 0.1)):
+        with pytest.raises(AlgebraError, match="float"):
+            p == x
+        with pytest.raises(AlgebraError, match="float"):
+            x == p
+    # ints and Fractions compare by value
+    assert NCPoly.const(4, 1) == 1 and 0 == NCPoly.zero(4)
+    assert NCPoly.const(4, Fraction(1, 2)) == Fraction(1, 2) != X
+
+
 @pytest.mark.parametrize("op", _OPERATORS.values(), ids=_OPERATORS)
 def test_operators_refuse_other_operands(op):
     # NotImplemented, so Python raises its own TypeError

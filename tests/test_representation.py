@@ -351,7 +351,7 @@ def test_zero_coefficient_adds_no_leak():
     assert len(zero.reliable_states()) == len(states)
 
 
-# -- a word's operator is built only when a second polynomial uses it ---------
+# -- a word's operator is kept only while a later planned polynomial uses it --
 
 def _per_word(ctx, words, memo):
     """Reference evaluation of the contiguous ``words`` of a polynomial:
@@ -401,14 +401,18 @@ def _rank4_suite_polys():
 
 
 def test_eval_equals_the_per_word_sum():
-    # as in a run, each polynomial goes through every context in turn,
+    # as in a run, each context is planned with the polynomials it will
+    # evaluate, and each polynomial goes through every context in turn,
     # so it is rewritten once and not once per context
+    polys = _rank4_suite_polys()
     sets = [("generic", P_GEN, w) for w in (0, 1, 3, 6, 12)]
     sets += [("randomized", rep.randomized_params(w), w) for w in (0, 1, 3, 6)]
     sets.append(("integer", P_INT, 4))
     contexts = [(f"{name}-w{w}", OperatorContext(params, w), {})
                 for name, params, w in sets]
-    for p in _rank4_suite_polys():
+    for _, ctx, _ in contexts:
+        ctx.plan(polys)
+    for p in polys:
         words = to_contiguous(p).terms
         for name, ctx, memo in contexts:
             assert _same_operator(ctx.eval(p),
@@ -419,7 +423,7 @@ def test_eval_equals_the_per_word_sum():
                 max_size=3))
 @settings(max_examples=25)
 def test_eval_equals_the_per_word_sum_on_any_polynomials(polys):
-    # shared words are first seen in one polynomial and built in the next
+    # no plan: every word is folded into its first letter's group
     ctx, memo = OperatorContext(P_GEN, 6), {}
     for p in [*polys, sum(polys, NCPoly.zero(4))]:
         assert _same_operator(
@@ -438,15 +442,45 @@ def test_grouped_words_keep_their_own_leaks():
     assert _same_operator(op, _per_word(ctx, to_contiguous(p).terms, {}))
 
 
-def test_word_operator_cached_on_second_use():
+_WORD = tuple(Gen("C", s) for s in ((1, 2), (2, 3), (3, 4)))
+
+
+def test_word_operator_kept_until_its_last_planned_use():
+    p = NCPoly.from_word(4, _WORD)
+    q = p + gen_C(4, (1, 2, 3))
+    letters = {(g,) for g in _WORD}
+    # the same polynomial planned twice is one use: the word is folded
     ctx = OperatorContext(P_GEN, 6)
-    word = tuple(Gen("C", s) for s in ((1, 2), (2, 3), (3, 4)))
-    p = NCPoly.from_word(4, word)
+    ctx.plan([p, p])
     ctx.eval(p)
-    ctx.eval(p)                              # the same polynomial again
-    assert word not in ctx._word_ops and word[1:] in ctx._word_ops
-    ctx.eval(p + gen_C(4, (1, 2, 3)))
-    assert word in ctx._word_ops
+    assert set(ctx._word_ops) == letters
+    # a later planned polynomial holds the word: it is built at its first
+    # use, kept through a memo hit and dropped after its last use
+    ctx = OperatorContext(P_GEN, 6)
+    ctx.plan([p, p, q])
+    ctx.eval(p)
+    assert _WORD in ctx._word_ops
+    ctx.eval(p)
+    assert _WORD in ctx._word_ops
+    ctx.eval(q)
+    assert _WORD not in ctx._word_ops and _WORD[1:] not in ctx._word_ops
+    assert letters <= set(ctx._word_ops)
+
+
+def test_plan_is_only_a_hint():
+    p = NCPoly.from_word(4, _WORD)
+    q = p + gen_C(4, (1, 2, 3))
+    ctx = OperatorContext(P_GEN, 6)
+    ctx.plan([p, q])
+    ctx.eval(p)
+    ctx.eval(q)
+    assert _WORD not in ctx._word_ops
+    # unplanned, and it holds the word past the word's last planned use
+    r = gen_C(4, (2, 3)) * p - 2 * p + gen_C(4, (1, 2, 3, 4)) * p
+    assert _same_operator(ctx.eval(r),
+                          _per_word(ctx, to_contiguous(r).terms, {}))
+    # built again, as the suffix of the folded word C23*C12*C23*C34
+    assert _WORD in ctx._word_ops
 
 
 def test_single_use_words_keep_no_operator():
