@@ -24,6 +24,7 @@ from .freealg import (
     NCPoly,
     RewriteRule,
     RewriteSystem,
+    Word,
     anticommutator as acom,
     commutator as com,
 )
@@ -314,9 +315,9 @@ def alphabet(rank: int) -> list[Gen]:
     return core_generators(rank) + [Gen("C", s) for s in subsets(rank)]
 
 
-def build_rewrite_system(rank: int) -> RewriteSystem:
-    """A fresh normal-ordering system for the given rank, saturated in
-    place; its memo keeps the normal forms the saturation computed."""
+def base_rewrite_system(rank: int) -> RewriteSystem:
+    """A fresh normal-ordering system for the given rank before saturation:
+    the expansions, the catalog swaps and the singleton eliminations."""
     RankConfig(rank)
     core = sorted(core_generators(rank), key=Gen.sort_key)
     rules: list[RewriteRule] = []
@@ -340,9 +341,38 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
                 rules.append(RewriteRule(
                     (g, d), singleton_elimination(rank, l, d),
                     "eliminate", "singleton count"))
-    rs = RewriteSystem(rank, alphabet(rank), rules)
-    rs.saturate(*saturation_seeds(rank))
+    return RewriteSystem(rank, alphabet(rank), rules)
+
+
+def build_rewrite_system(rank: int) -> RewriteSystem:
+    """A fresh normal-ordering system for the given rank, saturated in
+    place by replaying the rank's recorded schedule: each derived rule's
+    seed product, the one product of ``saturation_seeds`` whose residual
+    yields it.  The memo keeps the normal forms the replay computed.
+
+    Soundness is checked on every compile: each derived rule is computed
+    from its seed product's reduction, and an entry that yields no rule or
+    another one raises ``ScheduleError``.  That the replayed system is a
+    fixpoint, that a search over it adopts no further rule, is checked by
+    the tests (ranks 3-6, and 7-9 in CI), not here.
+    """
+    rs = base_rewrite_system(rank)
+    rs.saturate(*saturation_seeds(rank), schedule=saturation_schedule(rank))
     return rs
+
+
+def saturation_schedule(rank: int) -> list[list[tuple[int, Word]]]:
+    """The recorded saturation schedule of this rank, as
+    ``RewriteSystem.saturate`` takes it: per round, each seed product's
+    index and the left-hand side it yields.  The table is the generated
+    module ``racah.saturation_schedules`` (``scripts/rule_digest.py
+    --search --write`` rewrites it), imported at the first compile only."""
+    from .saturation_schedules import SCHEDULES
+
+    letter = {str(g): g for g in core_generators(rank)}
+    return [[(int(i), tuple(letter[s] for s in lhs.split("*")))
+             for i, lhs in (entry.split(":") for entry in block.split())]
+            for block in SCHEDULES[rank].split("\n\n") if block.strip()]
 
 
 def saturation_seeds(rank: int) -> tuple[list[NCPoly], list[Gen]]:

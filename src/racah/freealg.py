@@ -30,6 +30,11 @@ class UnknownGeneratorError(AlgebraError):
     """A word contains a symbol the rewrite system has no ordering entry for."""
 
 
+class ScheduleError(AlgebraError):
+    """A recorded saturation schedule names a product that yields no rule,
+    or another rule than the one recorded."""
+
+
 def rational(value, what: str = "coefficient") -> Fraction:
     """``value`` as an exact ``Fraction``; a float is refused, since
     Fraction(0.1) is the nearest binary fraction, not 1/10."""
@@ -499,23 +504,41 @@ class RewriteSystem:
 
     # -- saturation ---------------------------------------------------------
 
-    def saturate(self, members: Iterable[NCPoly],
-                 letters: Iterable[Gen]) -> None:
+    def saturate(self, members: Iterable[NCPoly], letters: Iterable[Gen],
+                 schedule: Iterable[Iterable[tuple[int, Word]]] | None = None
+                 ) -> list[list[tuple[int, Word]]]:
         """Adopt in place the two-letter rules implied by the products
         ``u*m`` and ``m*u`` of each relation-ideal member ``m`` with each
         letter ``u``; the rules are appended to ``rules`` in word order.
+        Returns the schedule: per round, the ``(index, lhs)`` of each
+        product that adopted a rule, in product order, where ``index``
+        counts the products member by member, letter by letter, ``u*m``
+        before ``m*u``.  So the schedule names each derived rule's seed
+        product.
 
         Each product is an ideal member, so its reduced residual is one too;
         a nonzero residual whose largest word has two letters and is no rule
         yet becomes a rule oriented at that word (every other residual word
         sits strictly below it in the measure, a total order).  Each round
-        adopts its rules together, and the next round re-reduces only the
-        products with a word whose memoized normal form the new rules
-        dropped: an unchanged residual cannot yield a rule, since its
-        largest word is already a rule or has a length other than two.
-        Repeats until a round yields no rule; there are finitely many
-        two-letter words, so this stops.  No confluence claim is made for
-        the result; it is merely a larger sound system.
+        adopts its rules together.
+
+        Without ``schedule`` this searches: the first round reduces every
+        product, and each later round re-reduces only the products with a
+        word whose memoized normal form the new rules dropped (an unchanged
+        residual cannot yield a rule, since its largest word is already a
+        rule or has a length other than two), until a round yields no rule;
+        there are finitely many two-letter words, so this stops.
+
+        With a ``schedule`` that an earlier search returned, round k
+        reduces only the products that round lists, with the rules adopted
+        before it, and the system ends with the rules and the schedule the
+        search found.  Every rule is still computed from its own product's
+        reduction under the per-step measure assertion, so the schedule
+        cannot make the system unsound: an entry whose product yields no
+        rule or another left-hand side raises ``ScheduleError``.  That the
+        replayed system is a fixpoint is not checked here: it is when a
+        search over it returns ``[]``.  No confluence claim is made for the
+        result; it is merely a larger sound system.
         """
         letters = [self.generator_order(u) for u in letters]
         products = []
@@ -523,36 +546,68 @@ class RewriteSystem:
             for u in letters:
                 products.append((den, {(u,) + w: c for w, c in terms.items()}))
                 products.append((den, {w + (u,): c for w, c in terms.items()}))
+        gens = self._id2gen
+
+        def text(w):
+            return "no rule" if w is None else format_word(
+                tuple(gens[k] for k in w))
+
+        rounds = None if schedule is None else iter(
+            [(i, tuple(map(self.generator_order, lhs))) for i, lhs in entries]
+            for entries in schedule)
+        todo = ([(i, None) for i in range(len(products))] if rounds is None
+                else next(rounds, []))
+        found: list[list[tuple[int, Word]]] = []
         adopted: dict[tuple, tuple] = {}
-        todo = products
-        while True:
+        while todo:
             new: dict[tuple, tuple] = {}
-            for product in todo:
-                _, resid = self._reduce(product)
-                if not resid:
-                    continue
-                lhs = max(resid, key=self._measure)
-                if (len(lhs) != 2 or lhs in new or lhs in self._adjacent
-                        or lhs in self._elim):
-                    continue
-                # lhs - resid / (coefficient of lhs): the residual's own
-                # denominator cancels, the lhs coefficient becomes the new one
-                t = resid[lhs]
-                sign = -1 if t > 0 else 1
-                rest = {w: sign * c for w, c in resid.items() if w != lhs}
-                g = gcd(t, *rest.values())
-                new[lhs] = abs(t) // g, {w: c // g for w, c in rest.items()}
+            seeds = []
+            for i, want in todo:
+                lhs, body = self._residual_rule(products[i], new)
+                if want is not None and lhs != want:
+                    raise ScheduleError(
+                        f"rank {self.rank} saturation round {len(found) + 1}:"
+                        f" product {i} ({'m*u' if i % 2 else 'u*m'} with u ="
+                        f" {gens[letters[i // 2 % len(letters)]]}, m = seed"
+                        f" member {i // (2 * len(letters))}) yields"
+                        f" {text(lhs)}, not the scheduled {text(want)}")
+                if lhs is not None:
+                    new[lhs] = body
+                    seeds.append((i, tuple(gens[k] for k in lhs)))
             if not new:
                 break
+            found.append(seeds)
             adopted.update(new)
             dropped = self._adopt(new)
-            todo = [p for p in products if not dropped.isdisjoint(p[1])]
+            todo = ([(i, None) for i, (_, terms) in enumerate(products)
+                     if not dropped.isdisjoint(terms)] if rounds is None
+                    else next(rounds, []))
         # letter ids follow the sort key, so id order is the word order
-        gens = self._id2gen
         self.rules += tuple(
             RewriteRule(tuple(gens[i] for i in lhs), self._extern(adopted[lhs]),
                         "swap", "word order at equal degree")
             for lhs in sorted(adopted))
+        return found
+
+    def _residual_rule(self, product: tuple, new: dict) -> tuple:
+        """The ``(lhs, body)`` rule that ``product``'s reduced residual
+        yields, or ``(None, None)``: when the residual is zero, its largest
+        word has no two letters, or that word has a rule already, here or
+        in ``new``."""
+        _, resid = self._reduce(product)
+        if not resid:
+            return None, None
+        lhs = max(resid, key=self._measure)
+        if (len(lhs) != 2 or lhs in new or lhs in self._adjacent
+                or lhs in self._elim):
+            return None, None
+        # lhs - resid / (coefficient of lhs): the residual's own
+        # denominator cancels, the lhs coefficient becomes the new one
+        t = resid[lhs]
+        sign = -1 if t > 0 else 1
+        rest = {w: sign * c for w, c in resid.items() if w != lhs}
+        g = gcd(t, *rest.values())
+        return lhs, (abs(t) // g, {w: c // g for w, c in rest.items()})
 
     def _adopt(self, new: dict[tuple, tuple]) -> set[tuple]:
         """Enter the two-letter rules ``new`` (id word -> body) into the rule

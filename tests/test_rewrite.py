@@ -12,7 +12,7 @@ from conftest import poly_strategy
 from racah import core
 from racah.core import build_rewrite_system, d_poly, gen_C, relation, RelationId
 from racah.freealg import (NCPoly, RankMismatchError, RewriteSystem,
-                           UnknownGeneratorError, Gen)
+                           ScheduleError, UnknownGeneratorError, Gen)
 
 _spec = importlib.util.spec_from_file_location(
     "rule_digest", Path(__file__).parents[1] / "scripts" / "rule_digest.py")
@@ -22,12 +22,24 @@ rule_digest = _rule_digest_script.rule_digest
 
 # scripts/rule_digest.py digests of the compiled rule lists, recorded when
 # every saturation round still reduced all candidates on a fresh system
+# (ranks 3-6) and when the compile began to replay the recorded schedule
+# (ranks 7-9, equal to the search's digests then)
 GOLDEN_RULE_DIGESTS = {
     3: "3d0e4967f79cec083729c01a97098377d118b7155565694351c65fdebbd3541c",
     4: "0cf30111edc50ae90c4ee8f7b484c40ff8e030d58e820c2e4231673aa635f5c8",
     5: "eabb103c4dcb6f7e1033269954e90dd67870d8f6f0d7ad0cb3f2234170ead8b6",
     6: "890d055fc1f4a86ba908988d44917c29aa1a4497bb527c846b70bc0d501ff165",
+    7: "1d33bf6c98cfb224d46be720eea7b36b03823fabf6cd129860472ac390254861",
+    8: "66f69f07b588924795810cb1f693727f9d10e6e975c200d0bad524b956482997",
+    9: "404f8f3c2b6f372af3a1fbc4561f41539cafde3931a2ec04a0067ceceb2555be",
 }
+
+
+def searched_system(rank: int) -> tuple[RewriteSystem, list]:
+    """The unsaturated system saturated by the schedule-free search, and
+    the schedule that search found."""
+    rs = core.base_rewrite_system(rank)
+    return rs, rs.saturate(*core.saturation_seeds(rank))
 
 
 def test_reduce_zero(rs3):
@@ -92,7 +104,7 @@ def test_step_bound_and_counter():
 def test_every_step_decreases_measure():
     # the engine asserts the drop at every application; a violation would
     # raise, so surviving a nontrivial reduction is the real check
-    rs = build_rewrite_system(4)
+    rs, _ = searched_system(4)
     assert rs.steps == 754
     poly = core.casimir_frak(0) * gen_C(4, (1, 4))
     _, steps = rs.reduce_with_stats(poly)
@@ -133,16 +145,59 @@ def test_degree_grading():
     assert Gen("C", (1, 2, 3, 4)).degree == 1
 
 
-# saturation steps of a fresh build: the same rules found by a different
-# redex order, or by reducing more or fewer candidates, change the count
+# saturation steps of the search on an unsaturated system: the same rules
+# found by a different redex order, or by reducing more or fewer candidates,
+# change the count
 GOLDEN_SATURATION_STEPS = {3: 0, 4: 754, 5: 6937, 6: 32767}
+# steps of the compile, which replays the recorded schedule: it reduces each
+# derived rule's seed product once, with the rules of the earlier rounds
+GOLDEN_REPLAY_STEPS = {3: 0, 4: 133, 5: 1019, 6: 4344}
 
 
-@pytest.mark.parametrize("rank", sorted(GOLDEN_RULE_DIGESTS))
+@pytest.mark.parametrize("rank", sorted(GOLDEN_SATURATION_STEPS))
 def test_compiled_rules_match_golden_digest(rank):
     rs = build_rewrite_system(rank)
     assert rule_digest(rs.rules) == GOLDEN_RULE_DIGESTS[rank]
-    assert rs.steps == GOLDEN_SATURATION_STEPS[rank]
+    assert rs.steps == GOLDEN_REPLAY_STEPS[rank]
+    # the search finds the same rules, and the schedule the table holds
+    searched, schedule = searched_system(rank)
+    assert rule_digest(searched.rules) == GOLDEN_RULE_DIGESTS[rank]
+    assert searched.steps == GOLDEN_SATURATION_STEPS[rank]
+    assert schedule == core.saturation_schedule(rank)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6] + [
+    pytest.param(rank, marks=pytest.mark.slow) for rank in (7, 8, 9)])
+def test_replayed_system_is_a_fixpoint(rank):
+    # the completeness check the compile leaves out: a search over the
+    # replayed system adopts no rule, so the schedule missed none
+    rs = build_rewrite_system(rank)
+    assert rule_digest(rs.rules) == GOLDEN_RULE_DIGESTS[rank]
+    rules = rs.rules
+    assert rs.saturate(*core.saturation_seeds(rank)) == []
+    assert rs.rules == rules
+
+
+def test_fixpoint_check_sees_a_dropped_seed_product():
+    schedule = core.saturation_schedule(5)
+    _, lhs = schedule[-1].pop()
+    rs = core.base_rewrite_system(5)
+    seeds = core.saturation_seeds(5)
+    rs.saturate(*seeds, schedule=schedule)
+    assert lhs not in {r.lhs for r in rs.rules}
+    found = rs.saturate(*seeds)
+    assert lhs in {w for entries in found for _, w in entries}
+
+
+def test_stale_schedule_entry_raises():
+    schedule = core.saturation_schedule(5)
+    i, lhs = schedule[0][3]
+    schedule[0][3] = (i, lhs[::-1])
+    with pytest.raises(ScheduleError, match=(
+            rf"rank 5 saturation round 1: product {i} .* yields"
+            rf" {lhs[0]}\*{lhs[1]}, not the scheduled {lhs[1]}\*{lhs[0]}")):
+        core.base_rewrite_system(5).saturate(
+            *core.saturation_seeds(5), schedule=schedule)
 
 
 def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
@@ -151,7 +206,26 @@ def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
     _rule_digest_script.main()
     lines = capsys.readouterr().out.splitlines()
     assert f"sha256 {GOLDEN_RULE_DIGESTS[3]}" in lines
-    assert f"steps {GOLDEN_SATURATION_STEPS[3]}" in lines
+    assert f"steps {GOLDEN_REPLAY_STEPS[3]}" in lines
+
+
+def test_rule_digest_script_checks_the_table_by_search(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv",
+                        ["rule_digest.py", "--rank", "4", "--search"])
+    _rule_digest_script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sha256 {GOLDEN_RULE_DIGESTS[4]}" in lines
+    assert f"steps {GOLDEN_SATURATION_STEPS[4]}" in lines
+    assert "schedule matches the table" in lines
+
+
+def test_schedule_table_is_the_script_rendering():
+    # the committed table is exactly what --write renders from it
+    from racah import saturation_schedules
+
+    table = Path(saturation_schedules.__file__)
+    assert table.read_text() == _rule_digest_script.render_table(
+        saturation_schedules.SCHEDULES)
 
 
 # the script reads --rank as the CLI does: ASCII digits, and 3..9 only
@@ -196,24 +270,28 @@ def test_base_rules_are_catalog_relations_solved_for_their_word(rank):
 
 
 def test_saturated_memo_matches_fresh_system():
-    # the memo carried through saturation holds only normal forms a system
-    # compiled from the final rules would compute from scratch
-    rs = build_rewrite_system(5)
-    assert rs.steps == 6937
-    fresh = RewriteSystem(5, core.alphabet(5), rs.rules)
-    assert rs._nf
-    for w, nf in rs._nf.items():
-        assert fresh._normal_form(w) == nf
-    # each reducible entry keeps the words of the step the redex search
-    # takes now; an irreducible one keeps none
-    assert rs._kids.keys() <= rs._nf.keys()
-    for w in rs._nf:
-        redex = rs._find_redex(w)
-        if redex is None:
-            assert w not in rs._kids
-        else:
-            prefix, (_, body), suffix = redex
-            assert rs._kids[w] == tuple(prefix + rw + suffix for rw in body)
+    # the memo carried through saturation, by search or by replay, holds
+    # only normal forms a system compiled from the final rules would compute
+    # from scratch
+    searched, _ = searched_system(5)
+    assert searched.steps == 6937
+    replayed = build_rewrite_system(5)
+    assert replayed.steps == 1019
+    fresh = RewriteSystem(5, core.alphabet(5), searched.rules)
+    for rs in (searched, replayed):
+        assert rs._nf
+        for w, nf in rs._nf.items():
+            assert fresh._normal_form(w) == nf
+        # each reducible entry keeps the words of the step the redex search
+        # takes now; an irreducible one keeps none
+        assert rs._kids.keys() <= rs._nf.keys()
+        for w in rs._nf:
+            redex = rs._find_redex(w)
+            if redex is None:
+                assert w not in rs._kids
+            else:
+                prefix, (_, body), suffix = redex
+                assert rs._kids[w] == tuple(prefix + rw + suffix for rw in body)
 
 
 @pytest.mark.parametrize("word, prefix, suffix", [
@@ -288,11 +366,11 @@ def test_adopt_drops_exactly_the_affected_entries(rs4):
 @pytest.mark.parametrize("rank", [4, 5])
 def test_saturation_is_a_fixed_point(rank):
     # every product's residual is already a rule or no two-letter word, and
-    # every product's normal form is memoized: a second pass adopts nothing
-    # and takes no step
-    rs = build_rewrite_system(rank)
+    # every product's normal form is memoized: a second search adopts
+    # nothing and takes no step
+    rs, _ = searched_system(rank)
     rules, steps, adjacent = rs.rules, rs.steps, dict(rs._adjacent)
-    rs.saturate(*core.saturation_seeds(rank))
+    assert rs.saturate(*core.saturation_seeds(rank)) == []
     assert rs.rules == rules and rs.steps == steps
     assert rs._adjacent == adjacent
 
