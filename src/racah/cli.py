@@ -140,6 +140,10 @@ def cmd_rep_dump(args) -> int:
     params, window = _rep_params(args)
     op = build_operator(parse_letter(args.gen), params, window)
     leaky = op.leaky
+    if not op.cols and not leaky:
+        # a letter acting as 0 everywhere, as rep apply prints it
+        print("0")
+        return 0
     for (t, s) in triangle_states(window):
         for (tt, ss), q in sorted(op.column((t, s)).items()):
             print(f"{t} {s} -> {tt} {ss}  {q}")

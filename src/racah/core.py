@@ -170,6 +170,16 @@ CONTIGUOUS = {
         (1, 2, 3), (2, 3, 4), (1, 2, 3, 4)),
 }
 
+# One shared object per contiguous letter.  Every contiguous image holds
+# these, and the representation keys its letter tables by them, so a lookup
+# keyed by a contiguous word matches its letters by identity.
+_CONTIGUOUS_LETTERS = {g: g for g in (Gen("C", s) for s in CONTIGUOUS[4])}
+
+
+def contiguous_letter(*indices: int) -> Gen:
+    """The shared letter ``C`` over the contiguous index set ``indices``."""
+    return _CONTIGUOUS_LETTERS[Gen("C", indices)]
+
 
 def decompose_to_basis(rank: int, I) -> NCPoly:
     """Express a subset generator in the contiguous basis (ranks 3 and 4).
@@ -201,10 +211,12 @@ def _contiguous_image(rank: int, g: Gen) -> NCPoly:
 @lru_cache(maxsize=None)
 def _contiguous_pair(rank: int, g: Gen) -> tuple[int, dict]:
     """``_contiguous_image(rank, g)`` as integer numerators over one
-    denominator (already gcd-normalised, as in ``RewriteSystem._intern``)."""
+    denominator (already gcd-normalised, as in ``RewriteSystem._intern``),
+    its words spelled in the shared contiguous letters."""
     terms = _contiguous_image(rank, g).terms
     den = lcm(*(c.denominator for c in terms.values()))
-    return den, {w: c.numerator * (den // c.denominator)
+    return den, {tuple(_CONTIGUOUS_LETTERS[x] for x in w):
+                 c.numerator * (den // c.denominator)
                  for w, c in terms.items()}
 
 

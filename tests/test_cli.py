@@ -401,6 +401,18 @@ def test_rep_dump_leak_free_is_unchanged(capsys):
         "3 3 -> 3 3  6"]
 
 
+def test_rep_dump_zero_operator_prints_zero(capsys):
+    # the integer set has c1 = 1, so C1 = c1(c1 - 1) acts as 0
+    assert main(["rep", "dump", "--gen", "C1"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["rep", "apply", "--expr", "C1", "--state", "1,0"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    # a nonzero scalar letter still prints its diagonal
+    assert main(["rep", "dump", "--gen", "C1234", "--window", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 0 -> 0 0  42", "1 0 -> 1 0  42", "1 1 -> 1 1  42"]
+
+
 def test_rep_apply_window_without_params(capsys):
     assert main(["rep", "apply", "--expr", "C23", "--state", "3,0",
                  "--window", "2"]) == 2

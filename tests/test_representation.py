@@ -353,20 +353,24 @@ def test_zero_coefficient_adds_no_leak():
 
 # -- a word's operator is kept only while a later planned polynomial uses it --
 
+def _composed(ctx, word, memo):
+    """``word``'s operator on ``ctx``'s window, composed letter by letter
+    from the right, as written (kept in ``memo``)."""
+    if word not in memo:
+        memo[word] = (
+            SparseOperator.identity(ctx.states) if not word
+            else build_operator(word[0], ctx.params, ctx.window,
+                                ctx.states) if len(word) == 1
+            else _composed(ctx, word[:1], memo).compose(
+                _composed(ctx, word[1:], memo)))
+    return memo[word]
+
+
 def _per_word(ctx, words, memo):
     """Reference evaluation of the contiguous ``words`` of a polynomial:
     scalar letters folded into the coefficients, every word composed letter
     by letter from the right into its own operator (kept in ``memo``), and
     the words summed by ``linear_combination``."""
-    def word_op(word):
-        if word not in memo:
-            memo[word] = (
-                SparseOperator.identity(ctx.states) if not word
-                else build_operator(word[0], ctx.params, ctx.window,
-                                    ctx.states) if len(word) == 1
-                else word_op(word[:1]).compose(word_op(word[1:])))
-        return memo[word]
-
     scalars = {g: fn(ctx.params) for g, fn in rep._SCALARS.items()}
     terms = {}
     for word, c in words.items():
@@ -376,7 +380,8 @@ def _per_word(ctx, words, memo):
         letters = tuple(g for g in word if g not in scalars)
         terms[letters] = terms.get(letters, 0) + c
     return SparseOperator.linear_combination(
-        ctx.states, [(c, word_op(w)) for w, c in terms.items()])
+        ctx.states,
+        [(c, _composed(ctx, w, memo)) for w, c in terms.items()])
 
 
 def _same_operator(a, b):
@@ -491,6 +496,113 @@ def test_single_use_words_keep_no_operator():
     assert max(map(len, to_contiguous(defect).terms)) == 5
     assert ctx.eval(defect).is_zero_on_reliable()
     assert max(map(len, ctx._word_ops)) == 4
+
+
+# -- canonical words and proportional polynomials -----------------------------
+
+_C = {str(g): g for g in rep.DISPLACEMENT_LETTERS}
+
+
+def _admitted(ctx):
+    return {f"{a}*{b}" for a, b in itertools.combinations(
+        rep.DISPLACEMENT_LETTERS, 2) if ctx.interchangeable(a, b)}
+
+
+_TRIANGLE_PAIRS = {"C12*C123", "C23*C123", "C12*C34"}
+# on the chain s = 0, C123 acts as a scalar, and every letter that moves s
+# leaks, so C123 passes every letter and C12, C34 are not both leak-free
+_CHAIN_PAIRS = {"C12*C123", "C23*C123", "C123*C34", "C123*C234"}
+
+
+@pytest.mark.parametrize("name,params,window", rep.default_param_sets(),
+                         ids=[name for name, _, _ in rep.default_param_sets()])
+@pytest.mark.parametrize("rank", (4, 3), ids=("triangle", "chain"))
+def test_interchangeable_pairs_of_each_default_context(name, params, window,
+                                                       rank):
+    ctx = OperatorContext(params, window, rank)
+    assert _admitted(ctx) == (_TRIANGLE_PAIRS if rank == 4 else _CHAIN_PAIRS)
+    # each pair is checked once, in either order
+    assert all(ctx.interchangeable(b, a) == ctx.interchangeable(a, b)
+               for a, b in itertools.combinations(rep.DISPLACEMENT_LETTERS, 2))
+    assert not ctx.interchangeable(_C["C23"], _C["C23"])
+
+
+@pytest.mark.parametrize("params,rank", [
+    (P_GEN, 4), (rep.randomized_params(6), 4), (P_GEN, 3)],
+    ids=("generic", "randomized", "generic-chain"))
+def test_swapping_an_admitted_pair_keeps_the_operator(params, rank):
+    ctx, memo = OperatorContext(params, 6, rank), {}
+    around = [()] + [(g,) for g in rep.DISPLACEMENT_LETTERS]
+    pairs = [(a, b) for a, b in itertools.combinations(
+        rep.DISPLACEMENT_LETTERS, 2) if ctx.interchangeable(a, b)]
+    assert pairs
+    for a, b in pairs:
+        for u, v in itertools.product(around, repeat=2):
+            assert _same_operator(_composed(ctx, u + (a, b) + v, memo),
+                                  _composed(ctx, u + (b, a) + v, memo)), \
+                (u, a, b, v)
+
+
+def test_words_of_one_canonical_order_share_an_operator(ctx_generic):
+    C = lambda *s: gen_C(4, s)
+    pairs = ((C(2, 3) * C(1, 2, 3), C(1, 2, 3) * C(2, 3)),
+             (C(3, 4) * C(1, 2) * C(1, 2, 3), C(3, 4) * C(1, 2, 3) * C(1, 2)))
+    canonical = ((_C["C123"], _C["C23"]), (_C["C12"], _C["C34"], _C["C123"]))
+    for (p, q), want in zip(pairs, canonical):
+        for w in (p, q):
+            assert ctx_generic._canonical(next(iter(w.terms))) == want
+        assert ctx_generic.eval(p) is ctx_generic.eval(q)
+    # C123 and C34 do not commute: no swap reaches C34*C12*C123 from here
+    assert ctx_generic._canonical(
+        (_C["C123"], _C["C12"], _C["C34"])) == (_C["C123"], _C["C12"],
+                                                _C["C34"])
+
+
+def test_a_perturbed_letter_loses_its_pair(monkeypatch):
+    # move one C34 entry: C12 and C34 no longer commute, and every
+    # evaluation still equals the per-word sum
+    c34 = _C["C34"]
+    stencil = rep._STENCILS[c34]
+
+    def entries(p, t, s, trow, srow):
+        out = stencil.entries(p, t, s, trow, srow)
+        if (t, s) == (2, 1):
+            out[0, 0] += Fraction(1, 7)
+        return out
+
+    monkeypatch.setitem(rep._STENCILS, c34,
+                        rep.Stencil(stencil.t_row, stencil.s_row, entries))
+    ctx, memo = OperatorContext(P_GEN, 6), {}
+    assert _admitted(ctx) == _TRIANGLE_PAIRS - {"C12*C34"}
+    polys = _rank4_suite_polys()
+    ctx.plan(polys)
+    for p in polys:
+        assert _same_operator(ctx.eval(p),
+                              _per_word(ctx, to_contiguous(p).terms, memo)), p
+
+
+def test_eval_of_a_multiple_is_the_multiple():
+    polys = [core.casimir_frak(0), core.casimir_rank1(4),
+             core.relation(core.enumerate_relations(4, "quad")[0]),
+             gen_C(4, (1,)) * gen_C(4, (2, 3)), NCPoly.zero(4)]
+    for q in (Fraction(-3, 7), Fraction(2), Fraction(1)):
+        for p in polys:
+            # either one evaluated first
+            first, later = OperatorContext(P_GEN, 6), OperatorContext(P_GEN, 6)
+            ref = q * first.eval(p)
+            assert _same_operator(first.eval(q * p), ref), (q, p)
+            assert _same_operator(later.eval(q * p), ref), (q, p)
+            assert _same_operator(later.eval(p), first.eval(p)), (q, p)
+
+
+@given(poly_strategy(max_words=3, max_len=3),
+       st.sampled_from([Fraction(-1), Fraction(5, 3), Fraction(-2, 9)]))
+@settings(max_examples=20)
+def test_eval_of_a_multiple_of_any_polynomial(ctx_generic, p, q):
+    assert _same_operator(ctx_generic.eval(q * p), q * ctx_generic.eval(p))
+    assert _same_operator(ctx_generic.eval(q * p),
+                          _per_word(ctx_generic, to_contiguous(q * p).terms,
+                                    {}))
 
 
 # -- the merged integer rewrite ------------------------------------------------

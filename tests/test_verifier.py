@@ -8,9 +8,9 @@ import pytest
 
 from racah import representation as rep
 from racah import verifier
-from racah.core import (FAMILIES, casimir_rank1, core_generators, d_poly,
-                        enumerate_relations, gen_C, presentation_rank1,
-                        relation, rewrite_system)
+from racah.core import (CONTIGUOUS, FAMILIES, casimir_frak, casimir_rank1,
+                        core_generators, d_poly, enumerate_relations, gen_C,
+                        presentation_rank1, relation, rewrite_system)
 from racah.freealg import commutator
 from racah.verifier import (
     SUITE_NAMES,
@@ -336,16 +336,30 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
 
 def test_pentagon_commutators_are_fifty_pairs(monkeypatch):
     # the casimirs suite's [E_i, g] checks run after the suite's loops; each
-    # still composes its own pair of operators
-    pairs, compose = [], verifier.commutator_op
+    # still composes the two operators its context evaluates for E_i and g,
+    # in loop order.  Two of them may be one object: proportional
+    # polynomials share an operator, as the integer set's C1..C4 (all 0) do.
+    evals, pairs = [], []
+    evaluate, compose = rep.OperatorContext.eval, verifier.commutator_op
+
+    def recorded_eval(ctx, p):
+        op = evaluate(ctx, p)
+        evals.append((p, op))
+        return op
 
     def recorded(a, b):
-        pairs.append((a, b))
+        pairs.append((evals[-2], evals[-1], a, b))
         return compose(a, b)
 
+    monkeypatch.setattr(rep.OperatorContext, "eval", recorded_eval)
     monkeypatch.setattr(verifier, "commutator_op", recorded)
     run_suite(SuiteConfig(rank=4, param_sets=SMALL, suites=("casimirs",)))
-    assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs) == 5 * 10
+    want = [(casimir_frak(i), gen_C(4, s))
+            for i in range(5) for s in CONTIGUOUS[4]]
+    assert len(pairs) == len(want) == 5 * 10
+    for ((ci, op_ci), (g, op_g), a, b), (want_ci, want_g) in zip(pairs, want):
+        assert (ci, g) == (want_ci, want_g)
+        assert a is op_ci and b is op_g
 
 
 @pytest.mark.parametrize("rank", (3, 4, 5, 6))
