@@ -29,7 +29,7 @@ from pathlib import Path
 
 from racah import saturation_schedules
 from racah.cli import _integer
-from racah.core import (RankConfig, base_rewrite_system, build_rewrite_system,
+from racah.core import (base_rewrite_system, build_rewrite_system, check_rank,
                         saturation_seeds)
 from racah.freealg import AlgebraError, format_poly, format_word
 
@@ -88,7 +88,7 @@ def main() -> None:
                              "the table")
     args = parser.parse_args()
     try:
-        RankConfig(args.rank)
+        check_rank(args.rank)
     except AlgebraError as exc:
         parser.error(str(exc))
     if args.write and not args.search:

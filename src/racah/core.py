@@ -30,19 +30,15 @@ from .freealg import (
 )
 
 
-@dataclass(frozen=True)
-class RankConfig:
-    """Ambient number of base indices (3 for rank 1, 4 for rank 2, ...)."""
-
-    n: int
-
-    def __post_init__(self):
-        if not (3 <= self.n <= 9):
-            raise AlgebraError(f"rank-index count must be in 3..9, got {self.n}")
+def check_rank(n: int) -> None:
+    """Refuse an ambient number of base indices (3 for rank 1, 4 for rank
+    2, ...) outside 3..9."""
+    if not (3 <= n <= 9):
+        raise AlgebraError(f"rank-index count must be in 3..9, got {n}")
 
 
 def _check_indices(rank: int, idx) -> None:
-    RankConfig(rank)
+    check_rank(rank)
     for i in idx:
         if not (1 <= i <= rank):
             raise AlgebraError(f"index {i} out of range 1..{rank}")
@@ -170,16 +166,6 @@ CONTIGUOUS = {
         (1, 2, 3), (2, 3, 4), (1, 2, 3, 4)),
 }
 
-# One shared object per contiguous letter.  Every contiguous image holds
-# these, and the representation keys its letter tables by them, so a lookup
-# keyed by a contiguous word matches its letters by identity.
-_CONTIGUOUS_LETTERS = {g: g for g in (Gen("C", s) for s in CONTIGUOUS[4])}
-
-
-def contiguous_letter(*indices: int) -> Gen:
-    """The shared letter ``C`` over the contiguous index set ``indices``."""
-    return _CONTIGUOUS_LETTERS[Gen("C", indices)]
-
 
 def decompose_to_basis(rank: int, I) -> NCPoly:
     """Express a subset generator in the contiguous basis (ranks 3 and 4).
@@ -211,12 +197,10 @@ def _contiguous_image(rank: int, g: Gen) -> NCPoly:
 @lru_cache(maxsize=None)
 def _contiguous_pair(rank: int, g: Gen) -> tuple[int, dict]:
     """``_contiguous_image(rank, g)`` as integer numerators over one
-    denominator (already gcd-normalised, as in ``RewriteSystem._intern``),
-    its words spelled in the shared contiguous letters."""
+    denominator (already gcd-normalised, as in ``RewriteSystem._intern``)."""
     terms = _contiguous_image(rank, g).terms
     den = lcm(*(c.denominator for c in terms.values()))
-    return den, {tuple(_CONTIGUOUS_LETTERS[x] for x in w):
-                 c.numerator * (den // c.denominator)
+    return den, {w: c.numerator * (den // c.denominator)
                  for w, c in terms.items()}
 
 
@@ -330,7 +314,7 @@ def alphabet(rank: int) -> list[Gen]:
 def base_rewrite_system(rank: int) -> RewriteSystem:
     """A fresh normal-ordering system for the given rank before saturation:
     the expansions, the catalog swaps and the singleton eliminations."""
-    RankConfig(rank)
+    check_rank(rank)
     core = sorted(core_generators(rank), key=Gen.sort_key)
     rules: list[RewriteRule] = []
     for s in subsets(rank):
@@ -436,7 +420,7 @@ def enumerate_relations(rank: int, family: str) -> list[RelationId]:
     """Every instance of a family over {1..rank}: the payloads its
     ``FAMILIES`` entry enumerates, deduplicated only by the family's own
     symmetry; empty at a rank where the family does not exist."""
-    RankConfig(rank)
+    check_rank(rank)
     return [RelationId(family, rank, tuple(payload))
             for payload in _family(family).instances(rank)]
 

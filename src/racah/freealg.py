@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -55,8 +55,7 @@ _DEGREE = {"P": 1, "D": 2, "C": 1}
 CORE_KINDS = ("P", "D")
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
     """A tagged generator symbol: kind plus canonical index payload.
 
     Canonicalization (index sorting, permutation signs, range checks) is the
@@ -65,18 +64,6 @@ class Gen:
 
     kind: str
     indices: tuple[int, ...]
-
-    def __post_init__(self):
-        # letters key the engine's and the parser's dicts; a generated hash
-        # would hash both fields again on every lookup
-        object.__setattr__(self, "_hash", hash((self.kind, self.indices)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through __init__: a str hash differs between processes
-        return Gen, (self.kind, self.indices)
 
     def sort_key(self) -> tuple:
         if self.kind == "P":

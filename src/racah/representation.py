@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .core import contiguous_letter, to_contiguous
+from .core import to_contiguous
 from .freealg import AlgebraError, Gen, NCPoly, rational
 
 State = tuple[int, int]                   # (t, s) with t >= 0 and 0 <= s <= t
@@ -217,25 +217,24 @@ def _c234(p: RepParams, t: int, s: int, trow: tuple, srow: tuple) -> dict:
             (1, -1): southeast}
 
 
-# The contiguous letters: each acts by a stencil or as a scalar.  The keys
-# are core's shared letter objects, the ones every contiguous rewrite holds.
+# The contiguous letters: each acts by a stencil or as a scalar.
 _STENCILS: dict[Gen, Stencil] = {
-    contiguous_letter(1, 2): Stencil(_c12_t, _c12_s, _c12),
-    contiguous_letter(2, 3): Stencil(_c23_t, _no_row, _c23),
-    contiguous_letter(1, 2, 3): Stencil(_no_row, _c123_s, _c123),
-    contiguous_letter(3, 4): Stencil(_c34_t, _c34_s, _c34),
-    contiguous_letter(2, 3, 4): Stencil(_c234_t, _c234_s, _c234),
+    Gen("C", (1, 2)): Stencil(_c12_t, _c12_s, _c12),
+    Gen("C", (2, 3)): Stencil(_c23_t, _no_row, _c23),
+    Gen("C", (1, 2, 3)): Stencil(_no_row, _c123_s, _c123),
+    Gen("C", (3, 4)): Stencil(_c34_t, _c34_s, _c34),
+    Gen("C", (2, 3, 4)): Stencil(_c234_t, _c234_s, _c234),
 }
 
 # The letters whose operators move states, in table order.
 DISPLACEMENT_LETTERS: tuple[Gen, ...] = tuple(_STENCILS)
 
 _SCALARS: dict[Gen, Callable[[RepParams], Fraction]] = {
-    contiguous_letter(1): lambda p: p.c1 * (p.c1 - 1),
-    contiguous_letter(2): lambda p: p.c2 * (p.c2 - 1),
-    contiguous_letter(3): lambda p: p.c3 * (p.c3 - 1),
-    contiguous_letter(4): lambda p: p.c4 * (p.c4 - 1),
-    contiguous_letter(1, 2, 3, 4):
+    Gen("C", (1,)): lambda p: p.c1 * (p.c1 - 1),
+    Gen("C", (2,)): lambda p: p.c2 * (p.c2 - 1),
+    Gen("C", (3,)): lambda p: p.c3 * (p.c3 - 1),
+    Gen("C", (4,)): lambda p: p.c4 * (p.c4 - 1),
+    Gen("C", (1, 2, 3, 4)):
         lambda p: p.n(1, 2, 3, 4) * (p.n(1, 2, 3, 4) - 1),
 }
 
@@ -513,9 +512,8 @@ def _contiguous_words(key: tuple) -> tuple[int, list]:
 # `verify --rank 4 --suites all` that took 3% fewer inner products in
 # ``compose`` than table order did.
 _LETTER_ORDER = {g: i for i, g in enumerate((
-    contiguous_letter(1, 2, 3), contiguous_letter(1, 2),
-    contiguous_letter(2, 3), contiguous_letter(3, 4),
-    contiguous_letter(2, 3, 4)))}
+    Gen("C", (1, 2, 3)), Gen("C", (1, 2)), Gen("C", (2, 3)),
+    Gen("C", (3, 4)), Gen("C", (2, 3, 4))))}
 
 
 def _leak_after(left: SparseOperator, right: SparseOperator) -> set:

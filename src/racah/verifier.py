@@ -20,10 +20,10 @@ from . import symmetry
 from .core import (
     CONTIGUOUS,
     FAMILIES,
-    RankConfig,
     casimir_frak,
     casimir_rank1,
     catalog_commutator,
+    check_rank,
     core_generators,
     enumerate_relations,
     gen_C,
@@ -308,7 +308,7 @@ class SuiteConfig:
     suites: tuple = SUITE_NAMES
 
     def __post_init__(self):
-        RankConfig(self.rank)
+        check_rank(self.rank)
         for k, s in enumerate(self.suites):
             if s not in SUITE_NAMES:
                 raise ConfigError(f"unknown suite {s!r}")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -466,7 +467,7 @@ def test_list_relations_golden(capsys, rank):
 def test_verify_rejects_suites_in_params_file(capsys, tmp_path, params_file,
                                               rank, line):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(open(params_file).read() + line + "\n")
+    cfg.write_text(Path(params_file).read_text() + line + "\n")
     assert main(["verify", "--rank", rank, "--params", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -483,7 +484,7 @@ def test_verify_rejects_suites_in_params_file(capsys, tmp_path, params_file,
 ], ids=["verify", "rep-dump", "rep-apply", "rep-probe"])
 def test_params_file_not_utf8(capsys, tmp_path, params_file, argv):
     cfg = tmp_path / "p.cfg"
-    cfg.write_bytes(open(params_file, "rb").read() + b"# \xff\n")
+    cfg.write_bytes(Path(params_file).read_bytes() + b"# \xff\n")
     assert main(argv + ["--params", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -492,7 +493,7 @@ def test_params_file_not_utf8(capsys, tmp_path, params_file, argv):
 
 def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(open(params_file).read() + "seed = 1\n")
+    cfg.write_text(Path(params_file).read_text() + "seed = 1\n")
     assert main(["verify", "--rank", "3", "--params", str(cfg),
                  "--suites", "rank1"]) == 2
     assert "seed" in capsys.readouterr().err

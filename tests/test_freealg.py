@@ -8,7 +8,9 @@ from hypothesis import given
 
 from conftest import poly_strategy
 import racah
+from racah import core, representation as rep
 from racah.core import gen_C, gen_P
+from racah.expr import parse_letter
 from racah.freealg import (
     AlgebraError,
     Gen,
@@ -17,6 +19,7 @@ from racah.freealg import (
     anticommutator,
     commutator,
 )
+from racah.symmetry import IndexPermutation
 
 
 def word(rank, *gens):
@@ -192,3 +195,23 @@ def test_gen_pickled_in_one_process_hashes_afresh_in_another():
     found = run(1, "print(pickle.loads(sys.stdin.buffer.read())"
                    " in {Gen('C', (1, 2))})", data)
     assert found.strip() == b"True"
+
+
+def test_a_letter_is_immutable():
+    g = Gen("C", (1, 2))
+    with pytest.raises(AttributeError):
+        g.kind = "P"
+
+
+def test_a_letter_is_one_value_however_it_is_reached():
+    # letters match by value, not by object: no table shares them
+    fresh = Gen("C", (1, 2))
+    ((via_gen_C,),) = gen_C(4, (2, 1)).terms
+    _, image = core._contiguous_pair(4, Gen("P", (1, 2)))   # C12 - C1 - C2
+    (via_image,) = (w[0] for w in image if str(w[0]) == "C12")
+    images, _ = IndexPermutation.transposition(4, 1, 3).letter_map(4)
+    reached = (parse_letter("C12"), via_gen_C, via_image,
+               images[Gen("C", (2, 3))])
+    for g in reached:
+        assert g == fresh and hash(g) == hash(fresh)
+        assert rep._STENCILS[g] is rep._STENCILS[fresh]

@@ -4,7 +4,11 @@ semantics, and the evaluation homomorphism."""
 
 import importlib.util
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -649,6 +653,51 @@ def test_scalar_orders_that_cancel_leave_no_word(ctx_generic):
     assert not op.cols and not op.leaky
     assert _same_operator(op, _per_word(ctx_generic, to_contiguous(p).terms,
                                         {}))
+
+
+# One run of the rank-4 casimirs suite on the generic set at window 8:
+# ``compose`` calls, inner products (per reliable column of the right
+# operator whose image meets no leak of the left, the stored entries of the
+# left operator's columns it reads), then the JSON report.
+_COUNTED_CASIMIRS_RUN = r"""
+import sys
+from racah import representation as rep
+from racah.verifier import SuiteConfig, emit_report, run_suite
+
+counts = [0, 0]
+compose = rep.SparseOperator.compose
+
+
+def counted(self, other):
+    counts[0] += 1
+    counts[1] += sum(len(self.cols.get(y, ()))
+                     for x, mid in other.cols.items()
+                     if x not in other._leak and self._leak.isdisjoint(mid)
+                     for y in mid)
+    return compose(self, other)
+
+
+rep.SparseOperator.compose = counted
+report = emit_report(run_suite(SuiteConfig(
+    4, (("generic", rep.generic_params(), 8),), ("casimirs",))))
+sys.stdout.buffer.write(b"%d %d\n" % tuple(counts) + report)
+"""
+
+
+def test_representation_work_does_not_depend_on_the_hash_seed():
+    # str hashes, and with them the iteration order of any set or dict keyed
+    # by letters or words, change with PYTHONHASHSEED; the work of an eval
+    # must not follow that order
+    src = os.path.dirname(os.path.dirname(rep.__file__))
+    runs = {subprocess.run([sys.executable, "-c", _COUNTED_CASIMIRS_RUN],
+                           env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                    PYTHONPATH=src),
+                           capture_output=True, check=True).stdout
+            for seed in (0, 1, 2)}
+    assert len(runs) == 1
+    counts, report = runs.pop().split(b"\n", 1)
+    calls, products = map(int, counts.split())
+    assert calls and products and json.loads(report)["instances"]
 
 
 # -- the position-keyed kernel against a plain Fraction reference --------------
