@@ -357,9 +357,6 @@ class RewriteSystem:
         # memo of word -> normal form; value-identical results regardless of
         # call interleaving, so sharing between threads only wastes work
         self._nf: dict[tuple, tuple] = {}
-        # the words of each reducible memo entry's first step, so that
-        # saturation can tell which entries a new rule invalidates
-        self._kids: dict[tuple, tuple] = {}
         self._steps = 0
 
     # -- plumbing ---------------------------------------------------------
@@ -467,7 +464,6 @@ class RewriteSystem:
                 stack.extend(missing)
                 continue
             nf[w] = _combine(den, list(zip(coeffs, map(nf.__getitem__, kids))))
-            self._kids[w] = kids
             stack.pop()
         return nf[word]
 
@@ -600,24 +596,26 @@ class RewriteSystem:
         """Enter the two-letter rules ``new`` (id word -> body) into the rule
         table; returns the id words whose memoized normal forms were dropped.
 
-        A new left-hand side is no key of any existing rule, so in a word
-        that holds no new left-hand side as an adjacent pair the redex
-        search finds what it found before.  An entry is therefore kept
-        unless its word holds a new pair or a word of its stored first step
-        was dropped; the memo stores children before parents, so one pass
-        in its order decides every entry.
+        A new left-hand side is no key of any existing rule, and rule bodies
+        never change, so in a word that holds no new left-hand side as an
+        adjacent pair the redex search finds the very step the entry was
+        computed from.  An entry is therefore kept unless its word holds a
+        new pair or a word of that re-derived first step was dropped; the
+        memo stores children before parents, so one pass in its order
+        decides every entry.
         """
         self._adjacent.update(new)
         dropped = set()
-        kids = self._kids
         new_pairs = new.keys()
         for w in self._nf:
-            if (not new_pairs.isdisjoint(zip(w, w[1:]))
-                    or not dropped.isdisjoint(kids.get(w, ()))):
+            if not new_pairs.isdisjoint(zip(w, w[1:])):
                 dropped.add(w)
+            elif dropped and (redex := self._find_redex(w)) is not None:
+                prefix, (_, body), suffix = redex
+                if not dropped.isdisjoint(prefix + rw + suffix for rw in body):
+                    dropped.add(w)
         for w in dropped:
             del self._nf[w]
-            kids.pop(w, None)
         return dropped
 
     # -- termination bookkeeping --------------------------------------------

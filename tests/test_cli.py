@@ -526,10 +526,20 @@ REPORT_SHA256 = {
         "04af504a03a0eb64cfc9a62f37102966b65d24d358e30b8879e8110c85ec49a7",
     ("verify", "--rank", "6", "--suites", "casimirs", "--format", "json"):
         "57acef337f4d7101456df87dc030e99784ad31d8637725aabf626e4cdb1311be",
+    ("verify", "--rank", "4", "--suites", "all", "--format", "json"):
+        "b0ccb103e2c5bde72160b0b6777803947a3755ddf5ae3c79e8ff55e8537f3d0c",
+    ("verify", "--rank", "5", "--suites", "all", "--format", "json"):
+        "61c2b953afe5cab9174fb2f8c5689b6e5d23409f0d685fea1137a97ed7267a14",
+    ("verify", "--rank", "6", "--suites", "all", "--format", "json"):
+        "6a8b889bba59d6725f7cc67bc07e1dab9d79bba64c2c4e60f494b4a33387ed7f",
 }
+# about 6 s and 0.3 GB: run with -m slow
+SLOW_REPORTS = {("verify", "--rank", "6", "--suites", "all", "--format", "json")}
 
 
-@pytest.mark.parametrize("argv", sorted(REPORT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, marks=pytest.mark.slow) if argv in SLOW_REPORTS else argv
+    for argv in sorted(REPORT_SHA256)], ids=" ".join)
 def test_report_golden(capsysbinary, argv):
     assert main(list(argv)) == 0
     out = capsysbinary.readouterr().out

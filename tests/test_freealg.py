@@ -181,7 +181,8 @@ def test_power():
 
 
 def test_gen_pickled_in_one_process_hashes_afresh_in_another():
-    # a letter stores its hash, and str hashes differ between processes
+    # str hashes differ between processes: a letter pickled under one hash
+    # seed is still found in a set built under another
     src = os.path.dirname(os.path.dirname(racah.__file__))
 
     def run(seed, code, data=b""):
