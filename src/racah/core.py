@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .freealg import (
@@ -194,47 +193,12 @@ def _contiguous_image(rank: int, g: Gen) -> NCPoly:
     return to_contiguous(expand_to_C(NCPoly.from_word(rank, (g,))))
 
 
-@lru_cache(maxsize=None)
-def _contiguous_pair(rank: int, g: Gen) -> tuple[int, dict]:
-    """``_contiguous_image(rank, g)`` as integer numerators over one
-    denominator (already gcd-normalised, as in ``RewriteSystem._intern``)."""
-    terms = _contiguous_image(rank, g).terms
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {w: c.numerator * (den // c.denominator)
-                 for w, c in terms.items()}
-
-
 def to_contiguous(p: NCPoly) -> NCPoly:
-    """Any polynomial, rewritten over contiguous subset generators only.
-
-    Equal to ``p.substitute(lambda g: _contiguous_image(p.rank, g))``, term
-    order included: each word is expanded letter by letter as integer
-    numerators over one denominator, dropping a cancelled term where the
-    product of polynomials would, and the coefficients become ``Fraction``s
-    once, at the end.
-    """
-    parts = []
-    for word, c in p.terms.items():
-        den, terms = c.denominator, {(): c.numerator}
-        for g in word:
-            d, image = _contiguous_pair(p.rank, g)
-            out: dict[tuple, int] = {}
-            for u, m in terms.items():
-                for v, n in image.items():
-                    uv = u + v
-                    out[uv] = out.get(uv, 0) + m * n
-            if 0 in out.values():
-                out = {w: n for w, n in out.items() if n}
-            den, terms = den * d, out
-        parts.append((den, terms))
-    common = lcm(*(d for d, _ in parts))
-    acc: dict[tuple, int] = {}
-    for d, terms in parts:
-        m = common // d
-        for w, n in terms.items():
-            acc[w] = acc.get(w, 0) + m * n
-    return NCPoly(p.rank, {w: Fraction(n, common)
-                           for w, n in acc.items() if n})
+    """Any polynomial, rewritten over contiguous subset generators only:
+    each letter replaced by its image (``_contiguous_image``), multiplied
+    out in integer numerators by ``NCPoly.substitute``, so no ``Fraction``
+    is made."""
+    return p.substitute(partial(_contiguous_image, p.rank))
 
 
 # -- rules solved out of catalog relations ----------------------------------
@@ -275,8 +239,9 @@ def catalog_commutator(rank: int, a: Gen, b: Gen) -> NCPoly:
     """[a, b] for canonical core letters, solved out of the family instance
     whose commutator it is.
 
-    Covers every pair of shift / half-commutator generators; this single
-    table is what rule compilation and the Jacobi checks consume.
+    Covers every pair of shift / half-commutator generators; the Jacobi
+    checks consume it, and rule compilation solves the same instances
+    (``_commutator_instances``) for the out-of-order word.
     """
     if a.kind not in CORE_KINDS or b.kind not in CORE_KINDS:
         raise AlgebraError(f"no catalog entry for [{a}, {b}]")
@@ -316,6 +281,7 @@ def base_rewrite_system(rank: int) -> RewriteSystem:
     the expansions, the catalog swaps and the singleton eliminations."""
     check_rank(rank)
     core = sorted(core_generators(rank), key=Gen.sort_key)
+    commutators = _commutator_instances(rank)
     rules: list[RewriteRule] = []
     for s in subsets(rank):
         rules.append(RewriteRule(
@@ -324,7 +290,10 @@ def base_rewrite_system(rank: int) -> RewriteSystem:
     for hi in range(len(core)):
         for lo in range(hi):
             x, y = core[hi], core[lo]
-            body = NCPoly.from_word(rank, (y, x)) + catalog_commutator(rank, x, y)
+            # a pair with no catalog commutator commutes
+            rid = commutators.get((x, y))
+            body = (NCPoly.from_word(rank, (y, x)) if rid is None
+                    else _orient(relation(rid), (x, y)))
             rules.append(RewriteRule(
                 (x, y), body, "swap",
                 "inversions; commutator terms drop degree or length"))
@@ -344,7 +313,8 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
     """A fresh normal-ordering system for the given rank, saturated in
     place by replaying the rank's recorded schedule: each derived rule's
     seed product, the one product of ``saturation_seeds`` whose residual
-    yields it.  The memo keeps the normal forms the replay computed.
+    yields it.  Each replay round empties the memo, so the compiled system
+    starts with an empty one.
 
     Soundness is checked on every compile: each derived rule is computed
     from its seed product's reduction, and an entry that yields no rule or
@@ -380,7 +350,8 @@ def saturation_seeds(rank: int) -> tuple[list[NCPoly], list[Gen]]:
     members = []
     for payload in _points_and_triple(rank):
         left = _rel_pd_sum(rank, *payload)
-        right = NCPoly(rank, {w[::-1]: c for w, c in left.terms.items()})
+        right = NCPoly.from_pair(rank, left.den,
+                                 {w[::-1]: n for w, n in left.nums.items()})
         members.extend((left, right))
     return members, [Gen("P", t) for t in
                      itertools.combinations(range(1, rank + 1), 2)]

@@ -56,7 +56,7 @@ MAX_WORD = 256
 
 
 def _longest(p: NCPoly) -> int:
-    return max(map(len, p.terms), default=0)
+    return max(map(len, p.nums), default=0)
 
 
 def _check_expansion(pairs: int, longest: int):
@@ -71,7 +71,7 @@ def _check_expansion(pairs: int, longest: int):
 
 
 def _check_product(a: NCPoly, b: NCPoly):
-    _check_expansion(len(a.terms) * len(b.terms), _longest(a) + _longest(b))
+    _check_expansion(len(a.nums) * len(b.nums), _longest(a) + _longest(b))
 
 
 def _integer(tok: str) -> int:
@@ -145,7 +145,7 @@ class _Parser:
                 raise ParseError(f"exponent {n} is above the limit {MAX_WORD}")
             # base ** n multiplies base in n times; the last product is the
             # largest
-            _check_expansion(len(base.terms) ** n, _longest(base) * n)
+            _check_expansion(len(base.nums) ** n, _longest(base) * n)
             return base ** n
         return base
 

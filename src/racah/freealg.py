@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
-ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 
 
@@ -86,47 +85,80 @@ class Gen(NamedTuple):
 Word = tuple[Gen, ...]
 
 
-@dataclass(frozen=True, eq=False)
 class NCPoly:
     """Finite map word -> rational, the universal carrier for algebra elements.
 
-    Immutable after construction; all arithmetic is exact.  Zero
-    coefficients are dropped here, and only here.
+    Held as one pair, the pair shape of the rewrite engine's memo: a
+    positive denominator ``den`` and integer numerators ``nums`` (word ->
+    int) with no zero entry and ``gcd(den, *nums.values()) == 1``.  The
+    pair is exact and unique, so ``==`` compares pairs.  Arithmetic runs in
+    integers, normalises each result once and keeps the term order a sum
+    of ``Fraction`` maps would have; ``terms`` is that map, computed on
+    access.  Immutable: no operation changes a polynomial once built.
     """
 
-    rank: int
-    terms: Mapping[Word, Fraction]
+    __slots__ = ("rank", "den", "nums")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms",
-                           {w: c for w, c in self.terms.items() if c})
+    def __init__(self, rank: int, terms: Mapping[Word, Fraction]):
+        """The polynomial with coefficients ``terms`` (ints or Fractions,
+        through ``rational``, so a float raises); zeros are dropped."""
+        coeffs = {w: rational(c) for w, c in terms.items()}
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the pair is already gcd-normalised
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        _set_rank(self, rank)
+        _set_den(self, den)
+        _set_nums(self, {w: c.numerator * (den // c.denominator)
+                         for w, c in coeffs.items() if c})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an NCPoly is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the pair, not by setting slots
+        return NCPoly.from_pair, (self.rank, self.den, self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_pair(rank: int, den: int, nums: dict) -> "NCPoly":
+        """The polynomial ``nums / den``, for a positive int ``den`` and int
+        numerators: zeros are dropped and the common factor divided out.
+        The result owns ``nums`` (or the copy the normalisation makes)."""
+        return _poly(rank, _canonical(den, nums))
+
+    @staticmethod
     def zero(rank: int) -> "NCPoly":
-        return NCPoly(rank, {})
+        return NCPoly.from_pair(rank, 1, {})
 
     @staticmethod
     def const(rank: int, value) -> "NCPoly":
-        return NCPoly(rank, {(): rational(value)})
+        return NCPoly.from_word(rank, (), value)
 
     @staticmethod
     def one(rank: int) -> "NCPoly":
-        return NCPoly.const(rank, 1)
+        return NCPoly.from_pair(rank, 1, {(): 1})
 
     @staticmethod
     def from_word(rank: int, word: Iterable[Gen], coeff=1) -> "NCPoly":
-        return NCPoly(rank, {tuple(word): rational(coeff)})
+        q = coeff if type(coeff) is int else rational(coeff)
+        return NCPoly.from_pair(rank, q.denominator,
+                                {tuple(word): q.numerator})
 
-    # -- predicates --------------------------------------------------------
+    # -- views and predicates ----------------------------------------------
+
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        """word -> coefficient, as ``Fraction``s: a fresh map per access."""
+        den = self.den
+        return {w: Fraction(n, den) for w, n in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coeff(self, word: Word) -> Fraction:
-        return self.terms.get(tuple(word), ZERO)
+        return Fraction(self.nums.get(tuple(word), 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -134,7 +166,7 @@ class NCPoly:
         """A polynomial or number operand as a polynomial of this rank; a
         number goes through ``rational``, so a float raises."""
         if isinstance(other, (int, float, Fraction)):
-            return NCPoly(self.rank, {(): rational(other, "operand")})
+            return NCPoly.from_word(self.rank, (), rational(other, "operand"))
         if not isinstance(other, NCPoly):
             return NotImplemented
         if self.rank != other.rank:
@@ -142,40 +174,41 @@ class NCPoly:
                 f"rank {self.rank} vs rank {other.rank} operands")
         return other
 
-    def __add__(self, other):
+    def _sum(self, a: int, other, b: int) -> "NCPoly":
+        """``a*self + b*other`` for int ``a`` and ``b``; ``self``'s words
+        come first."""
         other = self._operand(other)
         if other is NotImplemented:
             return other
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, ZERO) + c
-        return NCPoly(self.rank, out)
+        return _poly(self.rank, _combine(
+            1, [(a, (self.den, self.nums)), (b, (other.den, other.nums))]))
+
+    def __add__(self, other):
+        return self._sum(1, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPoly(self.rank, {w: -c for w, c in self.terms.items()})
+        return _poly(self.rank,
+                     (self.den, {w: -n for w, n in self.nums.items()}))
 
     def __sub__(self, other):
-        other = self._operand(other)
-        return other if other is NotImplemented else self + (-other)
+        return self._sum(1, other, -1)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self._sum(-1, other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
-            q = rational(other, "operand")
-            return NCPoly(self.rank, {w: c * q for w, c in self.terms.items()})
+            q = other if type(other) is int else rational(other, "operand")
+            m = q.numerator
+            return NCPoly.from_pair(self.rank, self.den * q.denominator,
+                                    {w: n * m for w, n in self.nums.items()})
         other = self._operand(other)
         if other is NotImplemented:
             return other
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, ZERO) + c1 * c2
-        return NCPoly(self.rank, out)
+        return _poly(self.rank, _canonical(self.den * other.den,
+                                           _product(self.nums, other.nums)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, Fraction)):
@@ -196,23 +229,32 @@ class NCPoly:
             other = self._operand(other)
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return (self.rank == other.rank and self.den == other.den
+                and self.nums == other.nums)
 
     def substitute(self, image) -> "NCPoly":
-        """Extend a letter map Gen -> NCPoly to an algebra homomorphism."""
-        out: dict[Word, Fraction] = {}
-        for w, c in self.terms.items():
-            part = NCPoly.const(self.rank, c)
+        """Extend a letter map Gen -> NCPoly (of this rank) to an algebra
+        homomorphism.  Each word is multiplied out letter by letter in
+        integer numerators, and the words' expansions are summed over one
+        denominator once, at the end."""
+        rank = self.rank
+        parts = []
+        for w, n in self.nums.items():
+            den, nums = 1, {(): n}
             for g in w:
-                part = part * image(g)
-            for w2, c2 in part.terms.items():
-                out[w2] = out.get(w2, ZERO) + c2
-        return NCPoly(self.rank, out)
+                q = image(g)
+                if q.rank != rank:
+                    raise RankMismatchError(
+                        f"rank {rank} vs rank {q.rank} operands")
+                den, nums = den * q.den, _product(nums, q.nums)
+            parts.append((1, (den, nums)))
+        return _poly(rank, _combine(self.den, parts))
 
     def key(self) -> tuple:
-        """Canonical hashable content, for table lookups and determinism."""
-        return (self.rank, tuple(sorted(self.terms.items(),
-                                        key=lambda it: _word_key(it[0]))))
+        """Canonical hashable content, for table lookups and determinism:
+        ``(rank, den, ((word, numerator), ...))`` in word order."""
+        return (self.rank, self.den,
+                tuple(sorted(self.nums.items(), key=_item_key)))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -220,8 +262,41 @@ class NCPoly:
     __repr__ = __str__
 
 
+def _poly(rank: int, pair: tuple) -> NCPoly:
+    """The polynomial of a canonical ``(den, nums)`` pair, taken as it is."""
+    p = _new_poly(NCPoly)
+    _set_rank(p, rank)
+    _set_den(p, pair[0])
+    _set_nums(p, pair[1])
+    return p
+
+
+# the slots are written only here and in the constructor
+_new_poly = object.__new__
+_set_rank, _set_den, _set_nums = (
+    NCPoly.rank.__set__, NCPoly.den.__set__, NCPoly.nums.__set__)
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The numerators of the product of two numerator maps, zeros dropped
+    and words in the order a product of ``Fraction`` maps gives them."""
+    out: dict[Word, int] = {}
+    get = out.get
+    for u, m in a.items():
+        for v, k in b.items():
+            uv = u + v
+            out[uv] = get(uv, 0) + m * k
+    if 0 in out.values():
+        out = {w: n for w, n in out.items() if n}
+    return out
+
+
 def _word_key(w: Word) -> tuple:
     return (len(w), tuple(g.sort_key() for g in w))
+
+
+def _item_key(item: tuple) -> tuple:
+    return _word_key(item[0])
 
 
 # -- bracket products ----------------------------------------------------------
@@ -280,15 +355,20 @@ def _combine(den: int, parts: list) -> tuple:
         m = n * (common // d)
         for w, c in terms.items():
             acc[w] = get(w, 0) + m * c
-    if 0 in acc.values():
-        acc = {w: c for w, c in acc.items() if c}
-    den *= common
+    return _canonical(den * common, acc)
+
+
+def _canonical(den: int, nums: dict) -> tuple:
+    """The pair ``nums / den`` (positive ``den``, int numerators) with its
+    zero entries dropped and the common factor divided out."""
+    if 0 in nums.values():
+        nums = {w: n for w, n in nums.items() if n}
     if den > 1:
-        g = gcd(den, *acc.values())
+        g = gcd(den, *nums.values())
         if g > 1:
             den //= g
-            acc = {w: c // g for w, c in acc.items()}
-    return den, acc
+            nums = {w: n // g for w, n in nums.items()}
+    return den, nums
 
 
 @dataclass(frozen=True)
@@ -328,7 +408,8 @@ class RewriteSystem:
     Internally a rule body or a memoised normal form is one pair
     ``(den, {word: int})`` with ``den > 0`` and ``gcd(den, *nums) == 1``:
     exact for any rational, and unique, so ``==`` on pairs is equality of
-    normal forms.  Coefficients become ``Fraction`` again only in ``_extern``.
+    normal forms.  It is an ``NCPoly``'s own pair with letters as ids:
+    ``_intern`` and ``_extern`` translate the words and nothing else.
     """
 
     def __init__(self, rank: int, alphabet: Iterable[Gen],
@@ -362,14 +443,10 @@ class RewriteSystem:
     # -- plumbing ---------------------------------------------------------
 
     def _intern(self, p: NCPoly) -> tuple:
-        # over the lcm of reduced denominators the numerators share no
-        # factor with it, so the pair is already gcd-normalised
         ids = self._gen2id
-        den = lcm(*(c.denominator for c in p.terms.values()))
         try:
-            return den, {tuple(ids[g] for g in w):
-                         c.numerator * (den // c.denominator)
-                         for w, c in p.terms.items()}
+            return p.den, {tuple(ids[g] for g in w): n
+                           for w, n in p.nums.items()}
         except KeyError as exc:
             raise UnknownGeneratorError(
                 f"no ordering entry for {exc.args[0]}") from None
@@ -377,8 +454,8 @@ class RewriteSystem:
     def _extern(self, entry: tuple) -> NCPoly:
         den, terms = entry
         gens = self._id2gen
-        return NCPoly(self.rank, {tuple(gens[i] for i in w): Fraction(n, den)
-                                  for w, n in terms.items()})
+        return _poly(self.rank, (den, {tuple(gens[i] for i in w): n
+                                       for w, n in terms.items()}))
 
     def generator_order(self, g: Gen) -> int:
         try:
@@ -515,13 +592,15 @@ class RewriteSystem:
         With a ``schedule`` that an earlier search returned, round k
         reduces only the products that round lists, with the rules adopted
         before it, and the system ends with the rules and the schedule the
-        search found.  Every rule is still computed from its own product's
-        reduction under the per-step measure assertion, so the schedule
-        cannot make the system unsound: an entry whose product yields no
-        rule or another left-hand side raises ``ScheduleError``.  That the
-        replayed system is a fixpoint is not checked here: it is when a
-        search over it returns ``[]``.  No confluence claim is made for the
-        result; it is merely a larger sound system.
+        search found; each round's adoption empties the memo, so the
+        system ends with an empty one.  Every rule is still computed from
+        its own product's reduction under the per-step measure assertion,
+        so the schedule cannot make the system unsound: an entry whose
+        product yields no rule or another left-hand side raises
+        ``ScheduleError``.  That the replayed system is a fixpoint is not
+        checked here: it is when a search over it returns ``[]``.  No
+        confluence claim is made for the result; it is merely a larger
+        sound system.
         """
         letters = [self.generator_order(u) for u in letters]
         products = []
@@ -561,10 +640,16 @@ class RewriteSystem:
                 break
             found.append(seeds)
             adopted.update(new)
-            dropped = self._adopt(new)
-            todo = ([(i, None) for i, (_, terms) in enumerate(products)
-                     if not dropped.isdisjoint(terms)] if rounds is None
-                    else next(rounds, []))
+            if rounds is None:
+                dropped = self._adopt(new)
+                todo = [(i, None) for i, (_, terms) in enumerate(products)
+                        if not dropped.isdisjoint(terms)]
+            else:
+                # a replay round reads no dropped set, so rather than sort
+                # the memo into kept and dropped entries it starts over
+                self._adjacent.update(new)
+                self._nf.clear()
+                todo = next(rounds, [])
         # letter ids follow the sort key, so id order is the word order
         self.rules += tuple(
             RewriteRule(tuple(gens[i] for i in lhs), self._extern(adopted[lhs]),
@@ -632,6 +717,6 @@ class RewriteSystem:
         """
         if p.is_zero:
             return 0
-        cap = max(max(len(w), sum(g.degree for g in w)) for w in p.terms)
+        cap = max(max(len(w), sum(g.degree for g in w)) for w in p.nums)
         n = len(self._id2gen)
         return sum(n ** l for l in range(cap + 1))

@@ -393,22 +393,13 @@ class SparseOperator:
         """self after other (operator product: (self*other)|x> = self(other|x>))."""
         if self.states != other.states:
             raise AlgebraError("operators live on different windows")
-        self_cols, self_leak, other_leak = self.cols, self._leak, other._leak
-        leak = set(other_leak)
+        leak = set(other._leak)
         cols: dict[int, dict[int, int]] = {}
-        for x, mid in other.cols.items():
-            if x in other_leak:
-                continue
-            if not self_leak.isdisjoint(mid):
+        for x in other.cols:
+            col = _column_after(self, other, x)
+            if col is None:
                 leak.add(x)
-                continue
-            col: dict[int, int] = {}
-            for y, v in mid.items():
-                for z, w in self_cols.get(y, {}).items():
-                    col[z] = col.get(z, 0) + v * w
-            if 0 in col.values():
-                col = {z: w for z, w in col.items() if w}
-            if col:
+            elif col:
                 cols[x] = col
         return SparseOperator(self.states, self.den * other.den, cols,
                               frozenset(leak))
@@ -487,17 +478,16 @@ def _contiguous_words(key: tuple) -> tuple[int, list]:
     polynomial and not once per context.  ``verifier.run_suite`` clears the
     cache when its run ends, so no rewrite outlives the run.
     """
-    rank, terms = key
-    words = to_contiguous(NCPoly(rank, dict(terms))).terms
-    den = math.lcm(*(c.denominator for c in words.values()))
+    rank, den, terms = key
+    words = to_contiguous(NCPoly.from_pair(rank, den, dict(terms)))
+    den = words.den
     merged: dict[tuple, dict[tuple, int]] = {}
-    for word, c in words.items():
+    for word, n in words.nums.items():
         letters = tuple(g for g in word if g not in _SCALARS)
         monomial = tuple(sorted((g for g in word if g in _SCALARS),
                                 key=Gen.sort_key))
         slot = merged.setdefault(letters, {})
-        slot[monomial] = (slot.get(monomial, 0)
-                          + c.numerator * (den // c.denominator))
+        slot[monomial] = slot.get(monomial, 0) + n
     entries = [(letters, monomial, n) for letters, slot in merged.items()
                for monomial, n in slot.items() if n]
     g = math.gcd(den, *(n for _, _, n in entries))
@@ -522,6 +512,25 @@ def _leak_after(left: SparseOperator, right: SparseOperator) -> set:
     ``left``'s."""
     return set(right._leak).union(
         x for x, col in right.cols.items() if not left._leak.isdisjoint(col))
+
+
+def _column_after(left: SparseOperator, right: SparseOperator, x: int):
+    """Column ``x`` of ``left.compose(right)`` before normalisation, in
+    integers over ``left.den * right.den`` with no zero entry, or ``None``
+    when that column leaks."""
+    if x in right._leak:
+        return None
+    mid = right.cols.get(x, {})
+    if not left._leak.isdisjoint(mid):
+        return None
+    left_cols = left.cols
+    col: dict[int, int] = {}
+    for y, v in mid.items():
+        for z, w in left_cols.get(y, {}).items():
+            col[z] = col.get(z, 0) + v * w
+    if 0 in col.values():
+        col = {z: w for z, w in col.items() if w}
+    return col
 
 
 def _invertible_diagonal(op: SparseOperator) -> bool:
@@ -554,11 +563,12 @@ class OperatorContext:
     writes each word in one canonical order, the least in ``_LETTER_ORDER``
     that swaps of adjacent interchangeable letters reach (the
     lexicographic normal form of the partially commutative monoid), and
-    words of one canonical order are one operator.  The check is exact and
-    runs once per pair of letters, only for pairs that meet the leak
-    condition, the first time a word holds both.  It holds on the window
-    only, so the columns a merged word leaks stay unreliable even when its
-    coefficients cancel.
+    words of one canonical order are one operator.  The check is exact,
+    composes the two orders one column at a time, stopping at the first
+    column or leak that differs, and runs once per pair of letters, only
+    for pairs that meet the leak condition, the first time a word holds
+    both.  It holds on the window only, so the columns a merged word leaks
+    stay unreliable even when its coefficients cancel.
     """
 
     def __init__(self, params: RepParams, window: int, rank: int = 4):
@@ -601,9 +611,10 @@ class OperatorContext:
             if a != b and ((not x._leak and not y._leak)
                            or _invertible_diagonal(x)
                            or _invertible_diagonal(y)):
-                xy, yx = x.compose(y), y.compose(x)
-                got = (xy.den == yx.den and xy.cols == yx.cols
-                       and xy._leak == yx._leak)
+                # both orders share the raw denominator x.den * y.den, so
+                # equal raw columns are equal operators
+                got = all(_column_after(x, y, i) == _column_after(y, x, i)
+                          for i in range(len(self.states)))
             self._swaps[a, b] = self._swaps[b, a] = got
         return got
 

@@ -88,11 +88,11 @@ def act(g: IndexPermutation, p: NCPoly) -> NCPoly:
     half-commutator letters with ``expand_to_C`` first."""
     images, flips = g.letter_map(p.rank)
     try:
-        return NCPoly(p.rank, {
+        return NCPoly.from_pair(p.rank, p.den, {
             tuple(map(images.__getitem__, w)):
-                c if not flips or sum(map(flips.__contains__, w)) % 2 == 0
-                else -c
-            for w, c in p.terms.items()})
+                n if not flips or sum(map(flips.__contains__, w)) % 2 == 0
+                else -n
+            for w, n in p.nums.items()})
     except KeyError as exc:
         raise AlgebraError(f"{exc.args[0]} is not a subset generator;"
                            " expand it with expand_to_C first") from None

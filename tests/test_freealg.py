@@ -1,12 +1,16 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import poly_strategy
+from conftest import (fraction_product, fraction_substitution, fraction_sum,
+                      poly_strategy)
 import racah
 from racah import core, representation as rep
 from racah.core import gen_C, gen_P
@@ -127,6 +131,18 @@ def test_const_rejects_floats():
     assert NCPoly.const(4, 2) == NCPoly.const(4, Fraction(4, 2))
 
 
+def test_constructor_rejects_float_coefficients():
+    # a float coefficient used to be kept, and the rewrite engine then
+    # failed on it with an AttributeError
+    C12 = Gen("C", (1, 2))
+    with pytest.raises(AlgebraError, match="float"):
+        NCPoly(4, {(C12,): 0.5})
+    half = NCPoly(4, {(C12,): Fraction(1, 2), (): 0})
+    assert half + half == X and half.nums == {(C12,): 1} and half.den == 2
+    rs = core.rewrite_system(4)
+    assert rs.reduce(half + half) == rs.reduce(X)
+
+
 def test_from_word_rejects_float_coefficients():
     C12 = Gen("C", (1, 2))
     with pytest.raises(AlgebraError, match="float"):
@@ -204,11 +220,21 @@ def test_a_letter_is_immutable():
         g.kind = "P"
 
 
+def test_a_polynomial_is_immutable():
+    p = X + Fraction(1, 2) * Y
+    for name in ("rank", "den", "nums", "terms"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
+    assert p == X + Fraction(1, 2) * Y
+    # it still pickles and copies, as the value it is
+    assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
+
+
 def test_a_letter_is_one_value_however_it_is_reached():
     # letters match by value, not by object: no table shares them
     fresh = Gen("C", (1, 2))
     ((via_gen_C,),) = gen_C(4, (2, 1)).terms
-    _, image = core._contiguous_pair(4, Gen("P", (1, 2)))   # C12 - C1 - C2
+    image = core._contiguous_image(4, Gen("P", (1, 2))).nums   # C12 - C1 - C2
     (via_image,) = (w[0] for w in image if str(w[0]) == "C12")
     images, _ = IndexPermutation.transposition(4, 1, 3).letter_map(4)
     reached = (parse_letter("C12"), via_gen_C, via_image,
@@ -216,3 +242,69 @@ def test_a_letter_is_one_value_however_it_is_reached():
     for g in reached:
         assert g == fresh and hash(g) == hash(fresh)
         assert rep._STENCILS[g] is rep._STENCILS[fresh]
+
+
+# -- the integer pair against Fraction maps -----------------------------------
+# The reference (conftest's fraction_* helpers) spells each operation over
+# {word: Fraction} maps, so it also fixes the order of the terms.
+
+_LETTERS = [Gen("C", (1, 2)), Gen("C", (2, 3)), Gen("P", (1,))]
+_COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_MAPS = st.dictionaries(
+    st.lists(st.sampled_from(_LETTERS), max_size=2).map(tuple), _COEFFS,
+    max_size=4)
+
+
+def _ref_scale(a, q):
+    return fraction_sum({w: c * q for w, c in a.items()})
+
+
+def _ref_key(a):
+    den = lcm(*(c.denominator for c in a.values()))
+    return (4, den, tuple(sorted(((w, int(c * den)) for w, c in a.items()),
+                                 key=lambda it: (len(it[0]), [
+                                     g.sort_key() for g in it[0]]))))
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+
+
+_C12, _C23, _P1 = _LETTERS
+
+
+@given(_MAPS, _MAPS, _COEFFS,
+       st.fixed_dictionaries({g: _MAPS for g in _LETTERS}))
+# a substitution whose word C23*C23 cancels inside the first word's
+# expansion and comes back from the second, so it goes last
+@example({(_C23, _C12): -1, (_C23, _C23): Fraction(1, 2)}, {}, 1,
+         {_C12: {(): -1, (_C23, _C23): -1},
+          _C23: {(_C12, _P1): Fraction(-1, 2), (_C23, _C23): 1, (): -1},
+          _P1: {}})
+@settings(max_examples=100)
+def test_integer_pairs_agree_with_fraction_maps(a, b, q, image):
+    p, r = NCPoly(4, a), NCPoly(4, b)
+    a, b = fraction_sum(a), fraction_sum(b)
+    image = {g: fraction_sum(m) for g, m in image.items()}
+    cases = [
+        (p, a), (-p, _ref_scale(a, -1)),
+        (p + r, fraction_sum(a, b)),
+        (p - r, fraction_sum(a, _ref_scale(b, -1))),
+        (q - p, fraction_sum(_ref_scale(a, -1), {(): q})),
+        (p * r, fraction_product(a, b)), (p * q, _ref_scale(a, q)),
+        (q * p, _ref_scale(a, q)),
+        (p.substitute(lambda g: NCPoly(4, image[g])),
+         fraction_substitution(a, image.__getitem__)),
+    ]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert list(got.terms.items()) == list(want.items())
+        assert got.key() == _ref_key(want)
+        assert all(got.coeff(w) == c for w, c in want.items())
+    assert (p == r) == (a == b)
+    # equal polynomials, however reached, have equal keys
+    assert p + r == r + p and (p + r).key() == (r + p).key()
+    assert (p * q) * r == p * (r * q)
+    assert ((p * q) * r).key() == (p * (r * q)).key()

@@ -150,8 +150,9 @@ def test_degree_grading():
 # change the count
 GOLDEN_SATURATION_STEPS = {3: 0, 4: 754, 5: 6937, 6: 32767}
 # steps of the compile, which replays the recorded schedule: it reduces each
-# derived rule's seed product once, with the rules of the earlier rounds
-GOLDEN_REPLAY_STEPS = {3: 0, 4: 133, 5: 1019, 6: 4344}
+# derived rule's seed product once, with the rules of the earlier rounds and
+# a memo emptied at each round (rank 7 takes 15,134 steps, rank 8 40,418)
+GOLDEN_REPLAY_STEPS = {3: 0, 4: 133, 5: 1051, 6: 4650}
 
 
 @pytest.mark.parametrize("rank", sorted(GOLDEN_SATURATION_STEPS))
@@ -207,6 +208,9 @@ def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"sha256 {GOLDEN_RULE_DIGESTS[3]}" in lines
     assert f"steps {GOLDEN_REPLAY_STEPS[3]}" in lines
+    # the compile time and its two halves
+    assert {"base_s", "replay_s", "compile_s"} <= {
+        line.split()[0] for line in lines}
 
 
 def test_rule_digest_script_checks_the_table_by_search(monkeypatch, capsys):
@@ -270,18 +274,19 @@ def test_base_rules_are_catalog_relations_solved_for_their_word(rank):
 
 
 def test_saturated_memo_matches_fresh_system():
-    # the memo carried through saturation, by search or by replay, holds
-    # only normal forms a system compiled from the final rules would compute
-    # from scratch
+    # the memo carried through the search holds only normal forms a system
+    # compiled from the final rules would compute from scratch; the replay
+    # ends with an empty memo and reduces the same words to the same forms
     searched, _ = searched_system(5)
-    assert searched.steps == 6937
+    assert searched.steps == GOLDEN_SATURATION_STEPS[5]
     replayed = build_rewrite_system(5)
-    assert replayed.steps == 1019
+    assert replayed.steps == GOLDEN_REPLAY_STEPS[5]
+    assert not replayed._nf
     fresh = RewriteSystem(5, core.alphabet(5), searched.rules)
-    for rs in (searched, replayed):
-        assert rs._nf
-        for w, nf in rs._nf.items():
-            assert fresh._normal_form(w) == nf
+    assert searched._nf
+    for w, nf in searched._nf.items():
+        assert fresh._normal_form(w) == nf
+        assert replayed._normal_form(w) == nf
 
 
 @pytest.mark.parametrize("word, prefix, suffix", [
@@ -306,9 +311,11 @@ def test_elimination_splices_body_in_place_of_partner(word, prefix, suffix):
 def test_memo_entries_are_canonical_integer_pairs():
     # one (den, {word: int}) pair per rational map: den > 0, no common
     # factor with the numerators, no zero numerator
-    rs = core.rewrite_system(5)
+    rs = build_rewrite_system(5)
+    for rid in core.enumerate_relations(5, "quad")[:30]:
+        rs.reduce(relation(rid))
     bodies = [*rs._adjacent.values(), *rs._elim.values()]
-    assert rs._nf and bodies
+    assert any(den > 1 for den, _ in rs._nf.values()) and bodies
     for den, terms in [*rs._nf.values(), *bodies]:
         assert den > 0 and gcd(den, *terms.values()) == 1
         assert all(type(n) is int and n for n in terms.values())
