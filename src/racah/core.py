@@ -310,31 +310,67 @@ def base_rewrite_system(rank: int) -> RewriteSystem:
 
 
 def build_rewrite_system(rank: int) -> RewriteSystem:
-    """A fresh normal-ordering system for the given rank, saturated in
-    place by replaying the rank's recorded schedule: each derived rule's
-    seed product, the one product of ``saturation_seeds`` whose residual
-    yields it.  Each replay round empties the memo, so the compiled system
-    starts with an empty one.
-
-    Soundness is checked on every compile: each derived rule is computed
-    from its seed product's reduction, and an entry that yields no rule or
-    another one raises ``ScheduleError``.  That the replayed system is a
-    fixpoint, that a search over it adopts no further rule, is checked by
-    the tests (ranks 3-6, and 7-9 in CI), not here.
-    """
+    """A fresh normal-ordering system for the given rank, with an empty
+    memo.  Ranks 3-6 replay their recorded saturation schedule, computing
+    each derived rule from its seed product's reduction (a stale entry
+    raises ``ScheduleError``); ranks 7-9 take no saturation step
+    (``with_relabelled_rules``).  That the compiled system is a fixpoint,
+    that a search over it adopts no further rule, is checked by the tests
+    (ranks 3-6, and 7-9 in CI), not here."""
     rs = base_rewrite_system(rank)
+    if rank > 6:
+        return with_relabelled_rules(rs)
     rs.saturate(*saturation_seeds(rank), schedule=saturation_schedule(rank))
     return rs
 
 
+def with_relabelled_rules(base: RewriteSystem) -> RewriteSystem:
+    """The base system of a rank n plus the images of the full-support
+    derived rules of ranks 4-6 under each order-preserving injection
+    {1..k} -> {1..n}, sorted as ``saturate`` sorts its rules: the system
+    commutes with such a relabelling, and a seed product spans at most six
+    indices.  A repeated left-hand side raises."""
+    n = base.rank
+    images = sorted((RewriteRule(_relabel(r.lhs, ix, n),
+                                 _relabel(r.rhs, ix, n), r.name, r.grade_drop)
+                     for k, r in _full_support_rules()
+                     for ix in itertools.combinations(range(1, n + 1), k)),
+                    key=lambda r: [g.sort_key() for g in r.lhs])
+    rules = base.rules + tuple(images)
+    if len({r.lhs for r in rules}) != len(rules):
+        raise AlgebraError(f"rank {n}: a relabelled rule repeats an lhs")
+    return RewriteSystem(n, alphabet(n), rules)
+
+
+def _relabel(x, image: tuple[int, ...], rank: int):
+    """``x``, a word or a polynomial (now of ``rank``), with each index i read
+    as ``image[i - 1]``; an increasing ``image`` keeps letter order."""
+    if isinstance(x, NCPoly):
+        return NCPoly.from_pair(rank, x.den, {_relabel(w, image, rank): c
+                                              for w, c in x.nums.items()})
+    return tuple(Gen(g.kind, tuple(image[i - 1] for i in g.indices))
+                 for g in x)
+
+
+@lru_cache(maxsize=None)
+def _full_support_rules() -> tuple[tuple[int, RewriteRule], ...]:
+    """``(k, rule)`` per derived rule of rank k = 4-6 using all of 1..k."""
+    return tuple((k, r) for k in (4, 5, 6)
+                 for r in build_rewrite_system(k).rules
+                 if r.grade_drop == "word order at equal degree"
+                 and len({i for g in r.lhs for i in g.indices}) == k)
+
+
 def saturation_schedule(rank: int) -> list[list[tuple[int, Word]]]:
-    """The recorded saturation schedule of this rank, as
+    """The recorded saturation schedule of this rank, 3 to 6, as
     ``RewriteSystem.saturate`` takes it: per round, each seed product's
     index and the left-hand side it yields.  The table is the generated
     module ``racah.saturation_schedules`` (``scripts/rule_digest.py
     --search --write`` rewrites it), imported at the first compile only."""
     from .saturation_schedules import SCHEDULES
 
+    if rank not in SCHEDULES:
+        raise AlgebraError(f"no saturation schedule at rank {rank}")
     letter = {str(g): g for g in core_generators(rank)}
     return [[(int(i), tuple(letter[s] for s in lhs.split("*")))
              for i, lhs in (entry.split(":") for entry in block.split())]

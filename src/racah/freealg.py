@@ -377,8 +377,8 @@ class RewriteRule:
 
     ``grade_drop`` names the component of the termination measure
     (foreign letters, degree, length, singleton count, inversions) that every
-    replacement word strictly drops below the matched word; the engine
-    re-checks the drop at every application.
+    replacement word strictly drops below the matched word; a label only:
+    the engine checks at every application that the whole measure drops.
     """
 
     lhs: Word
@@ -473,7 +473,7 @@ class RewriteSystem:
     @property
     def steps(self) -> int:
         """Rule applications performed by this system since construction,
-        including those made while its rule set was being saturated."""
+        saturation included (a rank >= 7 compile takes no step)."""
         return self._steps
 
     # -- redex search ---------------------------------------------------------

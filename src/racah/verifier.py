@@ -431,19 +431,23 @@ def relation_catalog(rank: int) -> list[dict]:
 def emit_report(report: VerificationReport, fmt: str = "json") -> bytes:
     """Deterministic serialization (no wall-clock content, sorted records)."""
     if fmt == "json":
-        doc = {
-            "rank": report.rank,
-            "suites": list(report.suites),
-            "param_sets": [list(p) for p in report.param_sets],
-            "summary": report.summary(),
-            "instances": [
-                {"suite": r.suite, "family": r.family, "payload": r.payload,
-                 "anchor": r.anchor, "method": r.method, "context": r.context,
-                 "status": r.status, "witness": r.witness}
-                for r in report.records
-            ],
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        # json.dumps(doc, indent=2, sort_keys=True), its "instances" (whose
+        # key sorts first) encoded one at a time; their fields are strings,
+        # so the C encoder's item separator lays out their lines
+        line = json.JSONEncoder(sort_keys=True,
+                                separators=(",\n      ", ": ")).encode
+        parts = [b'{\n  "instances": [']
+        for r in report.records:
+            sep = "," if len(parts) > 1 else ""
+            text = f"{sep}\n    {{\n      {line(vars(r))[1:-1]}\n    }}"
+            parts.append(text.encode())
+        rest = json.dumps({"rank": report.rank, "suites": list(report.suites),
+                           "param_sets": [list(p) for p in report.param_sets],
+                           "summary": report.summary()},
+                          indent=2, sort_keys=True)
+        parts.append((("\n  ]," if report.records else "],") + rest[1:]
+                      + "\n").encode())
+        return b"".join(parts)
     if fmt == "human":
         lines = [f"rank {report.rank}; suites: {', '.join(report.suites)}"]
         for name, desc, w in report.param_sets:

@@ -2,6 +2,7 @@
 accounting, and soundness of every compiled rule against the operators."""
 
 import importlib.util
+import itertools
 from math import gcd
 from pathlib import Path
 
@@ -11,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import poly_strategy
 from racah import core
 from racah.core import build_rewrite_system, d_poly, gen_C, relation, RelationId
-from racah.freealg import (NCPoly, RankMismatchError, RewriteSystem,
-                           ScheduleError, UnknownGeneratorError, Gen)
+from racah.freealg import (AlgebraError, NCPoly, RankMismatchError,
+                           RewriteSystem, ScheduleError,
+                           UnknownGeneratorError, Gen)
 
 _spec = importlib.util.spec_from_file_location(
     "rule_digest", Path(__file__).parents[1] / "scripts" / "rule_digest.py")
@@ -22,8 +24,9 @@ rule_digest = _rule_digest_script.rule_digest
 
 # scripts/rule_digest.py digests of the compiled rule lists, recorded when
 # every saturation round still reduced all candidates on a fresh system
-# (ranks 3-6) and when the compile began to replay the recorded schedule
-# (ranks 7-9, equal to the search's digests then)
+# (ranks 3-6) and when the compile began to replay a recorded schedule
+# (ranks 7-9, equal to the search's digests then; those ranks now compile
+# by relabelling the derived rules of ranks 4-6)
 GOLDEN_RULE_DIGESTS = {
     3: "3d0e4967f79cec083729c01a97098377d118b7155565694351c65fdebbd3541c",
     4: "0cf30111edc50ae90c4ee8f7b484c40ff8e030d58e820c2e4231673aa635f5c8",
@@ -151,7 +154,7 @@ def test_degree_grading():
 GOLDEN_SATURATION_STEPS = {3: 0, 4: 754, 5: 6937, 6: 32767}
 # steps of the compile, which replays the recorded schedule: it reduces each
 # derived rule's seed product once, with the rules of the earlier rounds and
-# a memo emptied at each round (rank 7 takes 15,134 steps, rank 8 40,418)
+# a memo emptied at each round (ranks 7-9 relabel and take no step)
 GOLDEN_REPLAY_STEPS = {3: 0, 4: 133, 5: 1051, 6: 4650}
 
 
@@ -177,6 +180,69 @@ def test_replayed_system_is_a_fixpoint(rank):
     rules = rs.rules
     assert rs.saturate(*core.saturation_seeds(rank)) == []
     assert rs.rules == rules
+
+
+def _support(word) -> set[int]:
+    return {i for g in word for i in g.indices}
+
+
+def _rule_key(rule, image=None, rank=None) -> tuple:
+    """A hashable rule, or its image under ``core._relabel`` if given."""
+    lhs, rhs = rule.lhs, rule.rhs
+    if image is not None:
+        lhs = core._relabel(lhs, image, rank)
+        rhs = core._relabel(rhs, image, rank)
+    return rule.name, rule.grade_drop, lhs, rhs.key()
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6, 7])
+def test_rule_bodies_stay_inside_the_lhs_support(rank):
+    # so reducing a word uses only rules inside the word's own indices
+    for rule in build_rewrite_system(rank).rules:
+        lhs = _support(rule.lhs)
+        assert all(_support(w) <= lhs for w in rule.rhs.nums), rule
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6] + [
+    pytest.param(k, marks=pytest.mark.slow) for k in (7, 8)])
+def test_base_rules_are_natural(k):
+    # every order-preserving image of a rank-k base rule is a rank k+1 base
+    # rule, and every rank k+1 base rule that misses an index is an image
+    upper = {_rule_key(r) for r in core.base_rewrite_system(k + 1).rules}
+    images = {_rule_key(r, ix, k + 1)
+              for r in core.base_rewrite_system(k).rules
+              for ix in itertools.combinations(range(1, k + 2), k)}
+    assert images <= upper
+    assert {r for r in upper if len(_support(r[2])) <= k} <= images
+
+
+def test_order_preserving_relabelling_keeps_letter_order():
+    for k in range(3, 10):
+        letters = sorted(core.alphabet(k), key=Gen.sort_key)
+        for n in range(k, 10):
+            alphabet = set(core.alphabet(n))
+            for ix in itertools.combinations(range(1, n + 1), k):
+                images = core._relabel(letters, ix, n)
+                assert set(images) <= alphabet
+                keys = [g.sort_key() for g in images]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("injected", ["repeated image", "base rule image"])
+def test_relabelled_rules_refuse_a_repeated_lhs(monkeypatch, injected):
+    rules = core._full_support_rules()
+    extra = (rules[0] if injected == "repeated image" else
+             (4, next(r for r in core.base_rewrite_system(4).rules
+                      if r.name == "swap" and len(_support(r.lhs)) == 4)))
+    monkeypatch.setattr(core, "_full_support_rules", lambda: rules + (extra,))
+    with pytest.raises(AlgebraError,
+                       match="rank 7: a relabelled rule repeats an lhs"):
+        build_rewrite_system(7)
+
+
+def test_no_schedule_is_recorded_above_rank_6():
+    with pytest.raises(AlgebraError, match="at rank 7"):
+        core.saturation_schedule(7)
 
 
 def test_fixpoint_check_sees_a_dropped_seed_product():
@@ -221,6 +287,58 @@ def test_rule_digest_script_checks_the_table_by_search(monkeypatch, capsys):
     assert f"sha256 {GOLDEN_RULE_DIGESTS[4]}" in lines
     assert f"steps {GOLDEN_SATURATION_STEPS[4]}" in lines
     assert "schedule matches the table" in lines
+
+
+def test_rule_digest_script_relabels_above_rank_6(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["rule_digest.py", "--rank", "7"])
+    _rule_digest_script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sha256 {GOLDEN_RULE_DIGESTS[7]}" in lines
+    assert "steps 0" in lines
+    assert [line.split()[0] for line in lines
+            if line.split()[0].endswith("_s")] == [
+                "base_s", "images_s", "compile_s"]
+
+
+def test_rule_digest_script_checks_a_search_above_rank_6_by_digest(
+        monkeypatch, capsys):
+    # a search without seed members adopts nothing, so its digest is the
+    # base system's, not the compiled one's
+    monkeypatch.setattr(_rule_digest_script, "saturation_seeds",
+                        lambda rank: ([], core.saturation_seeds(rank)[1]))
+    monkeypatch.setattr("sys.argv",
+                        ["rule_digest.py", "--rank", "7", "--search"])
+    with pytest.raises(SystemExit) as exc:
+        _rule_digest_script.main()
+    assert exc.value.code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "digest differs from the compiled system" in lines
+
+
+@pytest.mark.slow
+def test_rule_digest_script_search_matches_the_compiled_system(
+        monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv",
+                        ["rule_digest.py", "--rank", "7", "--search"])
+    _rule_digest_script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"sha256 {GOLDEN_RULE_DIGESTS[7]}" in lines
+    assert "digest matches the compiled system" in lines
+
+
+def test_rule_digest_script_writes_no_table_above_rank_6(monkeypatch, capsys):
+    from racah import saturation_schedules
+
+    table = Path(saturation_schedules.__file__)
+    before = table.read_text()
+    monkeypatch.setattr("sys.argv", ["rule_digest.py", "--rank", "7",
+                                     "--search", "--write"])
+    with pytest.raises(SystemExit) as exc:
+        _rule_digest_script.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ranks 3-6 only" in captured.err
+    assert table.read_text() == before
 
 
 def test_schedule_table_is_the_script_rendering():

@@ -109,6 +109,30 @@ def test_failed_record_drives_exit_code():
     assert json.loads(emit_report(report, "json"))["summary"]["FAILED"] == 1
 
 
+@pytest.mark.parametrize("records", [0, 1, 3])
+def test_json_report_is_one_dump_of_the_document(records):
+    # emit_report encodes one record at a time, into the bytes a single
+    # json.dumps of the whole document gives
+    report = VerificationReport(4, ("definitions", "casimirs"),
+                                (("integer", "c1=1 N=4", 4),))
+    fields = [("definitions", "quad", "13,2,4", "\u00bd[C_JK, C_IJ] \"q\"",
+               "symbolic-reduce", "", "proved-zero", ""),
+              ("casimirs", "casimir", "C\\12", "line\nbreak",
+               "representation-eval", "integer", "FAILED", "state |0> -> 1"),
+              ("definitions", "central", "", "", "symbolic-reduce", "",
+               "inconclusive", "\t")]
+    for row in fields[:records]:
+        report.add(*row)
+    doc = {"rank": 4, "suites": ["definitions", "casimirs"],
+           "param_sets": [["integer", "c1=1 N=4", 4]],
+           "summary": report.summary(),
+           "instances": [dict(zip(("suite", "family", "payload", "anchor",
+                                   "method", "context", "status", "witness"),
+                                  row)) for row in fields[:records]]}
+    assert emit_report(report, "json") == (
+        json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_jacobi_suite_rank3():
     report = run_suite(SuiteConfig(rank=3, suites=("jacobi",)))
     assert len(report.records) == 35              # C(7,3) generator triples
