@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compile one rank's rewrite system and print its rule count per kind, the
-compile time and its two halves, the saturation step count, and a SHA-256
-digest of the ordered rule list.
+compile time and its two halves, the peak memory, the saturation step
+count, and a SHA-256 digest of the ordered rule list.
 
     PYTHONPATH=src python3 scripts/rule_digest.py --rank 6
     PYTHONPATH=src python3 scripts/rule_digest.py --rank 6 --search [--write]
@@ -23,12 +23,17 @@ against the compiled system's: it exits 1 when they differ.  With
 instead.
 
 The compile time ``compile_s`` is the sum of its two halves: ``base_s``
-builds the unsaturated system, and ``replay_s`` (``images_s`` above rank 6,
-``search_s`` with ``--search``) adds its derived rules.
+builds the unsaturated system (above rank 6 its rule list only), and
+``replay_s`` (``images_s`` above rank 6, the relabelled rules and the one
+system over both; ``search_s`` with ``--search``) adds its derived rules.
+``peak_rss_mb`` is the process's peak resident memory at the end of the
+compile (``ru_maxrss``), the figure to quote for the compile's memory: run
+one rank per fresh process.
 """
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from collections import Counter
@@ -36,9 +41,9 @@ from pathlib import Path
 
 from racah import saturation_schedules
 from racah.cli import _integer
-from racah.core import (base_rewrite_system, build_rewrite_system, check_rank,
-                        saturation_schedule, saturation_seeds,
-                        with_relabelled_rules)
+from racah.core import (base_rewrite_system, base_rules,
+                        build_rewrite_system, check_rank, saturation_schedule,
+                        saturation_seeds, with_relabelled_rules)
 from racah.freealg import AlgebraError, format_poly, format_word
 
 TABLE = Path(saturation_schedules.__file__)
@@ -106,16 +111,20 @@ def main() -> None:
                      "by relabelling")
     # core.build_rewrite_system, timed in its two halves
     t0 = time.perf_counter()
-    rs = base_rewrite_system(args.rank)
-    t1 = time.perf_counter()
-    if args.search:
-        schedule = rs.saturate(*saturation_seeds(args.rank))
-    elif args.rank > 6:
-        rs = with_relabelled_rules(rs)
+    if args.rank > 6 and not args.search:
+        rules = base_rules(args.rank)
+        t1 = time.perf_counter()
+        rs = with_relabelled_rules(args.rank, rules)
     else:
-        rs.saturate(*saturation_seeds(args.rank),
-                    schedule=saturation_schedule(args.rank))
+        rs = base_rewrite_system(args.rank)
+        t1 = time.perf_counter()
+        if args.search:
+            schedule = rs.saturate(*saturation_seeds(args.rank))
+        else:
+            rs.saturate(*saturation_seeds(args.rank),
+                        schedule=saturation_schedule(args.rank))
     t2 = time.perf_counter()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     counts = Counter(rule.name for rule in rs.rules)
     print(f"rank {args.rank}: {len(rs.rules)} rules")
     for name in sorted(counts):
@@ -125,6 +134,7 @@ def main() -> None:
             "images_s" if args.rank > 6 else "replay_s")
     print(f"{half} {t2 - t1:.2f}")
     print(f"compile_s {t2 - t0:.2f}")
+    print(f"peak_rss_mb {peak_mb:.1f}")
     print(f"steps {rs.steps}")
     digest = rule_digest(rs.rules)
     print(f"sha256 {digest}")

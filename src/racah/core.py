@@ -276,9 +276,9 @@ def alphabet(rank: int) -> list[Gen]:
     return core_generators(rank) + [Gen("C", s) for s in subsets(rank)]
 
 
-def base_rewrite_system(rank: int) -> RewriteSystem:
-    """A fresh normal-ordering system for the given rank before saturation:
-    the expansions, the catalog swaps and the singleton eliminations."""
+def base_rules(rank: int) -> list[RewriteRule]:
+    """The normal-ordering rules for the given rank before saturation: the
+    expansions, the catalog swaps and the singleton eliminations."""
     check_rank(rank)
     core = sorted(core_generators(rank), key=Gen.sort_key)
     commutators = _commutator_instances(rank)
@@ -306,7 +306,12 @@ def base_rewrite_system(rank: int) -> RewriteSystem:
                 rules.append(RewriteRule(
                     (g, d), singleton_elimination(rank, l, d),
                     "eliminate", "singleton count"))
-    return RewriteSystem(rank, alphabet(rank), rules)
+    return rules
+
+
+def base_rewrite_system(rank: int) -> RewriteSystem:
+    """A fresh system over ``base_rules``, before saturation."""
+    return RewriteSystem(rank, alphabet(rank), base_rules(rank))
 
 
 def build_rewrite_system(rank: int) -> RewriteSystem:
@@ -317,48 +322,63 @@ def build_rewrite_system(rank: int) -> RewriteSystem:
     (``with_relabelled_rules``).  That the compiled system is a fixpoint,
     that a search over it adopts no further rule, is checked by the tests
     (ranks 3-6, and 7-9 in CI), not here."""
-    rs = base_rewrite_system(rank)
     if rank > 6:
-        return with_relabelled_rules(rs)
+        return with_relabelled_rules(rank, base_rules(rank))
+    rs = base_rewrite_system(rank)
     rs.saturate(*saturation_seeds(rank), schedule=saturation_schedule(rank))
     return rs
 
 
-def with_relabelled_rules(base: RewriteSystem) -> RewriteSystem:
-    """The base system of a rank n plus the images of the full-support
-    derived rules of ranks 4-6 under each order-preserving injection
-    {1..k} -> {1..n}, sorted as ``saturate`` sorts its rules: the system
-    commutes with such a relabelling, and a seed product spans at most six
-    indices.  A repeated left-hand side raises."""
-    n = base.rank
-    images = sorted((RewriteRule(_relabel(r.lhs, ix, n),
-                                 _relabel(r.rhs, ix, n), r.name, r.grade_drop)
-                     for k, r in _full_support_rules()
-                     for ix in itertools.combinations(range(1, n + 1), k)),
+def with_relabelled_rules(rank: int, base: list[RewriteRule]) -> RewriteSystem:
+    """The system over the base rules plus the images of the full-support
+    derived rules of ranks 4-6 under each increasing map {1..k} ->
+    {1..rank}, sorted as ``saturate`` sorts its rules: the system commutes
+    with such a relabelling, and a seed product spans at most six indices.
+    Each map's letter table is dropped once its rules are mapped (rank 9
+    has 336 maps).  A repeated left-hand side raises."""
+    images = sorted((RewriteRule(tuple(map(t[0].__getitem__, r.lhs)),
+                                 relabel(r.rhs, t, rank), r.name, r.grade_drop)
+                     for k, sources in _full_support_rules()
+                     for t in map(relabel_table, itertools.combinations(
+                         range(1, rank + 1), k))
+                     for r in sources),
                     key=lambda r: [g.sort_key() for g in r.lhs])
-    rules = base.rules + tuple(images)
+    rules = base + images
     if len({r.lhs for r in rules}) != len(rules):
-        raise AlgebraError(f"rank {n}: a relabelled rule repeats an lhs")
-    return RewriteSystem(n, alphabet(n), rules)
+        raise AlgebraError(f"rank {rank}: a relabelled rule repeats an lhs")
+    return RewriteSystem(rank, alphabet(rank), rules)
 
 
-def _relabel(x, image: tuple[int, ...], rank: int):
-    """``x``, a word or a polynomial (now of ``rank``), with each index i read
-    as ``image[i - 1]``; an increasing ``image`` keeps letter order."""
-    if isinstance(x, NCPoly):
-        return NCPoly.from_pair(rank, x.den, {_relabel(w, image, rank): c
-                                              for w, c in x.nums.items()})
-    return tuple(Gen(g.kind, tuple(image[i - 1] for i in g.indices))
-                 for g in x)
+def relabel_table(images: tuple[int, ...]) -> tuple[dict, frozenset]:
+    """The letter table of the index map i -> ``images[i - 1]`` on
+    ``alphabet(len(images))``: each letter's indices mapped and sorted, and
+    the ``D`` letters whose image ``d_poly`` negates (none if increasing)."""
+    table = {x: Gen(x.kind, tuple(sorted(images[i - 1] for i in x.indices)))
+             for x in alphabet(len(images))}
+    flips = frozenset(x for x in table if x.kind == "D"
+                      and _perm_sign([images[i - 1] for i in x.indices]) < 0)
+    return table, flips
+
+
+def relabel(p: NCPoly, table: tuple[dict, frozenset], rank: int) -> NCPoly:
+    """``p`` moved into ``rank`` along a letter table: each letter becomes
+    its image, a word changes sign once per negated letter; ``KeyError``
+    for a letter the table lacks."""
+    images, flips = table
+    return NCPoly.from_pair(rank, p.den, {
+        tuple(map(images.__getitem__, w)):
+            n if not flips or sum(map(flips.__contains__, w)) % 2 == 0
+            else -n
+        for w, n in p.nums.items()})
 
 
 @lru_cache(maxsize=None)
-def _full_support_rules() -> tuple[tuple[int, RewriteRule], ...]:
-    """``(k, rule)`` per derived rule of rank k = 4-6 using all of 1..k."""
-    return tuple((k, r) for k in (4, 5, 6)
-                 for r in build_rewrite_system(k).rules
-                 if r.grade_drop == "word order at equal degree"
-                 and len({i for g in r.lhs for i in g.indices}) == k)
+def _full_support_rules() -> tuple[tuple[int, tuple[RewriteRule, ...]], ...]:
+    """``(k, rules)`` per rank k = 4-6: its derived rules using all of 1..k."""
+    return tuple((k, tuple(r for r in build_rewrite_system(k).rules
+                           if r.grade_drop == "word order at equal degree"
+                           and len({i for g in r.lhs for i in g.indices})
+                           == k)) for k in (4, 5, 6))
 
 
 def saturation_schedule(rank: int) -> list[list[tuple[int, Word]]]:

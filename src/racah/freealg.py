@@ -558,6 +558,9 @@ class RewriteSystem:
         return self._extern(self._reduce(self._intern(p)))
 
     def reduce_with_stats(self, p: NCPoly) -> tuple[NCPoly, int]:
+        """``reduce(p)`` and the rule applications it took.  Only steps the
+        memo had not already taken count, so the count depends on what this
+        system reduced before: it is not a per-record step count."""
         before = self._steps
         out = self.reduce(p)
         return out, self._steps - before

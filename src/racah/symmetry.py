@@ -3,8 +3,9 @@ letters: expression transport, invariance checking, and the groups the
 pentagon and the index relabelings generate.
 
 One type serves every group.  A permutation of {1..n} relabels every letter
-at n indices.  At n-1 indices it moves the subset letters only, reading each
-``C_I`` as a subset of {1..n} taken up to its complement
+at n indices by ``core.relabel_table``, the one index relabelling, which the
+rank 7-9 compile also uses.  At n-1 indices it moves the subset letters
+only, reading each ``C_I`` as a subset of {1..n} taken up to its complement
 (``core.points_subset``).  The groups at 4 indices are sets of permutations
 of {1..5}: the pentagon group is the ten that keep the cycle 1-2-3-4-5-1,
 since its labels ``om_k`` and ``Om_k`` are the point k and the edge
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import (_perm_sign, alphabet, expand_to_C, points_subset,
+from .core import (expand_to_C, points_subset, relabel, relabel_table,
                    rewrite_system, subsets)
 from .freealg import AlgebraError, Gen, NCPoly
 
@@ -47,12 +48,10 @@ class IndexPermutation:
     def letter_map(self, rank: int) -> tuple[dict[Gen, Gen], frozenset[Gen]]:
         """The image letter of every letter this permutation of {1..n}
         moves at ``rank`` indices, and the letters whose image is its
-        negative.  At n indices every letter of ``core.alphabet(n)`` moves:
-        ``C_I -> C_σ(I)``, ``P_I -> P_σ(I)``, and ``D_ijk -> ±D`` on the
-        sorted image, with the parity sign ``d_poly`` gives
-        ``D_σ(i)σ(j)σ(k)``.  At n-1 indices only the subset letters move,
-        unsigned: ``C_I -> C_J`` with J = σ(I), or its complement in {1..n}
-        when σ(I) contains n.  Cached and shared, so never modified."""
+        negative: at n indices ``core.relabel_table``; at n-1 only the
+        subset letters, unsigned, ``C_I -> C_J`` with J = σ(I), or its
+        complement in {1..n} when σ(I) contains n.  Cached and shared, so
+        never modified."""
         n = len(self.images)
         if rank == n - 1:
             return {Gen("C", I):
@@ -61,13 +60,7 @@ class IndexPermutation:
         if rank != n:
             raise AlgebraError(f"{self} acts at {n} or {n - 1} indices,"
                                f" not {rank}")
-        images, flips = {}, set()
-        for x in alphabet(rank):
-            image = tuple(map(self.apply, x.indices))
-            images[x] = Gen(x.kind, tuple(sorted(image)))
-            if x.kind == "D" and _perm_sign(image) < 0:
-                flips.add(x)
-        return images, frozenset(flips)
+        return relabel_table(self.images)
 
     def __str__(self) -> str:
         return "".join(str(i) for i in self.images)
@@ -81,18 +74,11 @@ PENTAGON = tuple(IndexPermutation(tuple((s * i + k - 1) % 5 + 1
 
 
 def act(g: IndexPermutation, p: NCPoly) -> NCPoly:
-    """Transport ``p`` along ``g``: every letter becomes its image under
-    ``g.letter_map(p.rank)``, and a word changes sign once per letter whose
-    image is negated.  A permutation of {1..n} moves every letter at n
-    indices and only subset letters at n-1, so there expand shift and
-    half-commutator letters with ``expand_to_C`` first."""
-    images, flips = g.letter_map(p.rank)
+    """Transport ``p`` along ``g``: ``core.relabel`` through
+    ``g.letter_map(p.rank)``.  At n-1 indices only subset letters move, so
+    there expand shift and half-commutator letters with ``expand_to_C``."""
     try:
-        return NCPoly.from_pair(p.rank, p.den, {
-            tuple(map(images.__getitem__, w)):
-                n if not flips or sum(map(flips.__contains__, w)) % 2 == 0
-                else -n
-            for w, n in p.nums.items()})
+        return relabel(p, g.letter_map(p.rank), p.rank)
     except KeyError as exc:
         raise AlgebraError(f"{exc.args[0]} is not a subset generator;"
                            " expand it with expand_to_C first") from None

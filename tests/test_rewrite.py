@@ -15,6 +15,7 @@ from racah.core import build_rewrite_system, d_poly, gen_C, relation, RelationId
 from racah.freealg import (AlgebraError, NCPoly, RankMismatchError,
                            RewriteSystem, ScheduleError,
                            UnknownGeneratorError, Gen)
+from racah.verifier import _SUITE_FAMILIES
 
 _spec = importlib.util.spec_from_file_location(
     "rule_digest", Path(__file__).parents[1] / "scripts" / "rule_digest.py")
@@ -186,12 +187,13 @@ def _support(word) -> set[int]:
     return {i for g in word for i in g.indices}
 
 
-def _rule_key(rule, image=None, rank=None) -> tuple:
-    """A hashable rule, or its image under ``core._relabel`` if given."""
+def _rule_key(rule, table=None, rank=None) -> tuple:
+    """A hashable rule, or its image along a ``core.relabel_table`` table if
+    given."""
     lhs, rhs = rule.lhs, rule.rhs
-    if image is not None:
-        lhs = core._relabel(lhs, image, rank)
-        rhs = core._relabel(rhs, image, rank)
+    if table is not None:
+        lhs = tuple(table[0][g] for g in lhs)
+        rhs = core.relabel(rhs, table, rank)
     return rule.name, rule.grade_drop, lhs, rhs.key()
 
 
@@ -208,10 +210,11 @@ def test_rule_bodies_stay_inside_the_lhs_support(rank):
 def test_base_rules_are_natural(k):
     # every order-preserving image of a rank-k base rule is a rank k+1 base
     # rule, and every rank k+1 base rule that misses an index is an image
-    upper = {_rule_key(r) for r in core.base_rewrite_system(k + 1).rules}
-    images = {_rule_key(r, ix, k + 1)
-              for r in core.base_rewrite_system(k).rules
-              for ix in itertools.combinations(range(1, k + 2), k)}
+    upper = {_rule_key(r) for r in core.base_rules(k + 1)}
+    rules = core.base_rules(k)
+    images = {_rule_key(r, table, k + 1)
+              for ix in itertools.combinations(range(1, k + 2), k)
+              for table in [core.relabel_table(ix)] for r in rules}
     assert images <= upper
     assert {r for r in upper if len(_support(r[2])) <= k} <= images
 
@@ -222,7 +225,9 @@ def test_order_preserving_relabelling_keeps_letter_order():
         for n in range(k, 10):
             alphabet = set(core.alphabet(n))
             for ix in itertools.combinations(range(1, n + 1), k):
-                images = core._relabel(letters, ix, n)
+                table, flips = core.relabel_table(ix)
+                assert not flips
+                images = [table[g] for g in letters]
                 assert set(images) <= alphabet
                 keys = [g.sort_key() for g in images]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -232,12 +237,62 @@ def test_order_preserving_relabelling_keeps_letter_order():
 def test_relabelled_rules_refuse_a_repeated_lhs(monkeypatch, injected):
     rules = core._full_support_rules()
     extra = (rules[0] if injected == "repeated image" else
-             (4, next(r for r in core.base_rewrite_system(4).rules
-                      if r.name == "swap" and len(_support(r.lhs)) == 4)))
+             (4, (next(r for r in core.base_rules(4)
+                       if r.name == "swap" and len(_support(r.lhs)) == 4),)))
     monkeypatch.setattr(core, "_full_support_rules", lambda: rules + (extra,))
     with pytest.raises(AlgebraError,
                        match="rank 7: a relabelled rule repeats an lhs"):
         build_rewrite_system(7)
+
+
+def test_relabelled_compile_builds_one_rewrite_system(monkeypatch):
+    # the base rules are interned once, with the images, not first into a
+    # base system of their own
+    core._full_support_rules()
+    built = []
+    init = RewriteSystem.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RewriteSystem, "__init__", counted)
+    rs = build_rewrite_system(7)
+    assert built == [7]
+    assert rule_digest(rs.rules) == GOLDEN_RULE_DIGESTS[7]
+
+
+# every family whose payload is made of indices: not the rank-1
+# presentation, whose payload picks a relation, nor the pentagon labels
+INDEX_FAMILIES = [f for f in core.FAMILIES
+                  if f not in _SUITE_FAMILIES["pentagon"] + ("pres_rank1",)]
+
+
+def _relabel_payload(x, ix: tuple[int, ...]):
+    # an index, an index set, or the dd family's orientation word
+    if isinstance(x, int):
+        return ix[x - 1]
+    if isinstance(x, tuple):
+        return tuple(ix[i - 1] for i in x)
+    return x
+
+
+@pytest.mark.parametrize("k", [3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_family_builders_are_natural(k):
+    # each order-preserving image of a rank-k instance is a rank k+1
+    # instance, and the relabelled polynomial is the builder's on it
+    tables = {ix: core.relabel_table(ix)
+              for ix in itertools.combinations(range(1, k + 2), k)}
+    for family in INDEX_FAMILIES:
+        upper = {rid.indices for rid in core.enumerate_relations(k + 1, family)}
+        for rid in core.enumerate_relations(k, family):
+            poly = relation(rid)
+            for ix, table in tables.items():
+                payload = tuple(_relabel_payload(x, ix) for x in rid.indices)
+                assert payload in upper, (rid, ix)
+                image = RelationId(family, k + 1, payload)
+                assert core.relabel(poly, table, k + 1) == relation(image), (
+                    rid, ix)
 
 
 def test_no_schedule_is_recorded_above_rank_6():
@@ -274,9 +329,12 @@ def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert f"sha256 {GOLDEN_RULE_DIGESTS[3]}" in lines
     assert f"steps {GOLDEN_REPLAY_STEPS[3]}" in lines
-    # the compile time and its two halves
+    # the compile time and its two halves, and the peak memory in MB
     assert {"base_s", "replay_s", "compile_s"} <= {
         line.split()[0] for line in lines}
+    (peak,) = [line.split()[1] for line in lines
+               if line.startswith("peak_rss_mb ")]
+    assert float(peak) > 0
 
 
 def test_rule_digest_script_checks_the_table_by_search(monkeypatch, capsys):
@@ -298,6 +356,7 @@ def test_rule_digest_script_relabels_above_rank_6(monkeypatch, capsys):
     assert [line.split()[0] for line in lines
             if line.split()[0].endswith("_s")] == [
                 "base_s", "images_s", "compile_s"]
+    assert any(line.startswith("peak_rss_mb ") for line in lines)
 
 
 def test_rule_digest_script_checks_a_search_above_rank_6_by_digest(
