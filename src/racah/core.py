@@ -23,6 +23,7 @@ from .freealg import (
     NCPoly,
     RewriteRule,
     RewriteSystem,
+    ScheduleError,
     Word,
     anticommutator as acom,
     commutator as com,
@@ -392,9 +393,25 @@ def saturation_schedule(rank: int) -> list[list[tuple[int, Word]]]:
     if rank not in SCHEDULES:
         raise AlgebraError(f"no saturation schedule at rank {rank}")
     letter = {str(g): g for g in core_generators(rank)}
-    return [[(int(i), tuple(letter[s] for s in lhs.split("*")))
-             for i, lhs in (entry.split(":") for entry in block.split())]
-            for block in SCHEDULES[rank].split("\n\n") if block.strip()]
+    blocks = [block for block in SCHEDULES[rank].split("\n\n")
+              if block.strip()]
+    schedule = []
+    for k, block in enumerate(blocks, 1):
+        entries = []
+        where = f"rank {rank} saturation round {k}: entry"
+        for entry in block.split():
+            i, _, lhs = entry.partition(":")
+            try:
+                entries.append((int(i), tuple(letter[s]
+                                              for s in lhs.split("*"))))
+            except KeyError as exc:
+                raise ScheduleError(f"{where} {entry} names {exc.args[0]}, no"
+                                    f" letter of rank {rank}") from None
+            except ValueError:
+                raise ScheduleError(
+                    f"{where} {entry} has no product index") from None
+        schedule.append(entries)
+    return schedule
 
 
 def saturation_seeds(rank: int) -> tuple[list[NCPoly], list[Gen]]:

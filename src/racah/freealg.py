@@ -136,10 +136,6 @@ class NCPoly:
         return NCPoly.from_word(rank, (), value)
 
     @staticmethod
-    def one(rank: int) -> "NCPoly":
-        return NCPoly.from_pair(rank, 1, {(): 1})
-
-    @staticmethod
     def from_word(rank: int, word: Iterable[Gen], coeff=1) -> "NCPoly":
         q = coeff if type(coeff) is int else rational(coeff)
         return NCPoly.from_pair(rank, q.denominator,
@@ -218,7 +214,7 @@ class NCPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise AlgebraError("exponent must be a nonnegative integer")
-        out = NCPoly.one(self.rank)
+        out = NCPoly.const(self.rank, 1)
         for _ in range(n):
             out = out * self
         return out
@@ -583,27 +579,23 @@ class RewriteSystem:
         a nonzero residual whose largest word has two letters and is no rule
         yet becomes a rule oriented at that word (every other residual word
         sits strictly below it in the measure, a total order).  Each round
-        adopts its rules together.
+        adopts its rules together: they join the rule table and the memo is
+        emptied, so the next round reduces from scratch under every rule
+        adopted so far.
 
-        Without ``schedule`` this searches: the first round reduces every
-        product, and each later round re-reduces only the products with a
-        word whose memoized normal form the new rules dropped (an unchanged
-        residual cannot yield a rule, since its largest word is already a
-        rule or has a length other than two), until a round yields no rule;
-        there are finitely many two-letter words, so this stops.
-
-        With a ``schedule`` that an earlier search returned, round k
-        reduces only the products that round lists, with the rules adopted
-        before it, and the system ends with the rules and the schedule the
-        search found; each round's adoption empties the memo, so the
-        system ends with an empty one.  Every rule is still computed from
-        its own product's reduction under the per-step measure assertion,
-        so the schedule cannot make the system unsound: an entry whose
-        product yields no rule or another left-hand side raises
-        ``ScheduleError``.  That the replayed system is a fixpoint is not
-        checked here: it is when a search over it returns ``[]``.  No
-        confluence claim is made for the result; it is merely a larger
-        sound system.
+        Without ``schedule`` this searches: every round reduces every
+        product, until a round yields no rule; there are finitely many
+        two-letter words, so this stops.  With a ``schedule`` that an
+        earlier search returned, round k reduces only the products that
+        round lists, and the system ends with the rules and the schedule
+        the search found.  Every rule is still computed from its own
+        product's reduction under the per-step measure assertion, so the
+        schedule cannot make the system unsound: an entry whose index names
+        no product, or whose product yields no rule or another left-hand
+        side, raises ``ScheduleError``.  That the replayed system is a
+        fixpoint is not checked here: it is when a search over it returns
+        ``[]``.  No confluence claim is made for the result; it is merely a
+        larger sound system.
         """
         letters = [self.generator_order(u) for u in letters]
         products = []
@@ -620,21 +612,24 @@ class RewriteSystem:
         rounds = None if schedule is None else iter(
             [(i, tuple(map(self.generator_order, lhs))) for i, lhs in entries]
             for entries in schedule)
-        todo = ([(i, None) for i in range(len(products))] if rounds is None
-                else next(rounds, []))
+        every = [(i, None) for i in range(len(products))]
         found: list[list[tuple[int, Word]]] = []
         adopted: dict[tuple, tuple] = {}
-        while todo:
+        while todo := (every if rounds is None else next(rounds, [])):
             new: dict[tuple, tuple] = {}
             seeds = []
+            where = f"rank {self.rank} saturation round {len(found) + 1}"
             for i, want in todo:
+                if not 0 <= i < len(products):
+                    raise ScheduleError(
+                        f"{where}: entry {i}:{text(want)} names no product;"
+                        f" there are {len(products)}")
                 lhs, body = self._residual_rule(products[i], new)
                 if want is not None and lhs != want:
                     raise ScheduleError(
-                        f"rank {self.rank} saturation round {len(found) + 1}:"
-                        f" product {i} ({'m*u' if i % 2 else 'u*m'} with u ="
-                        f" {gens[letters[i // 2 % len(letters)]]}, m = seed"
-                        f" member {i // (2 * len(letters))}) yields"
+                        f"{where}: product {i} ({'m*u' if i % 2 else 'u*m'}"
+                        f" with u = {gens[letters[i // 2 % len(letters)]]},"
+                        f" m = seed member {i // (2 * len(letters))}) yields"
                         f" {text(lhs)}, not the scheduled {text(want)}")
                 if lhs is not None:
                     new[lhs] = body
@@ -643,16 +638,8 @@ class RewriteSystem:
                 break
             found.append(seeds)
             adopted.update(new)
-            if rounds is None:
-                dropped = self._adopt(new)
-                todo = [(i, None) for i, (_, terms) in enumerate(products)
-                        if not dropped.isdisjoint(terms)]
-            else:
-                # a replay round reads no dropped set, so rather than sort
-                # the memo into kept and dropped entries it starts over
-                self._adjacent.update(new)
-                self._nf.clear()
-                todo = next(rounds, [])
+            self._adjacent.update(new)
+            self._nf.clear()
         # letter ids follow the sort key, so id order is the word order
         self.rules += tuple(
             RewriteRule(tuple(gens[i] for i in lhs), self._extern(adopted[lhs]),
@@ -679,32 +666,6 @@ class RewriteSystem:
         rest = {w: sign * c for w, c in resid.items() if w != lhs}
         g = gcd(t, *rest.values())
         return lhs, (abs(t) // g, {w: c // g for w, c in rest.items()})
-
-    def _adopt(self, new: dict[tuple, tuple]) -> set[tuple]:
-        """Enter the two-letter rules ``new`` (id word -> body) into the rule
-        table; returns the id words whose memoized normal forms were dropped.
-
-        A new left-hand side is no key of any existing rule, and rule bodies
-        never change, so in a word that holds no new left-hand side as an
-        adjacent pair the redex search finds the very step the entry was
-        computed from.  An entry is therefore kept unless its word holds a
-        new pair or a word of that re-derived first step was dropped; the
-        memo stores children before parents, so one pass in its order
-        decides every entry.
-        """
-        self._adjacent.update(new)
-        dropped = set()
-        new_pairs = new.keys()
-        for w in self._nf:
-            if not new_pairs.isdisjoint(zip(w, w[1:])):
-                dropped.add(w)
-            elif dropped and (redex := self._find_redex(w)) is not None:
-                prefix, (_, body), suffix = redex
-                if not dropped.isdisjoint(prefix + rw + suffix for rw in body):
-                    dropped.add(w)
-        for w in dropped:
-            del self._nf[w]
-        return dropped
 
     # -- termination bookkeeping --------------------------------------------
 

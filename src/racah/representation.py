@@ -291,10 +291,6 @@ class SparseOperator:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def identity(states: tuple[State, ...]) -> "SparseOperator":
-        return SparseOperator(states, 1, {i: {i: 1} for i in range(len(states))})
-
-    @staticmethod
     def scalar(states: tuple[State, ...], value: Fraction) -> "SparseOperator":
         value = rational(value)
         if value == 0:
@@ -744,7 +740,7 @@ class OperatorContext:
         if got is not None:
             return got
         if not word:
-            out = SparseOperator.identity(self.states)
+            out = SparseOperator.scalar(self.states, 1)
         elif len(word) == 1:
             out = build_operator(word[0], self.params, self.window, self.states)
         else:

@@ -32,7 +32,7 @@ def word(rank, *gens):
 
 X = word(4, Gen("C", (1, 2)))
 Y = word(4, Gen("C", (2, 3)))
-ONE = NCPoly.one(4)
+ONE = NCPoly.const(4, 1)
 
 
 def test_additive_identity():

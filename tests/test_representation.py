@@ -173,7 +173,7 @@ def test_commuting_pairs(ctx_generic):
 
 
 def test_eval_unit_is_identity(ctx_integer):
-    op = ctx_integer.eval(NCPoly.one(4))
+    op = ctx_integer.eval(NCPoly.const(4, 1))
     assert not op.leaky
     assert all(op.column(x) == {x: Fraction(1)} for x in op.states)
 
@@ -261,7 +261,7 @@ def test_scalar_operator_rejects_floats():
 
 def test_linear_combination_rejects_float_coefficients():
     states = triangle_states(2)
-    ident = SparseOperator.identity(states)
+    ident = SparseOperator.scalar(states, 1)
     with pytest.raises(AlgebraError, match="float"):
         SparseOperator.linear_combination(states, [(1, ident), (0.1, ident)])
     with pytest.raises(AlgebraError, match="float"):
@@ -274,8 +274,8 @@ def test_linear_combination_rejects_float_coefficients():
 
 
 def test_linear_combination_rejects_mixed_windows():
-    small = SparseOperator.identity(triangle_states(2))
-    large = SparseOperator.identity(triangle_states(3))
+    small = SparseOperator.scalar(triangle_states(2), 1)
+    large = SparseOperator.scalar(triangle_states(3), 1)
     with pytest.raises(AlgebraError, match="different windows"):
         SparseOperator.linear_combination(small.states, [(1, small), (1, large)])
     with pytest.raises(AlgebraError, match="different windows"):
@@ -345,7 +345,7 @@ def test_zero_scalar_word_adds_no_leak(ctx_integer):
 def test_zero_coefficient_adds_no_leak():
     states = triangle_states(3)
     c23 = _op("C23", P_INT, 3)
-    ident = SparseOperator.identity(states)
+    ident = SparseOperator.scalar(states, 1)
     assert c23.leaky == {x for x in states if x[0] == 3}
     total = SparseOperator.linear_combination(states, [(0, c23), (1, ident)])
     assert not total.leaky
@@ -362,7 +362,7 @@ def _composed(ctx, word, memo):
     from the right, as written (kept in ``memo``)."""
     if word not in memo:
         memo[word] = (
-            SparseOperator.identity(ctx.states) if not word
+            SparseOperator.scalar(ctx.states, 1) if not word
             else build_operator(word[0], ctx.params, ctx.window,
                                 ctx.states) if len(word) == 1
             else _composed(ctx, word[:1], memo).compose(

@@ -3,6 +3,7 @@ accounting, and soundness of every compiled rule against the operators."""
 
 import importlib.util
 import itertools
+import re
 from math import gcd
 from pathlib import Path
 
@@ -109,7 +110,7 @@ def test_every_step_decreases_measure():
     # the engine asserts the drop at every application; a violation would
     # raise, so surviving a nontrivial reduction is the real check
     rs, _ = searched_system(4)
-    assert rs.steps == 754
+    assert rs.steps == GOLDEN_SATURATION_STEPS[4]
     poly = core.casimir_frak(0) * gen_C(4, (1, 4))
     _, steps = rs.reduce_with_stats(poly)
     # the counts pin the rewrite order: a different choice of redex takes
@@ -149,10 +150,11 @@ def test_degree_grading():
     assert Gen("C", (1, 2, 3, 4)).degree == 1
 
 
-# saturation steps of the search on an unsaturated system: the same rules
-# found by a different redex order, or by reducing more or fewer candidates,
-# change the count
-GOLDEN_SATURATION_STEPS = {3: 0, 4: 754, 5: 6937, 6: 32767}
+# saturation steps of the search on an unsaturated system, which reduces
+# every seed product in every round with a memo emptied at each round: the
+# same rules found by a different redex order, or by reducing more or fewer
+# candidates, change the count
+GOLDEN_SATURATION_STEPS = {3: 0, 4: 1177, 5: 17364, 6: 111294}
 # steps of the compile, which replays the recorded schedule: it reduces each
 # derived rule's seed product once, with the rules of the earlier rounds and
 # a memo emptied at each round (ranks 7-9 relabel and take no step)
@@ -322,6 +324,44 @@ def test_stale_schedule_entry_raises():
             *core.saturation_seeds(5), schedule=schedule)
 
 
+@pytest.mark.parametrize("past_end", [True, False],
+                         ids=["past-the-end", "negative"])
+def test_schedule_index_outside_the_products_raises(past_end):
+    members, letters = core.saturation_seeds(5)
+    n = 2 * len(members) * len(letters)
+    schedule = core.saturation_schedule(5)
+    _, lhs = schedule[1][0]
+    i = n if past_end else -1
+    schedule[1][0] = (i, lhs)
+    with pytest.raises(ScheduleError, match=(
+            rf"rank 5 saturation round 2: entry {i}:{lhs[0]}\*{lhs[1]} names"
+            rf" no product; there are {n}$")):
+        core.base_rewrite_system(5).saturate(members, letters,
+                                             schedule=schedule)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("7:D123*D167", "names D167, no letter of rank 4"),
+    ("x7:D123*D124", "has no product index"),
+], ids=["unknown-letter", "no-index"])
+def test_schedule_table_entry_of_no_product_raises(
+        monkeypatch, capsys, entry, message):
+    from racah import cli, saturation_schedules
+
+    table = saturation_schedules.SCHEDULES
+    monkeypatch.setitem(table, 4, f"\n{entry}\n" + table[4])
+    with pytest.raises(ScheduleError, match=(
+            rf"^rank 4 saturation round 1: entry {re.escape(entry)}"
+            rf" {message}$")):
+        core.saturation_schedule(4)
+    # the CLI compiles afresh and exits 2, an input error, not 1, a FAILED
+    # record
+    monkeypatch.setattr(cli, "rewrite_system", build_rewrite_system)
+    assert cli.main(["reduce", "--rank", "4", "C12"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: rank 4 saturation round 1: entry {entry} {message}\n")
+
+
 def test_rule_digest_script_prints_golden_digest(monkeypatch, capsys):
     # the script's own entry point, argparse and racah.cli's rank reader
     monkeypatch.setattr("sys.argv", ["rule_digest.py", "--rank", "3"])
@@ -451,9 +491,10 @@ def test_base_rules_are_catalog_relations_solved_for_their_word(rank):
 
 
 def test_saturated_memo_matches_fresh_system():
-    # the memo carried through the search holds only normal forms a system
-    # compiled from the final rules would compute from scratch; the replay
-    # ends with an empty memo and reduces the same words to the same forms
+    # the memo the search ends with, that of its last round, holds only
+    # normal forms a system compiled from the final rules would compute from
+    # scratch; the replay ends with an empty memo and reduces the same words
+    # to the same forms
     searched, _ = searched_system(5)
     assert searched.steps == GOLDEN_SATURATION_STEPS[5]
     replayed = build_rewrite_system(5)
@@ -499,45 +540,24 @@ def test_memo_entries_are_canonical_integer_pairs():
 
 
 @pytest.mark.parametrize("rank", [4, 5])
-def test_adopt_drops_exactly_the_affected_entries(rank):
-    compiled = core.rewrite_system(rank)
-    base = [r for r in compiled.rules
-            if r.grade_drop != "word order at equal degree"]
-    rule = next(r for r in compiled.rules if r not in base)
-    rs = RewriteSystem(rank, core.alphabet(rank), base)
-    # the products saturation reduces, spelled as NCPoly products
+def test_every_search_round_reduces_every_product(monkeypatch, rank):
+    rounds: dict[int, list] = {}
+    residual_rule = RewriteSystem._residual_rule
+
+    def spy(self, product, new):
+        # a round adopts its rules at its end, so the size of the rule table
+        # tells the rounds apart
+        rounds.setdefault(len(self._adjacent), []).append(id(product))
+        return residual_rule(self, product, new)
+
+    monkeypatch.setattr(RewriteSystem, "_residual_rule", spy)
     members, letters = core.saturation_seeds(rank)
-    products = [q for m in members for u in letters
-                for q in (NCPoly.from_word(rank, (u,)) * m,
-                          m * NCPoly.from_word(rank, (u,)))]
-    for q in products:
-        rs.reduce(q)
-    before = dict(rs._nf)
-    pair = tuple(rs.generator_order(g) for g in rule.lhs)
-
-    visits: dict = {}
-
-    def visits_pair(w):
-        # does the derivation of w pass through a word holding the pair?
-        if w not in visits:
-            redex = rs._find_redex(w)
-            visits[w] = pair in zip(w, w[1:]) or (redex is not None and any(
-                visits_pair(redex[0] + rw + redex[2]) for rw in redex[1][1]))
-        return visits[w]
-
-    holders = {w for w in before if pair in zip(w, w[1:])}
-    affected = {w for w in before if visits_pair(w)}
-    dropped = rs._adopt({pair: rs._intern(rule.rhs)})
-
-    assert dropped == affected
-    assert holders and affected > holders      # the holders and their ancestors
-    kept = before.keys() - affected
-    assert any(w not in before[w][1] for w in kept)   # a reducible bystander
-    assert rs._nf.keys() == kept
-    assert all(rs._nf[w] is before[w] for w in kept)
-    fresh = RewriteSystem(rank, core.alphabet(rank), base + [rule])
-    for q in products:
-        assert rs.reduce(q) == fresh.reduce(q)
+    schedule = core.base_rewrite_system(rank).saturate(members, letters)
+    # the last round adopts nothing
+    assert len(rounds) == len(schedule) + 1 >= 2
+    first, *rest = rounds.values()
+    assert len(set(first)) == len(first) == 2 * len(members) * len(letters)
+    assert all(products == first for products in rest)
 
 
 @pytest.mark.parametrize("rank", [4, 5])
