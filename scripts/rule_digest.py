@@ -55,8 +55,9 @@ edit.  ``SCHEDULES[rank]`` holds one block of lines per saturation round,
 blocks apart by an empty line.  Each entry ``index:lhs`` is a seed product:
 its index among the products ``RewriteSystem.saturate`` forms from
 ``core.saturation_seeds(rank)``, and the left-hand side of the rule its
-residual yields.  Text, not tuples, because compiling a literal of some
-6,000 tuples costs an importing process about 14 MB of peak memory.
+residual yields.  Text, not tuples: a tuple literal of the table's 243
+entries took about 0.75 MB more peak memory to import than this text
+(fresh Python 3.11 processes, uncompiled).
 """
 
 '''

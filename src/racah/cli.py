@@ -42,7 +42,8 @@ def _load_params(path: str | None, window_flag: int | None):
     if path is None:
         return default_param_sets(12 if window_flag is None else window_flag)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first key
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
@@ -208,7 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--rank", type=_integer, default=4)
     v.add_argument("--params", help="flat key=value parameter file")
-    v.add_argument("--window", type=_window)
+    v.add_argument("--window", type=_window,
+                   help="window of the --params set (default: the file's "
+                        "window, else 12); without --params, of the generic "
+                        "and randomized sets (default 12), the integer set "
+                        f"staying at its widest valid window {INTEGER_WINDOW}")
     v.add_argument("--suites", default="all",
                    help="comma list or 'all': " + ", ".join(SUITE_NAMES))
     v.add_argument("--format", choices=("json", "human"), default="json")
@@ -235,21 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--group", choices=("d5", "p4", "both"), default="both")
     s.set_defaults(fn=cmd_symmetry)
 
+    rep_window = ("window of the --params set (default: the file's window, "
+                  "else 12); without --params, of the integer set "
+                  f"(default {INTEGER_WINDOW})")
     rp = sub.add_parser("rep", help="representation inspection")
     rsub = rp.add_subparsers(dest="repcmd", required=True)
     d = rsub.add_parser("dump", help="nonzero entries of one generator")
     d.add_argument("--gen", required=True)
-    d.add_argument("--window", type=_window)
+    d.add_argument("--window", type=_window, help=rep_window)
     d.add_argument("--params")
     d.set_defaults(fn=cmd_rep_dump)
     a = rsub.add_parser("apply", help="apply an expression to a state")
     a.add_argument("--expr", required=True)
     a.add_argument("--state", required=True, help="t,s")
-    a.add_argument("--window", type=_window)
+    a.add_argument("--window", type=_window, help=rep_window)
     a.add_argument("--params")
     a.set_defaults(fn=cmd_rep_apply)
     pr = rsub.add_parser("probe", help="scan for factor zeros (informational)")
-    pr.add_argument("--window", type=_window)
+    pr.add_argument("--window", type=_window, help=rep_window)
     pr.add_argument("--params")
     pr.set_defaults(fn=cmd_rep_probe)
 

@@ -585,16 +585,15 @@ class OperatorContext:
         self._words: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         # per polynomial key, its vector and scale (see ``_vector``)
-        self._vectors: dict[tuple, tuple[tuple, Fraction]] = {}
+        self._vectors: dict[tuple, tuple[frozenset, Fraction]] = {}
         # the operator cache: per vector, its operator at each scale asked
         # for, the first one evaluated and the others its multiples
-        self._ops: dict[tuple, dict[Fraction, SparseOperator]] = {}
+        self._ops: dict[frozenset, dict[Fraction, SparseOperator]] = {}
         # the plan: per planned vector not yet evaluated, its multi-letter
         # canonical words and their multi-letter suffixes, all the word
-        # operators its eval may build; per word, how many of those vectors
-        # hold it, and how many hold it as a word or a suffix
-        self._planned: dict[tuple, tuple[tuple, tuple]] = {}
-        self._holders: dict[tuple, int] = {}
+        # operators its eval may build; per such word, how many of those
+        # vectors hold it as a word or as a suffix
+        self._planned: dict[frozenset, tuple] = {}
         self._needers: dict[tuple, int] = {}
 
     def interchangeable(self, a: Gen, b: Gen) -> bool:
@@ -641,7 +640,7 @@ class OperatorContext:
             self._ids[letters] = wid
         return wid
 
-    def _vector(self, key: tuple) -> tuple[tuple, Fraction]:
+    def _vector(self, key: tuple) -> tuple[frozenset, Fraction]:
         """The polynomial whose ``key()`` is ``key`` as ``(vector, scale)``.
 
         A scalar letter acts as c*I with no leaks, so it is multiplied into
@@ -649,11 +648,11 @@ class OperatorContext:
         per context.  A word whose coefficient folds to zero takes its leak
         set with it, so the reliable states can only grow.  The other words
         are summed by canonical word, in integers over one denominator.
-        The vector is ``(terms, cancelled)``: ``terms`` the pairs (canonical
-        word id, integer coefficient) with no common factor and a positive
-        coefficient on the least id, and ``cancelled`` the ids of the
-        canonical words whose coefficients cancel.  The polynomial is
-        ``scale`` times the terms, and each cancelled word adds its leaks.
+        The vector is the set of pairs (canonical word id, integer
+        coefficient), the coefficients with no common factor and the one on
+        the least id with a nonzero coefficient positive.  A canonical word
+        whose coefficients cancel keeps its pair, with coefficient 0: it
+        adds its leaks.  The polynomial is ``scale`` times the vector.
         """
         got = self._vectors.get(key)
         if got is not None:
@@ -683,17 +682,15 @@ class OperatorContext:
         for letters, num, d in words:
             wid = self._word_id(letters)
             merged[wid] = merged.get(wid, 0) + num * (common // d)
-        terms = {wid: n for wid, n in merged.items() if n}
-        cancelled = frozenset(wid for wid, n in merged.items() if not n)
         scale = ONE
-        if terms:
-            g = math.gcd(*terms.values())
-            if terms[min(terms)] < 0:
+        g = math.gcd(*merged.values())
+        if g:
+            if merged[min(wid for wid, n in merged.items() if n)] < 0:
                 g = -g
             if g != 1:
-                terms = {wid: n // g for wid, n in terms.items()}
+                merged = {wid: n // g for wid, n in merged.items()}
             scale = Fraction(g, common * den)
-        got = self._vectors[key] = (frozenset(terms.items()), cancelled), scale
+        got = self._vectors[key] = frozenset(merged.items()), scale
         return got
 
     def plan(self, polys) -> None:
@@ -711,29 +708,11 @@ class OperatorContext:
             vector, _ = self._vector(p.key())
             if vector in self._planned or vector in self._ops:
                 continue
-            terms, cancelled = vector
-            words = {w for w in (self._words[wid] for wid in itertools.chain(
-                         (wid for wid, _ in terms), cancelled))
-                     if len(w) > 1}
-            tails = {w[i:] for w in words for i in range(len(w) - 1)}
-            self._planned[vector] = tuple(words), tuple(tails)
-            for counts, ws in ((self._holders, words), (self._needers, tails)):
-                for w in ws:
-                    counts[w] = counts.get(w, 0) + 1
-
-    @staticmethod
-    def _release(counts: dict, words) -> list:
-        """Takes one planned use of each of ``words`` off ``counts``; returns
-        the words no planned polynomial is left to use."""
-        done = []
-        for w in words:
-            n = counts[w] - 1
-            if n:
-                counts[w] = n
-            else:
-                del counts[w]
-                done.append(w)
-        return done
+            tails = {w[i:] for w in (self._words[wid] for wid, _ in vector)
+                     for i in range(len(w) - 1)}
+            self._planned[vector] = tuple(tails)
+            for w in tails:
+                self._needers[w] = self._needers.get(w, 0) + 1
 
     def _word_op(self, word) -> SparseOperator:
         got = self._word_ops.get(word)
@@ -758,15 +737,14 @@ class OperatorContext:
         one included, is that operator times the ratio of the scales, kept
         for that scale.
 
-        A canonical word of two or more letters gets its own operator only
-        when a later planned vector holds it too (see ``plan``).  The other
-        words that begin with a letter are summed over their suffixes and
-        composed with it once, and each word keeps the leak set ``compose``
-        would give it.  A canonical word whose coefficients cancel adds its
-        leak set, read from its suffix's operator when it has none of its
-        own.  After the sum of a planned vector, every word operator that no
-        later planned vector holds, as a word or as a suffix, is dropped;
-        letters stay.
+        A canonical word of two or more letters gets its own operator while
+        a later planned vector holds it, as a word or as a suffix (see
+        ``plan``), and keeps it until the sum of the last such vector; then
+        it is dropped, letters staying.  The other words that begin with a
+        letter are summed over their suffixes and composed with it once,
+        and each word keeps the leak set ``compose`` would give it.  A word
+        whose coefficients cancel adds only its leak set: its own
+        operator's, or its group's, whose leak union covers it.
         """
         vector, scale = self._vector(p.key())
         scaled = self._ops.get(vector)
@@ -777,24 +755,22 @@ class OperatorContext:
                 # a zero operator is each of its multiples
                 got = scaled[scale] = op * (scale / at) if op.cols else op
             return got
-        planned = self._planned.pop(vector, None)
-        if planned is not None:
-            self._release(self._holders, planned[0])
-        terms, cancelled = vector
+        tails = self._planned.pop(vector, ())
+        for w in tails:
+            n = self._needers.pop(w) - 1
+            if n:
+                self._needers[w] = n
         parts, groups, leak = [], {}, set()
-        for wid, n in terms:
+        for wid, n in vector:
             w = self._words[wid]
-            if len(w) < 2 or w in self._word_ops or w in self._holders:
-                parts.append((n * scale, self._word_op(w)))
+            if len(w) < 2 or w in self._word_ops or w in self._needers:
+                op = self._word_op(w)
+                if n:
+                    parts.append((n * scale, op))
+                else:
+                    leak.update(op._leak)
             else:
                 groups.setdefault(w[0], []).append((n, self._word_op(w[1:])))
-        for wid in cancelled:
-            w = self._words[wid]
-            if w in self._word_ops or w in self._holders:
-                leak.update(self._word_op(w)._leak)
-            else:
-                leak.update(_leak_after(self._word_op(w[:1]),
-                                        self._word_op(w[1:])))
         for a, group in groups.items():
             left = self._word_op((a,))
             # each word's leaks by compose's rule; a zero operator carries
@@ -810,8 +786,8 @@ class OperatorContext:
                                             frozenset(leak))))
         out = SparseOperator.linear_combination(self.states, parts)
         self._ops[vector] = {scale: out}
-        if planned is not None:
-            for w in self._release(self._needers, planned[1]):
+        for w in tails:
+            if w not in self._needers:
                 self._word_ops.pop(w, None)
         return out
 

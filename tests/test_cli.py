@@ -491,6 +491,22 @@ def test_params_file_not_utf8(capsys, tmp_path, params_file, argv):
     assert str(cfg) in captured.err and "UTF-8" in captured.err
 
 
+# a params file that starts with a UTF-8 byte-order mark, as some editors
+# save one, was read with the mark in its first key: "unknown key '\ufeffc1'"
+@pytest.mark.parametrize("argv", [
+    ["verify", "--rank", "3", "--suites", "definitions"],
+    ["rep", "apply", "--expr", "C12", "--state", "0,0"],
+], ids=["verify", "rep-apply"])
+def test_params_file_with_byte_order_mark(capsys, tmp_path, params_file,
+                                          argv):
+    assert main(argv + ["--params", params_file]) == 0
+    want = capsys.readouterr().out
+    cfg = tmp_path / "p.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbf" + Path(params_file).read_bytes())
+    assert main(argv + ["--params", str(cfg)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(Path(params_file).read_text() + "seed = 1\n")

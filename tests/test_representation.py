@@ -492,6 +492,39 @@ def test_plan_is_only_a_hint():
     assert _WORD in ctx._word_ops
 
 
+def test_a_word_held_later_only_as_a_suffix_is_built_once(monkeypatch):
+    calls = []
+    compose = SparseOperator.compose
+    monkeypatch.setattr(SparseOperator, "compose",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    p = NCPoly.from_word(4, _WORD)
+    r = gen_C(4, (2, 3)) * p
+    ctx = OperatorContext(P_GEN, 6)
+    ctx.plan([p, r])
+    ctx.eval(p)
+    # r holds the word only as a suffix: it is kept from its first use
+    assert _WORD in ctx._word_ops
+    op = ctx.eval(r)
+    # C23*C34, then C12 after it; r's group composes C23 after the word
+    assert len(calls) == 3
+    assert _WORD not in ctx._word_ops
+    assert _same_operator(op, _per_word(ctx, to_contiguous(r).terms, {}))
+
+
+def test_a_cancelled_word_is_kept_for_a_later_polynomial():
+    C = lambda *s: gen_C(4, s)
+    q = C(2, 3) * C(1, 2, 3) - C(1, 2, 3) * C(2, 3)
+    word = (_C["C123"], _C["C23"])
+    ctx = OperatorContext(P_GEN, 6)
+    ctx.plan([q, C(3, 4) * C(1, 2, 3) * C(2, 3)])
+    op = ctx.eval(q)
+    # the two orders are one canonical word whose coefficients cancel; a
+    # later polynomial holds it as a suffix, so its operator is kept
+    assert word in ctx._word_ops
+    assert not op.cols
+    assert op.leaky == {x for x in ctx.states if x[0] == 6}
+
+
 def test_single_use_words_keep_no_operator():
     # D123|D124|D134 is the one sampled defect with words of five letters
     ctx = OperatorContext(P_GEN, 12)
