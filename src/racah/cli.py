@@ -41,10 +41,12 @@ def _load_params(path: str | None, window_flag: int | None):
     """Parameter sets for a run: from a config file, or the built-in three."""
     if path is None:
         return default_param_sets(12 if window_flag is None else window_flag)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        # utf-8-sig: a leading byte-order mark is not part of the first key
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
+        # a leading byte-order mark is not part of the first key; it is
+        # dropped after decoding, so a bad byte's offset counts it
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     cfg = parse_config(text)

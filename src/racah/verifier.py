@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,8 +138,11 @@ class _Runner:
     representation, ``outcome`` states a pass/fail group check.
 
     A representation context is named by ``(name, params, window, rank)``
-    and built only after every suite has run: ``run`` evaluates the
-    contexts one at a time, so only one context's operators are alive."""
+    and built only after every suite has run.  ``run`` then deals the
+    queued contexts round robin to ``w`` workers, this process and w - 1
+    forked children (``_evaluate``); each worker evaluates its contexts one
+    at a time, so one context's operators are alive per worker process,
+    and the verdicts are added in queue order whatever ``w`` is."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -167,18 +172,6 @@ class _Runner:
         after the suites."""
         for context in self.contexts if contexts is None else contexts:
             self._jobs.setdefault(context, []).append((head, value, check))
-
-    def _evaluate(self, context: tuple, jobs: list):
-        """Builds ``context``, plans it with the queued polynomials and adds
-        its queued verdicts, in queue order; the context and its operators
-        are freed when this returns."""
-        name, params, window, rank = context
-        ctx = OperatorContext(params, window, rank)
-        ctx.plan(value for _, value, _ in jobs if not callable(value))
-        for head, value, check in jobs:
-            op = value(ctx) if callable(value) else ctx.eval(value)
-            self.report.add(*head, "representation-eval", name,
-                            *_verdict(op, check))
 
     def outcome(self, head: tuple, ok: bool, witness: str = ""):
         self.report.add(*head, "symbolic-reduce", "",
@@ -279,9 +272,128 @@ class _Runner:
     def run(self) -> VerificationReport:
         for suite in self.cfg.suites:
             _SUITES[suite](self, suite)
-        for context, jobs in self._jobs.items():
-            self._evaluate(context, jobs)
+        queued = list(self._jobs.items())
+        for (context, jobs), verdicts in zip(queued, _evaluate(queued)):
+            for (head, _, _), verdict in zip(jobs, verdicts):
+                self.report.add(*head, "representation-eval", context[0],
+                                *verdict)
         return self.report.finish()
+
+
+def _verdicts(context: tuple, jobs: list) -> list[tuple[str, str]]:
+    """Builds ``context``, plans it with the queued polynomials and returns
+    the (status, witness) of each queued job, in queue order; the context
+    and its operators are freed when this returns."""
+    _, params, window, rank = context
+    ctx = OperatorContext(params, window, rank)
+    ctx.plan(value for _, value, _ in jobs if not callable(value))
+    return [_verdict(value(ctx) if callable(value) else ctx.eval(value), check)
+            for _, value, check in jobs]
+
+
+def _workers() -> int:
+    """How many processes may evaluate contexts: the CPUs this process may
+    run on, or 1 where forking is unavailable or unsafe (a second thread
+    would not exist in the child)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _work(share: list) -> tuple[list, Exception | None]:
+    """The verdict lists of ``share``'s contexts up to the first that
+    raises, and that exception (None when every context ran)."""
+    done = []
+    try:
+        for context, jobs in share:
+            done.append(_verdicts(context, jobs))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _child(share: list, sink):
+    """A forked worker: writes ``_work(share)``, pickled, to the binary
+    file ``sink`` and exits without returning into the caller's stack.  An
+    exception that does not survive pickling is sent as its ``repr``."""
+    import pickle
+
+    code = 1
+    try:
+        done, exc = _work(share)
+        if exc is not None:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = repr(exc)
+        sink.write(pickle.dumps((done, exc)))
+        sink.close()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _names(share: list) -> str:
+    return ", ".join(f"{name} (window {window}, rank {rank})"
+                     for (name, _, window, rank), _ in share)
+
+
+def _evaluate(queued: list):
+    """The verdict lists of the queued ``(context, jobs)`` pairs, in queue
+    order.  With ``w = min(len(queued), _workers())`` workers, worker ``k``
+    evaluates contexts k, k + w, ...: worker 0 is this process, and the
+    others are forked children that inherit the jobs (functions included)
+    and send back only their verdicts.  The first context in queue order
+    that raised raises here, as it would in one process.  With one worker
+    the contexts are evaluated lazily, one at a time, and nothing forks."""
+    w = min(len(queued), _workers())
+    if w <= 1:
+        return itertools.starmap(_verdicts, queued)
+    # imported here, so that runs which never fork do not load them
+    import pickle
+    import signal
+
+    shares = [queued[k::w] for k in range(w)]
+    pipes, running = [], []     # read ends; children not yet reaped
+    try:
+        for share in shares[1:]:
+            r, fd = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(fd, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _child(share, sink)
+            running.append(pid)
+        outcomes = [_work(shares[0])]
+        for share, pipe in zip(shares[1:], pipes):
+            data = pipe.read()
+            status = os.waitpid(running[0], 0)[1]
+            del running[0]
+            try:
+                outcomes.append(pickle.loads(data))
+            except Exception:
+                raise RuntimeError(
+                    f"the worker for {_names(share)} ended without its"
+                    f" verdicts (exit status"
+                    f" {os.waitstatus_to_exitcode(status)})") from None
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:     # unreaped, so the pid is still this child's
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    verdicts = []
+    for i in range(len(queued)):
+        done, exc = outcomes[i % w]
+        if i // w == len(done):
+            if isinstance(exc, str):
+                raise RuntimeError(f"evaluating {_names(queued[i:i + 1])}"
+                                   f" raised {exc}")
+            raise exc
+        verdicts.append(done[i // w])
+    return verdicts
 
 
 # every suite with the runner method that runs it, in report order

@@ -507,6 +507,16 @@ def test_params_file_with_byte_order_mark(capsys, tmp_path, params_file,
     assert capsys.readouterr().out == want
 
 
+# after a byte-order mark, the offset of a bad byte counted from the end of
+# the mark: this file reported byte 9
+def test_params_file_bad_byte_offset_counts_the_byte_order_mark(capsys,
+                                                                tmp_path):
+    cfg = tmp_path / "p.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfc1 = 1\n# \xff\n")
+    assert main(["verify", "--rank", "3", "--params", str(cfg)]) == 2
+    assert "not UTF-8 text (byte 12)" in capsys.readouterr().err
+
+
 def test_verify_rejects_seed_in_params_file(capsys, tmp_path, params_file):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(Path(params_file).read_text() + "seed = 1\n")

@@ -1,7 +1,12 @@
 """Suite runner: determinism, serialization, config handling, enumeration."""
 
+import hashlib
 import itertools
 import json
+import os
+import signal
+import threading
+import time
 import weakref
 
 import pytest
@@ -11,7 +16,8 @@ from racah import verifier
 from racah.core import (CONTIGUOUS, FAMILIES, casimir_frak, casimir_rank1,
                         core_generators, d_poly, enumerate_relations, gen_C,
                         presentation_rank1, relation, rewrite_system)
-from racah.freealg import commutator
+from racah.cli import main
+from racah.freealg import AlgebraError, commutator
 from racah.verifier import (
     SUITE_NAMES,
     _SUITE_FAMILIES,
@@ -335,7 +341,10 @@ def test_rewrites_do_not_outlive_the_run(monkeypatch):
 
 def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     # each context is built after the previous one is freed, and only the
-    # newest context evaluates
+    # newest context evaluates.  One worker, so every context is built in
+    # this process, where the references are kept; each forked worker runs
+    # the same loop over its share
+    monkeypatch.setattr(verifier, "_workers", lambda: 1)
     refs = []
     init, evaluate = rep.OperatorContext.__init__, rep.OperatorContext.eval
 
@@ -356,6 +365,186 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     assert len(refs) == 6
     assert all(ref() is None for ref in refs)
     assert not report.failed
+
+
+# -- contexts dealt to forked worker processes -------------------------------
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
+    # the six rank-4 contexts dealt to 1, 2 or 3 workers give one report
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(workers)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    assert main(["verify", "--rank", "4", "--suites", "all",
+                 "--format", "json"]) == 0
+    out = capsysbinary.readouterr().out
+    assert hashlib.sha256(out).hexdigest() == (
+        "b0ccb103e2c5bde72160b0b6777803947a3755ddf5ae3c79e8ff55e8537f3d0c")
+    assert len(forks) == workers - 1
+    _no_children()
+
+
+# rank 3 with the three default sets queues six contexts: the three at
+# rank 4 (integer, generic, randomized), then their s = 0 chains.  Two
+# workers deal them 0, 2, 4 to this process and 1, 3, 5 to one child, three
+# deal 0, 3 here and 1, 4 and 2, 5 to two children; either way the first
+# child's first context is the generic set at rank 4.
+DEALT = SuiteConfig(rank=3, param_sets=rep.default_param_sets(2),
+                    suites=("rank1",))
+GENERIC = DEALT.param_sets[1][1]
+
+
+def _fail_in_child(monkeypatch, failure, workers=2):
+    """``failure()`` runs where the first child builds the generic rank-4
+    context; every other context builds normally."""
+    parent, build = os.getpid(), verifier.OperatorContext
+
+    def context(params, window, rank):
+        if params is GENERIC and rank == 4:
+            assert os.getpid() != parent
+            failure()
+        return build(params, window, rank)
+
+    monkeypatch.setattr(verifier, "OperatorContext", context)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+
+
+def test_a_childs_exception_is_raised_here(monkeypatch):
+    def failure():
+        raise AlgebraError("no module for these parameters")
+
+    _fail_in_child(monkeypatch, failure)
+    with pytest.raises(AlgebraError, match="no module for these parameters"):
+        run_suite(DEALT)
+    _no_children()
+
+
+class TwoArguments(Exception):
+    """Pickles, but unpickling calls ``TwoArguments(a)``, which fails."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.parametrize("exc", [
+    TwoArguments("lost in transit", 2),
+    type("NotAtModuleLevel", (Exception,), {})("lost in transit"),
+], ids=["does-not-unpickle", "does-not-pickle"])
+def test_an_exception_that_cannot_cross_arrives_as_its_repr(monkeypatch, exc):
+    def failure():
+        raise exc
+
+    _fail_in_child(monkeypatch, failure)
+    with pytest.raises(RuntimeError, match=r"generic \(window 2, rank 4\)"
+                       rf" raised {type(exc).__name__}\('lost in transit'\)"):
+        run_suite(DEALT)
+    _no_children()
+
+
+def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
+    # the second child, still running when the first one's death raises,
+    # is killed and reaped too
+    _fail_in_child(monkeypatch, lambda: os._exit(7), workers=3)
+    build, randomized = verifier.OperatorContext, DEALT.param_sets[2][1]
+
+    def context(params, window, rank):
+        if params is randomized and rank == 4:
+            time.sleep(60)
+        return build(params, window, rank)
+
+    monkeypatch.setattr(verifier, "OperatorContext", context)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"generic \(window 2, rank 4\),"
+                       r" generic \(window 2, rank 3\) ended without its"
+                       r" verdicts \(exit status 7\)"):
+        run_suite(DEALT)
+    assert time.monotonic() - start < 30
+    _no_children()
+
+
+def test_a_message_larger_than_a_pipe_arrives_whole(monkeypatch):
+    # the runner reads each pipe to its end before it waits for the child,
+    # which would otherwise block on a full pipe; the alarm ends a hang
+    witness = "x" * (1 << 20)
+    monkeypatch.setattr(verifier, "_verdict",
+                        lambda op, check: (verifier.FAILED, witness))
+    monkeypatch.setattr(verifier, "_workers", lambda: 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("the runner hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        report = run_suite(DEALT)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    evaluated = [r for r in report.records
+                 if r.method == "representation-eval"]
+    assert {r.context for r in evaluated} == {"integer", "generic",
+                                              "randomized"}
+    assert all(r.witness == witness for r in evaluated)
+    _no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_failing_context_in_queue_order_raises(monkeypatch,
+                                                         workers):
+    # the generic set (a child's, with two workers) fails before the
+    # randomized set (this process's), whichever worker finishes first
+    build, randomized = verifier.OperatorContext, DEALT.param_sets[2][1]
+
+    def context(params, window, rank):
+        if rank == 4 and params in (GENERIC, randomized):
+            raise AlgebraError("generic" if params is GENERIC else "randomized")
+        return build(params, window, rank)
+
+    monkeypatch.setattr(verifier, "OperatorContext", context)
+    monkeypatch.setattr(verifier, "_workers", lambda: workers)
+    with pytest.raises(AlgebraError, match="^generic$"):
+        run_suite(DEALT)
+    _no_children()
+
+
+@pytest.mark.parametrize("cfg", [
+    SuiteConfig(rank=4, param_sets=SMALL, suites=("casimirs",)),
+    SuiteConfig(rank=5, param_sets=rep.default_param_sets(2),
+                suites=("casimirs",)),
+], ids=["one-context", "rank-5"])
+def test_a_run_without_two_contexts_never_forks(monkeypatch, cfg):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verifier, "_workers", lambda: 4)
+    assert not run_suite(cfg).failed
+
+
+def test_workers_are_the_usable_cpus_where_forking_is_safe(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3},
+                        raising=False)
+    assert verifier._workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert verifier._workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert verifier._workers() == 5
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert verifier._workers() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
+    assert verifier._workers() == 1
 
 
 def test_pentagon_commutators_are_fifty_pairs(monkeypatch):
