@@ -469,10 +469,11 @@ def _contiguous_words(key: tuple) -> tuple[int, list]:
     rewrite.  Which words are one operator depends on the parameter set,
     so each context merges them further (``OperatorContext._vector``).
 
-    The contexts of a run evaluate the same polynomials one context after
-    another, so keeping every rewrite runs ``to_contiguous`` once per
-    polynomial and not once per context.  ``verifier.run_suite`` clears the
-    cache when its run ends, so no rewrite outlives the run.
+    The contexts of a run evaluate the same polynomials, so keeping every
+    rewrite runs ``to_contiguous`` once per polynomial and not once per
+    context; the runner fills the cache before it forks its context
+    workers, which inherit it.  ``verifier.run_suite`` clears the cache
+    when its run ends, so no rewrite outlives the run.
     """
     rank, den, terms = key
     words = to_contiguous(NCPoly.from_pair(rank, den, dict(terms)))

@@ -340,21 +340,27 @@ def _names(share: list) -> str:
                      for (name, _, window, rank), _ in share)
 
 
-def _evaluate(queued: list):
+def _evaluate(queued: list) -> list:
     """The verdict lists of the queued ``(context, jobs)`` pairs, in queue
-    order.  With ``w = min(len(queued), _workers())`` workers, worker ``k``
-    evaluates contexts k, k + w, ...: worker 0 is this process, and the
-    others are forked children that inherit the jobs (functions included)
-    and send back only their verdicts.  The first context in queue order
-    that raised raises here, as it would in one process.  With one worker
-    the contexts are evaluated lazily, one at a time, and nothing forks."""
-    w = min(len(queued), _workers())
-    if w <= 1:
-        return itertools.starmap(_verdicts, queued)
-    # imported here, so that runs which never fork do not load them
-    import pickle
-    import signal
+    order.  With ``w = min(len(queued), _workers())`` workers (one when
+    nothing is queued), worker ``k`` evaluates contexts k, k + w, ...:
+    worker 0 is this process, and the others are forked children that
+    inherit the jobs (functions included) and send back only their
+    verdicts.  The first context in queue order that raised raises here,
+    as it would in one process.  With one worker nothing forks.
 
+    With two workers or more, every queued polynomial is rewritten
+    (``_contiguous_words``) before the children are forked, so they
+    inherit the rewrites and a run rewrites each polynomial once."""
+    w = max(1, min(len(queued), _workers()))
+    if w > 1:
+        # imported here, so that runs which never fork do not load them
+        import pickle
+        import signal
+        for _, jobs in queued:
+            for _, value, _ in jobs:
+                if not callable(value):
+                    _contiguous_words(value.key())
     shares = [queued[k::w] for k in range(w)]
     pipes, running = [], []     # read ends; children not yet reaped
     try:

@@ -287,16 +287,18 @@ def test_window_zero_raising_check_is_inconclusive():
 
 
 def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
-    keys = []
+    # with two workers the runner rewrites every queued polynomial before
+    # it forks, so a forked worker, which would raise the failed assertion
+    # here, rewrites none
+    parent = os.getpid()
     rewrite = rep.to_contiguous
 
     def counting(p):
+        assert os.getpid() == parent
         keys.append(p.key())
         return rewrite(p)
 
     monkeypatch.setattr(rep, "to_contiguous", counting)
-    # an entry left by an earlier test would hide one call
-    rep._contiguous_words.cache_clear()
     suites = ("definitions", "rank1")
     cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(4),
                       suites=suites)
@@ -306,13 +308,18 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
                 for family in _SUITE_FAMILIES[suite]
                 for rid in enumerate_relations(4, family)}
     distinct |= {p.key() for p in chain}
-    run_suite(cfg)
-    assert len(keys) == len(set(keys)) == len(distinct)
-    assert set(keys) == distinct
-    # a second run rewrites every polynomial again: run_suite clears the
-    # rewrites when its run ends
-    run_suite(cfg)
-    assert len(keys) == 2 * len(distinct)
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_workers", lambda: workers)
+        keys = []
+        # an entry left by an earlier test would hide one call
+        rep._contiguous_words.cache_clear()
+        run_suite(cfg)
+        assert len(keys) == len(set(keys)) == len(distinct)
+        assert set(keys) == distinct
+        # a second run rewrites every polynomial again: run_suite clears
+        # the rewrites when its run ends
+        run_suite(cfg)
+        assert len(keys) == 2 * len(distinct)
 
 
 def test_rewrites_do_not_outlive_the_run(monkeypatch):
@@ -341,17 +348,16 @@ def test_rewrites_do_not_outlive_the_run(monkeypatch):
 
 def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     # each context is built after the previous one is freed, and only the
-    # newest context evaluates.  One worker, so every context is built in
-    # this process, where the references are kept; each forked worker runs
-    # the same loop over its share
-    monkeypatch.setattr(verifier, "_workers", lambda: 1)
-    refs = []
+    # newest context evaluates.  A forked worker checks the same on its own
+    # share, and its failed assertion is raised here; the references this
+    # process keeps are to its own share's contexts
     init, evaluate = rep.OperatorContext.__init__, rep.OperatorContext.eval
 
-    def tracked_init(self, *args, **kw):
+    def tracked_init(self, params, window, rank=4):
         assert all(ref() is None for ref in refs)
-        init(self, *args, **kw)
+        init(self, params, window, rank)
         refs.append(weakref.ref(self))
+        built.append((params, rank))
 
     def tracked_eval(self, p):
         assert [ref() for ref in refs] == [None] * (len(refs) - 1) + [self]
@@ -359,12 +365,18 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(rep.OperatorContext, "__init__", tracked_init)
     monkeypatch.setattr(rep.OperatorContext, "eval", tracked_eval)
-    report = run_suite(SuiteConfig(rank=4, param_sets=rep.default_param_sets(2),
-                                   suites=("definitions", "rank1")))
-    # three parameter sets, each on the window and on the s = 0 chain
-    assert len(refs) == 6
-    assert all(ref() is None for ref in refs)
-    assert not report.failed
+    sets = rep.default_param_sets(2)
+    # three parameter sets on the window, then each on its s = 0 chain
+    queue = [(p, rank) for rank in (4, 3) for _, p, _ in sets]
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_workers", lambda: workers)
+        refs, built = [], []
+        report = run_suite(SuiteConfig(rank=4, param_sets=sets,
+                                       suites=("definitions", "rank1")))
+        # with two workers this process builds the queue's 0th, 2nd and 4th
+        assert built == queue[::workers]
+        assert all(ref() is None for ref in refs)
+        assert not report.failed
 
 
 # -- contexts dealt to forked worker processes -------------------------------
