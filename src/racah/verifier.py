@@ -39,7 +39,9 @@ from .representation import (
     RepParams,
     SparseOperator,
     _contiguous_words,
+    chain_states,
     commutator_op,
+    triangle_states,
     validate_params,
 )
 
@@ -139,10 +141,11 @@ class _Runner:
 
     A representation context is named by ``(name, params, window, rank)``
     and built only after every suite has run.  ``run`` then deals the
-    queued contexts round robin to ``w`` workers, this process and w - 1
-    forked children (``_evaluate``); each worker evaluates its contexts one
-    at a time, so one context's operators are alive per worker process,
-    and the verdicts are added in queue order whatever ``w`` is."""
+    queued contexts, largest first, to ``w`` workers, this process and
+    w - 1 forked children (``_evaluate``); each worker evaluates its
+    contexts one at a time, so one context's operators are alive per
+    worker process, and the verdicts are added in queue order whatever
+    ``w`` is."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -302,6 +305,24 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def _shares(queued: list, w: int) -> list[list[int]]:
+    """The queue positions each of ``w`` workers evaluates, each list in
+    queue order.  A context's size is its queued jobs times its states;
+    the contexts are dealt largest first, each to the worker with the
+    least size so far (the lowest such worker on a tie), so the workers
+    finish close together: on ``verify --rank 4`` the two window-12
+    contexts go to different workers, the small ones to the less loaded."""
+    sizes = [len(jobs) * len(triangle_states(window) if rank == 4
+                             else chain_states(window))
+             for (_, _, window, rank), jobs in queued]
+    loads, shares = [0] * w, [[] for _ in range(w)]
+    for i in sorted(range(len(queued)), key=sizes.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        loads[k] += sizes[i]
+        shares[k].append(i)
+    return [sorted(share) for share in shares]
+
+
 def _work(share: list) -> tuple[list, Exception | None]:
     """The verdict lists of ``share``'s contexts up to the first that
     raises, and that exception (None when every context ran)."""
@@ -343,11 +364,12 @@ def _names(share: list) -> str:
 def _evaluate(queued: list) -> list:
     """The verdict lists of the queued ``(context, jobs)`` pairs, in queue
     order.  With ``w = min(len(queued), _workers())`` workers (one when
-    nothing is queued), worker ``k`` evaluates contexts k, k + w, ...:
-    worker 0 is this process, and the others are forked children that
-    inherit the jobs (functions included) and send back only their
-    verdicts.  The first context in queue order that raised raises here,
-    as it would in one process.  With one worker nothing forks.
+    nothing is queued), worker ``k`` evaluates ``_shares(queued, w)[k]``
+    in queue order: worker 0 is this process, and the others are forked
+    children that inherit the jobs (functions included) and send back
+    only their verdicts.  The first context in queue order that raised
+    raises here, as it would in one process.  With one worker nothing
+    forks.
 
     With two workers or more, every queued polynomial is rewritten
     (``_contiguous_words``) before the children are forked, so they
@@ -361,7 +383,8 @@ def _evaluate(queued: list) -> list:
             for _, value, _ in jobs:
                 if not callable(value):
                     _contiguous_words(value.key())
-    shares = [queued[k::w] for k in range(w)]
+    dealt = _shares(queued, w)
+    shares = [[queued[i] for i in share] for share in dealt]
     pipes, running = [], []     # read ends; children not yet reaped
     try:
         for share in shares[1:]:
@@ -390,15 +413,20 @@ def _evaluate(queued: list) -> list:
         for pid in running:     # unreaped, so the pid is still this child's
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    # each worker stops at its first failure, and its share is in queue
+    # order, so the first unevaluated context met in queue order raised
+    place = {i: (k, n) for k, share in enumerate(dealt)
+             for n, i in enumerate(share)}
     verdicts = []
     for i in range(len(queued)):
-        done, exc = outcomes[i % w]
-        if i // w == len(done):
+        k, n = place[i]
+        done, exc = outcomes[k]
+        if n == len(done):
             if isinstance(exc, str):
                 raise RuntimeError(f"evaluating {_names(queued[i:i + 1])}"
                                    f" raised {exc}")
             raise exc
-        verdicts.append(done[i // w])
+        verdicts.append(done[n])
     return verdicts
 
 

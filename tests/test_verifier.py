@@ -368,13 +368,14 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     sets = rep.default_param_sets(2)
     # three parameter sets on the window, then each on its s = 0 chain
     queue = [(p, rank) for rank in (4, 3) for _, p, _ in sets]
-    for workers in (1, 2):
+    # with two workers this process builds the integer window and the
+    # generic and randomized chains, the child the rest (see DEALT)
+    for workers, mine in ((1, queue), (2, [queue[0], queue[4], queue[5]])):
         monkeypatch.setattr(verifier, "_workers", lambda: workers)
         refs, built = [], []
         report = run_suite(SuiteConfig(rank=4, param_sets=sets,
-                                       suites=("definitions", "rank1")))
-        # with two workers this process builds the queue's 0th, 2nd and 4th
-        assert built == queue[::workers]
+                                       suites=("rank1",)))
+        assert built == mine
         assert all(ref() is None for ref in refs)
         assert not report.failed
 
@@ -407,22 +408,38 @@ def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
 
 
 # rank 3 with the three default sets queues six contexts: the three at
-# rank 4 (integer, generic, randomized), then their s = 0 chains.  Two
-# workers deal them 0, 2, 4 to this process and 1, 3, 5 to one child, three
-# deal 0, 3 here and 1, 4 and 2, 5 to two children; either way the first
-# child's first context is the generic set at rank 4.
+# rank 4 (integer on window 4, generic and randomized on window 2), then
+# their s = 0 chains, of sizes (jobs times states) 45, 18, 18, 25, 15, 15.
+# Dealt largest first to the least loaded worker, two workers take 0, 4, 5
+# here and 1, 2, 3 in one child; three take 0 here, 3, 4 in the first
+# child and 1, 2, 5 in the second.  Either way a child builds the generic
+# set at rank 4.
 DEALT = SuiteConfig(rank=3, param_sets=rep.default_param_sets(2),
                     suites=("rank1",))
-GENERIC = DEALT.param_sets[1][1]
+INTEGER, GENERIC, RANDOMIZED = (p for _, p, _ in DEALT.param_sets)
 
 
-def _fail_in_child(monkeypatch, failure, workers=2):
-    """``failure()`` runs where the first child builds the generic rank-4
-    context; every other context builds normally."""
+def test_contexts_are_dealt_largest_first():
+    # the queue of verify --rank 4: 541 jobs on the integer window 4 and
+    # the generic and randomized window 12, then 5 on each s = 0 chain.
+    # The two window-12 contexts go to different workers, and each share
+    # stays in queue order
+    queued = [((name, None, window, rank), [None] * jobs)
+              for rank, jobs in ((4, 541), (3, 5))
+              for name, window in (("integer", 4), ("generic", 12),
+                                   ("randomized", 12))]
+    assert verifier._shares(queued, 1) == [[0, 1, 2, 3, 4, 5]]
+    assert verifier._shares(queued, 2) == [[0, 1], [2, 3, 4, 5]]
+    assert verifier._shares(queued, 3) == [[1], [2], [0, 3, 4, 5]]
+
+
+def _fail_in_child(monkeypatch, failure, workers=2, where=(GENERIC, 4)):
+    """``failure()`` runs where a child builds the context of parameter
+    set and rank ``where``; every other context builds normally."""
     parent, build = os.getpid(), verifier.OperatorContext
 
     def context(params, window, rank):
-        if params is GENERIC and rank == 4:
+        if (params, rank) == where:
             assert os.getpid() != parent
             failure()
         return build(params, window, rank)
@@ -464,19 +481,20 @@ def test_an_exception_that_cannot_cross_arrives_as_its_repr(monkeypatch, exc):
 
 
 def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
-    # the second child, still running when the first one's death raises,
-    # is killed and reaped too
-    _fail_in_child(monkeypatch, lambda: os._exit(7), workers=3)
-    build, randomized = verifier.OperatorContext, DEALT.param_sets[2][1]
+    # the first child dies on its first context; the second child, still
+    # running when that death raises, is killed and reaped too
+    _fail_in_child(monkeypatch, lambda: os._exit(7), workers=3,
+                   where=(INTEGER, 3))
+    build = verifier.OperatorContext
 
     def context(params, window, rank):
-        if params is randomized and rank == 4:
+        if params is RANDOMIZED and rank == 4:
             time.sleep(60)
         return build(params, window, rank)
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"generic \(window 2, rank 4\),"
+    with pytest.raises(RuntimeError, match=r"integer \(window 4, rank 3\),"
                        r" generic \(window 2, rank 3\) ended without its"
                        r" verdicts \(exit status 7\)"):
         run_suite(DEALT)
@@ -513,18 +531,18 @@ def test_a_message_larger_than_a_pipe_arrives_whole(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_first_failing_context_in_queue_order_raises(monkeypatch,
                                                          workers):
-    # the generic set (a child's, with two workers) fails before the
-    # randomized set (this process's), whichever worker finishes first
-    build, randomized = verifier.OperatorContext, DEALT.param_sets[2][1]
+    # the generic window (a child's, with two workers) fails before the
+    # generic chain (this process's), whichever worker finishes first
+    build = verifier.OperatorContext
 
     def context(params, window, rank):
-        if rank == 4 and params in (GENERIC, randomized):
-            raise AlgebraError("generic" if params is GENERIC else "randomized")
+        if params is GENERIC:
+            raise AlgebraError(f"generic at rank {rank}")
         return build(params, window, rank)
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     monkeypatch.setattr(verifier, "_workers", lambda: workers)
-    with pytest.raises(AlgebraError, match="^generic$"):
+    with pytest.raises(AlgebraError, match="^generic at rank 4$"):
         run_suite(DEALT)
     _no_children()
 
