@@ -570,3 +570,39 @@ def test_report_golden(capsysbinary, argv):
     assert main(list(argv)) == 0
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[argv]
+
+
+def _perturb_c23_raising(monkeypatch):
+    """Adds (t+1)/7 to C23's raising entry on every state |t,s>."""
+    from fractions import Fraction
+
+    from racah import representation as rep
+    from racah.freealg import Gen
+
+    c23 = Gen("C", (2, 3))
+    stencil = rep._STENCILS[c23]
+
+    def entries(p, t, s, trow, srow):
+        out = stencil.entries(p, t, s, trow, srow)
+        out[1, 0] += Fraction(t + 1, 7)
+        return out
+
+    monkeypatch.setitem(rep._STENCILS, c23,
+                        rep.Stencil(stencil.t_row, stencil.s_row, entries))
+
+
+# a failing rank1 report: its FAILED records and their witnesses pinned
+FAILING_RANK1_SHA256 = {
+    2: "313baaeef547b68cce1f3b1ff29f2db69629846db6477e1711c50522f6aba6e3",
+    6: "ab45a8e6a009781b61db925cb7295fa7537f7b19884b0e066dff92f603610a67",
+}
+
+
+@pytest.mark.parametrize("window", sorted(FAILING_RANK1_SHA256))
+def test_failing_rank1_report_golden(monkeypatch, capsysbinary, window):
+    _perturb_c23_raising(monkeypatch)
+    assert main(["verify", "--rank", "4", "--window", str(window),
+                 "--suites", "rank1", "--format", "json"]) == 1
+    out = capsysbinary.readouterr().out
+    assert b'"status": "FAILED"' in out and b'"witness": "state |' in out
+    assert hashlib.sha256(out).hexdigest() == FAILING_RANK1_SHA256[window]

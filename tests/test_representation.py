@@ -932,3 +932,27 @@ def test_operator_digests(case):
                                              states))
            for g in GOLDEN_OPERATOR_DIGESTS[case]}
     assert got == GOLDEN_OPERATOR_DIGESTS[case]
+
+
+# the letters of the rank-1 subalgebra: none of them moves s
+_RANK1_LETTERS = tuple(Gen("C", s) for s in core.CONTIGUOUS[3])
+
+
+_ROW_CASES = [(name, params, w) for name, params, window
+              in rep.default_param_sets() for w in (window, 0)]
+
+
+@pytest.mark.parametrize("name,params,window", _ROW_CASES,
+                         ids=[f"{name}-w{w}" for name, _, w in _ROW_CASES])
+def test_rank1_letters_keep_the_s0_row(name, params, window):
+    # each rank-1 letter sends every s = 0 state to s = 0 states, and on
+    # that row it is the operator built on the row alone, leaks included
+    row = tuple((t, 0) for t in range(window + 1))
+    for g in _RANK1_LETTERS:
+        op = build_operator(g, params, window)
+        chain = build_operator(g, params, window, states=row)
+        for x in row:
+            assert all(s == 0 for _, s in op.column(x)), (g, x)
+            assert op.column(x) == chain.column(x), (g, x)
+            assert (x in op.leaky) == (x in chain.leaky), (g, x)
+        assert chain.leaky <= set(row)
