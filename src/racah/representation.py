@@ -245,10 +245,6 @@ def triangle_states(window: int) -> tuple[State, ...]:
     return tuple((t, s) for t in range(window + 1) for s in range(t + 1))
 
 
-def chain_states(window: int) -> tuple[State, ...]:
-    return tuple((t, 0) for t in range(window + 1))
-
-
 @lru_cache(maxsize=None)
 def _positions(states: tuple[State, ...]) -> dict[State, int]:
     """Each state's position in ``states``: the key of its column and row
@@ -405,6 +401,18 @@ def commutator_op(a: SparseOperator, b: SparseOperator) -> SparseOperator:
     return a.compose(b) - b.compose(a)
 
 
+def chain_part(op: SparseOperator) -> SparseOperator:
+    """``op``'s s = 0 columns, every other state unreliable: for a
+    polynomial in the rank-1 letters, none of which moves s, its operator
+    on the s = 0 chain alone, leaks included.  A view to read verdicts on,
+    not to compose; its columns are copies, since ``op`` may be a cached
+    operator and ``SparseOperator`` divides its columns in place."""
+    return SparseOperator(op.states, op.den, {
+        x: dict(col) for x, col in op.cols.items() if op.states[x][1] == 0},
+        frozenset(x for x, (_, s) in enumerate(op.states)
+                  if s or x in op._leak))
+
+
 def build_operator(gen: Gen, p: RepParams, window: int,
                    states: tuple[State, ...] | None = None) -> SparseOperator:
     """Assemble one contiguous-basis generator over the window.
@@ -537,15 +545,14 @@ def _invertible_diagonal(op: SparseOperator) -> bool:
 
 
 class OperatorContext:
-    """Evaluates polynomials on one parameter set's window, keeping one
-    operator per distinct coefficient vector; ``plan`` tells it which
-    polynomials will follow, so it keeps each word operator only while one
-    needs it.
+    """Evaluates polynomials on one parameter set's triangular window,
+    keeping one operator per distinct coefficient vector; ``plan`` tells it
+    which polynomials will follow, so it keeps each word operator only
+    while one needs it.
 
-    ``rank`` only picks the state space: 4 the full triangular window, 3
-    the s=0 chain (the rank-1 slice).  A polynomial is rewritten at its
-    own rank; a rank-3 polynomial's contiguous letters are rank-4 letters
-    too, so a rank-4 context evaluates it as it is.  Evaluation is
+    A polynomial is rewritten at its own rank; a rank-3 polynomial's
+    contiguous letters are rank-4 letters too, so the context evaluates it
+    as it is, and ``chain_part`` reads it on the s = 0 chain.  Evaluation is
     homomorphic: products compose, sums add, and leak flags propagate so
     results are asserted only where exact.
 
@@ -568,13 +575,11 @@ class OperatorContext:
     stay unreliable even when its coefficients cancel.
     """
 
-    def __init__(self, params: RepParams, window: int, rank: int = 4):
-        if rank not in (3, 4):
-            raise AlgebraError("operator window exists for 3 or 4 indices")
+    def __init__(self, params: RepParams, window: int):
         ensure_valid(params, window)
         self.params = params
         self.window = window
-        self.states = triangle_states(window) if rank == 4 else chain_states(window)
+        self.states = triangle_states(window)
         self._scalars = {g: fn(params) for g, fn in _SCALARS.items()}
         # each scalar monomial's value, as (numerator, denominator)
         self._monomials: dict[tuple, tuple[int, int]] = {}

@@ -39,7 +39,7 @@ from .representation import (
     RepParams,
     SparseOperator,
     _contiguous_words,
-    chain_states,
+    chain_part,
     commutator_op,
     triangle_states,
     validate_params,
@@ -139,13 +139,13 @@ class _Runner:
     ``symbolic`` proves by reduction, ``represent`` falsifies in the
     representation, ``outcome`` states a pass/fail group check.
 
-    A representation context is named by ``(name, params, window, rank)``
-    and built only after every suite has run.  ``run`` then deals the
-    queued contexts, largest first, to ``w`` workers, this process and
-    w - 1 forked children (``_evaluate``); each worker evaluates its
-    contexts one at a time, so one context's operators are alive per
-    worker process, and the verdicts are added in queue order whatever
-    ``w`` is."""
+    A representation context is a parameter set ``(name, params, window)``
+    of ``cfg.param_sets``, built only after every suite has run, and every
+    context evaluates every queued verdict.  ``run`` deals the contexts,
+    largest first, to ``w`` workers, this process and w - 1 forked
+    children (``_evaluate``); each worker evaluates its contexts one at a
+    time, so one context's operators are alive per worker process, and the
+    verdicts are added in queue order whatever ``w`` is."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -153,10 +153,8 @@ class _Runner:
             cfg.rank, tuple(cfg.suites),
             tuple((name, p.describe(), w) for name, p, w in cfg.param_sets))
         self.rs = rewrite_system(cfg.rank)
-        self.contexts = [(name, p, w, 4)
-                         for name, p, w in cfg.param_sets] if cfg.rank <= 4 else []
-        # context -> its (head, value, check) jobs, contexts in first-use order
-        self._jobs: dict[tuple, list] = {}
+        # the (head, value, verdict) jobs, in the order they were queued
+        self._jobs: list[tuple] = []
 
     # -- the record emitters ---------------------------------------------------
 
@@ -167,14 +165,14 @@ class _Runner:
                         PROVED if ok else INCONCLUSIVE)
         return ok
 
-    def represent(self, head: tuple, value, contexts=None,
-                  check=SparseOperator.is_zero_on_reliable):
-        """One verdict per context on ``value``: a polynomial to evaluate,
-        or a function from a context to an already-composed operator.  The
-        verdicts are queued under each context, and ``run`` evaluates them
-        after the suites."""
-        for context in self.contexts if contexts is None else contexts:
-            self._jobs.setdefault(context, []).append((head, value, check))
+    def represent(self, head: tuple, value, verdict=_verdict):
+        """Queues one verdict per context, which ``run`` evaluates after the
+        suites: ``verdict(op)`` on the operator of ``value``, a polynomial or
+        a function from a context to an already-composed operator.  The
+        module's letters have at most four indices, so a polynomial of a
+        higher rank queues nothing."""
+        if callable(value) or value.rank <= 4:
+            self._jobs.append((head, value, verdict))
 
     def outcome(self, head: tuple, ok: bool, witness: str = ""):
         self.report.add(*head, "symbolic-reduce", "",
@@ -249,18 +247,20 @@ class _Runner:
 
     def rank1_suite(self, suite: str):
         self.family_suite(suite)
-        # the s = 0 chain of each parameter set, where C23 raises and C12 lowers
-        chain = [(name, p, w, 3) for name, p, w in self.cfg.param_sets]
+        # read on the s = 0 chain of each window: C23 raises, C12 lowers
+        def on_chain(check=SparseOperator.is_zero_on_reliable):
+            return lambda op: _verdict(chain_part(op), check)
+
         self.represent((suite, "raising_normalized", "A",
                         "the east coefficient of the first generator is 1"),
-                       gen_C(3, (2, 3)), chain,
-                       lambda op: op.entry((0, 0), (1, 0)) == 1)
+                       gen_C(3, (2, 3)),
+                       on_chain(lambda row: row.entry((0, 0), (1, 0)) == 1))
         for k, r in enumerate(presentation_rank1(3)):
             self.represent((suite, "presentation_slice", str(k),
-                            FAMILIES["pres_rank1"].anchor), r, chain)
+                            FAMILIES["pres_rank1"].anchor), r, on_chain())
         self.represent((suite, "casimir_slice", "c",
                         "the central element vanishes on the chain"),
-                       casimir_rank1(3), chain)
+                       casimir_rank1(3), on_chain())
 
     def symmetry_suite(self, suite: str):
         if self.cfg.rank != 4:
@@ -275,11 +275,10 @@ class _Runner:
     def run(self) -> VerificationReport:
         for suite in self.cfg.suites:
             _SUITES[suite](self, suite)
-        queued = list(self._jobs.items())
-        for (context, jobs), verdicts in zip(queued, _evaluate(queued)):
-            for (head, _, _), verdict in zip(jobs, verdicts):
-                self.report.add(*head, "representation-eval", context[0],
-                                *verdict)
+        queued = [(c, self._jobs) for c in self.cfg.param_sets if self._jobs]
+        for ((name, _, _), _), verdicts in zip(queued, _evaluate(queued)):
+            for (head, _, _), verdict in zip(self._jobs, verdicts):
+                self.report.add(*head, "representation-eval", name, *verdict)
         return self.report.finish()
 
 
@@ -287,11 +286,11 @@ def _verdicts(context: tuple, jobs: list) -> list[tuple[str, str]]:
     """Builds ``context``, plans it with the queued polynomials and returns
     the (status, witness) of each queued job, in queue order; the context
     and its operators are freed when this returns."""
-    _, params, window, rank = context
-    ctx = OperatorContext(params, window, rank)
+    _, params, window = context
+    ctx = OperatorContext(params, window)
     ctx.plan(value for _, value, _ in jobs if not callable(value))
-    return [_verdict(value(ctx) if callable(value) else ctx.eval(value), check)
-            for _, value, check in jobs]
+    return [verdict(value(ctx) if callable(value) else ctx.eval(value))
+            for _, value, verdict in jobs]
 
 
 def _workers() -> int:
@@ -307,14 +306,12 @@ def _workers() -> int:
 
 def _shares(queued: list, w: int) -> list[list[int]]:
     """The queue positions each of ``w`` workers evaluates, each list in
-    queue order.  A context's size is its queued jobs times its states;
-    the contexts are dealt largest first, each to the worker with the
-    least size so far (the lowest such worker on a tie), so the workers
+    queue order.  The contexts share their jobs, so a context's size is its
+    number of states; they are dealt largest first, each to the worker with
+    the least size so far (the lowest such worker on a tie), so the workers
     finish close together: on ``verify --rank 4`` the two window-12
     contexts go to different workers, the small ones to the less loaded."""
-    sizes = [len(jobs) * len(triangle_states(window) if rank == 4
-                             else chain_states(window))
-             for (_, _, window, rank), jobs in queued]
+    sizes = [len(triangle_states(window)) for (_, _, window), _ in queued]
     loads, shares = [0] * w, [[] for _ in range(w)]
     for i in sorted(range(len(queued)), key=sizes.__getitem__, reverse=True):
         k = loads.index(min(loads))
@@ -357,8 +354,7 @@ def _child(share: list, sink):
 
 
 def _names(share: list) -> str:
-    return ", ".join(f"{name} (window {window}, rank {rank})"
-                     for (name, _, window, rank), _ in share)
+    return ", ".join(f"{name} (window {w})" for (name, _, w), _ in share)
 
 
 def _evaluate(queued: list) -> list:
@@ -371,18 +367,14 @@ def _evaluate(queued: list) -> list:
     raises here, as it would in one process.  With one worker nothing
     forks.
 
-    With two workers or more, every queued polynomial is rewritten
-    (``_contiguous_words``) before the children are forked, so they
-    inherit the rewrites and a run rewrites each polynomial once."""
+    Every queued polynomial is rewritten (``_contiguous_words``) before the
+    contexts are dealt, so forked children inherit the rewrites and a run
+    rewrites each polynomial once, whatever ``w`` is."""
+    for _, jobs in queued:
+        for _, value, _ in jobs:
+            if not callable(value):
+                _contiguous_words(value.key())
     w = max(1, min(len(queued), _workers()))
-    if w > 1:
-        # imported here, so that runs which never fork do not load them
-        import pickle
-        import signal
-        for _, jobs in queued:
-            for _, value, _ in jobs:
-                if not callable(value):
-                    _contiguous_words(value.key())
     dealt = _shares(queued, w)
     shares = [[queued[i] for i in share] for share in dealt]
     pipes, running = [], []     # read ends; children not yet reaped
@@ -397,6 +389,7 @@ def _evaluate(queued: list) -> list:
             running.append(pid)
         outcomes = [_work(shares[0])]
         for share, pipe in zip(shares[1:], pipes):
+            import pickle   # here and in _child: only a run that forks loads it
             data = pipe.read()
             status = os.waitpid(running[0], 0)[1]
             del running[0]
@@ -411,6 +404,7 @@ def _evaluate(queued: list) -> list:
         for pipe in pipes:
             pipe.close()
         for pid in running:     # unreaped, so the pid is still this child's
+            import signal
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     # each worker stops at its first failure, and its share is in queue

@@ -1,10 +1,13 @@
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from racah import representation as rep
 from racah.cli import main
+from racah.freealg import Gen
 
 
 @pytest.fixture()
@@ -574,11 +577,6 @@ def test_report_golden(capsysbinary, argv):
 
 def _perturb_c23_raising(monkeypatch):
     """Adds (t+1)/7 to C23's raising entry on every state |t,s>."""
-    from fractions import Fraction
-
-    from racah import representation as rep
-    from racah.freealg import Gen
-
     c23 = Gen("C", (2, 3))
     stencil = rep._STENCILS[c23]
 

@@ -26,6 +26,7 @@ from racah.representation import (
     ParamError,
     SparseOperator,
     build_operator,
+    chain_part,
     commutator_op,
     triangle_states,
     validate_params,
@@ -216,17 +217,36 @@ def test_relations_hold_on_every_parameter_set(contexts):
 
 
 def test_rank1_slice():
-    # the s = 0 chain: A = C23 acts east with raising coefficient exactly 1,
-    # B = C12 acts west, D is half their commutator
-    ctx = OperatorContext(P_INT, 4, rank=3)
-    A = ctx.eval(gen_C(3, (2, 3)))
-    D = ctx.eval(HALF * commutator(gen_C(3, (2, 3)), gen_C(3, (1, 2))))
+    # the s = 0 chain of the window: A = C23 acts east with raising
+    # coefficient exactly 1, B = C12 acts west, D is half their commutator
+    ctx = OperatorContext(P_INT, 4)
+    A = chain_part(ctx.eval(gen_C(3, (2, 3))))
+    D = chain_part(ctx.eval(HALF * commutator(gen_C(3, (2, 3)),
+                                              gen_C(3, (1, 2)))))
     assert A.entry((0, 0), (1, 0)) == 1
     assert A.entry((0, 0), (0, 0)) == 20                   # (5-0)(5-1)
     assert D.column((0, 0))                                 # nonzero map
     for r in core.presentation_rank1(3):
-        assert ctx.eval(r).is_zero_on_reliable()
-    assert ctx.eval(core.casimir_rank1(3)).is_zero_on_reliable()
+        assert chain_part(ctx.eval(r)).is_zero_on_reliable()
+    assert chain_part(ctx.eval(core.casimir_rank1(3))).is_zero_on_reliable()
+
+
+def test_chain_part_is_the_s0_row_only():
+    # the row view keeps the s = 0 columns and their leaks, marks every
+    # other state unreliable, and leaves the context's operator as it was
+    ctx = OperatorContext(P_INT, 3)
+    # C34's s = 0 columns share a factor 840 with its denominator, which
+    # the row divides out; C23 leaks at |3,0>
+    for letters, reliable in (((3, 4), 4), ((2, 3), 3)):
+        op = ctx.eval(gen_C(4, letters))
+        before = (op.den, {x: dict(col) for x, col in op.cols.items()},
+                  op.leaky)
+        row = chain_part(op)
+        assert (op.den, op.cols, op.leaky) == before
+        assert row.reliable_states() == tuple((t, 0) for t in range(reliable))
+        assert row.leaky == set(op.states) - set(row.reliable_states())
+        for x in op.states:
+            assert row.column(x) == (op.column(x) if x[1] == 0 else {})
 
 
 def test_rank3_polynomial_needs_no_relabel(contexts):
@@ -546,29 +566,24 @@ def _admitted(ctx):
 
 
 _TRIANGLE_PAIRS = {"C12*C123", "C23*C123", "C12*C34"}
-# on the chain s = 0, C123 acts as a scalar, and every letter that moves s
-# leaks, so C123 passes every letter and C12, C34 are not both leak-free
-_CHAIN_PAIRS = {"C12*C123", "C23*C123", "C123*C34", "C123*C234"}
 
 
 @pytest.mark.parametrize("name,params,window", rep.default_param_sets(),
-                         ids=[name for name, _, _ in rep.default_param_sets()])
-@pytest.mark.parametrize("rank", (4, 3), ids=("triangle", "chain"))
-def test_interchangeable_pairs_of_each_default_context(name, params, window,
-                                                       rank):
-    ctx = OperatorContext(params, window, rank)
-    assert _admitted(ctx) == (_TRIANGLE_PAIRS if rank == 4 else _CHAIN_PAIRS)
+                         ids=[f"triangle-{name}"
+                              for name, _, _ in rep.default_param_sets()])
+def test_interchangeable_pairs_of_each_default_context(name, params, window):
+    ctx = OperatorContext(params, window)
+    assert _admitted(ctx) == _TRIANGLE_PAIRS
     # each pair is checked once, in either order
     assert all(ctx.interchangeable(b, a) == ctx.interchangeable(a, b)
                for a, b in itertools.combinations(rep.DISPLACEMENT_LETTERS, 2))
     assert not ctx.interchangeable(_C["C23"], _C["C23"])
 
 
-@pytest.mark.parametrize("params,rank", [
-    (P_GEN, 4), (rep.randomized_params(6), 4), (P_GEN, 3)],
-    ids=("generic", "randomized", "generic-chain"))
-def test_swapping_an_admitted_pair_keeps_the_operator(params, rank):
-    ctx, memo = OperatorContext(params, 6, rank), {}
+@pytest.mark.parametrize("params", [P_GEN, rep.randomized_params(6)],
+                         ids=("generic", "randomized"))
+def test_swapping_an_admitted_pair_keeps_the_operator(params):
+    ctx, memo = OperatorContext(params, 6), {}
     around = [()] + [(g,) for g in rep.DISPLACEMENT_LETTERS]
     pairs = [(a, b) for a, b in itertools.combinations(
         rep.DISPLACEMENT_LETTERS, 2) if ctx.interchangeable(a, b)]
@@ -925,8 +940,9 @@ def test_operator_digest_script_prints_golden_digests(monkeypatch, capsys):
                          ids=lambda c: "-".join(map(str, c)))
 def test_operator_digests(case):
     name, window, shape = case
+    # a chain case is built on the s = 0 states alone
     states = (triangle_states(window) if shape == "triangle"
-              else rep.chain_states(window))
+              else tuple((t, 0) for t in range(window + 1)))
     got = {g: operator_digest(build_operator(parse_letter(g),
                                              _DIGEST_PARAMS[name], window,
                                              states))

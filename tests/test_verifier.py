@@ -302,7 +302,7 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
     suites = ("definitions", "rank1")
     cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(4),
                       suites=suites)
-    # the rank1 suite's chain contexts evaluate rank-3 polynomials
+    # the rank1 suite's chain records evaluate rank-3 polynomials
     chain = [gen_C(3, (2, 3)), *presentation_rank1(3), casimir_rank1(3)]
     distinct = {relation(rid).key() for suite in suites
                 for family in _SUITE_FAMILIES[suite]
@@ -346,6 +346,19 @@ def test_rewrites_do_not_outlive_the_run(monkeypatch):
     assert rep._contiguous_words.cache_info().currsize == 0
 
 
+# Three contexts: the integer and generic sets on window 2, the randomized
+# set on window 3, of sizes (jobs times states) in the ratio 6 : 6 : 10.
+# Dealt largest first to the least loaded worker, two workers take the
+# randomized set here and the integer and generic sets in one child; three
+# take the randomized set here, the integer set in the first child and the
+# generic set in the second.  Either way a child holds a context that comes
+# before this process's in queue order.
+DEALT = SuiteConfig(rank=3, param_sets=(
+    ("integer", rep.integer_params(), 2), ("generic", rep.generic_params(), 2),
+    ("randomized", rep.randomized_params(3), 3)), suites=("rank1",))
+INTEGER, GENERIC, RANDOMIZED = (p for _, p, _ in DEALT.param_sets)
+
+
 def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     # each context is built after the previous one is freed, and only the
     # newest context evaluates.  A forked worker checks the same on its own
@@ -353,11 +366,11 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
     # process keeps are to its own share's contexts
     init, evaluate = rep.OperatorContext.__init__, rep.OperatorContext.eval
 
-    def tracked_init(self, params, window, rank=4):
+    def tracked_init(self, params, window):
         assert all(ref() is None for ref in refs)
-        init(self, params, window, rank)
+        init(self, params, window)
         refs.append(weakref.ref(self))
-        built.append((params, rank))
+        built.append(params)
 
     def tracked_eval(self, p):
         assert [ref() for ref in refs] == [None] * (len(refs) - 1) + [self]
@@ -365,16 +378,13 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(rep.OperatorContext, "__init__", tracked_init)
     monkeypatch.setattr(rep.OperatorContext, "eval", tracked_eval)
-    sets = rep.default_param_sets(2)
-    # three parameter sets on the window, then each on its s = 0 chain
-    queue = [(p, rank) for rank in (4, 3) for _, p, _ in sets]
-    # with two workers this process builds the integer window and the
-    # generic and randomized chains, the child the rest (see DEALT)
-    for workers, mine in ((1, queue), (2, [queue[0], queue[4], queue[5]])):
+    # with two workers this process builds the randomized set, the child
+    # the rest (see DEALT)
+    for workers, mine in ((1, [INTEGER, GENERIC, RANDOMIZED]),
+                          (2, [RANDOMIZED])):
         monkeypatch.setattr(verifier, "_workers", lambda: workers)
         refs, built = [], []
-        report = run_suite(SuiteConfig(rank=4, param_sets=sets,
-                                       suites=("rank1",)))
+        report = run_suite(DEALT)
         assert built == mine
         assert all(ref() is None for ref in refs)
         assert not report.failed
@@ -389,7 +399,7 @@ def _no_children():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
-    # the six rank-4 contexts dealt to 1, 2 or 3 workers give one report
+    # the three rank-4 contexts dealt to 1, 2 or 3 workers give one report
     forks, fork = [], os.fork
 
     def counted():
@@ -407,42 +417,32 @@ def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
     _no_children()
 
 
-# rank 3 with the three default sets queues six contexts: the three at
-# rank 4 (integer on window 4, generic and randomized on window 2), then
-# their s = 0 chains, of sizes (jobs times states) 45, 18, 18, 25, 15, 15.
-# Dealt largest first to the least loaded worker, two workers take 0, 4, 5
-# here and 1, 2, 3 in one child; three take 0 here, 3, 4 in the first
-# child and 1, 2, 5 in the second.  Either way a child builds the generic
-# set at rank 4.
-DEALT = SuiteConfig(rank=3, param_sets=rep.default_param_sets(2),
-                    suites=("rank1",))
-INTEGER, GENERIC, RANDOMIZED = (p for _, p, _ in DEALT.param_sets)
-
-
 def test_contexts_are_dealt_largest_first():
-    # the queue of verify --rank 4: 541 jobs on the integer window 4 and
-    # the generic and randomized window 12, then 5 on each s = 0 chain.
-    # The two window-12 contexts go to different workers, and each share
-    # stays in queue order
-    queued = [((name, None, window, rank), [None] * jobs)
-              for rank, jobs in ((4, 541), (3, 5))
+    # the queue of verify --rank 4: 546 jobs on each of the integer window
+    # 4 and the generic and randomized window 12.  The two window-12
+    # contexts go to different workers, and each share stays in queue order
+    queued = [((name, None, window), [None] * 546)
               for name, window in (("integer", 4), ("generic", 12),
                                    ("randomized", 12))]
-    assert verifier._shares(queued, 1) == [[0, 1, 2, 3, 4, 5]]
-    assert verifier._shares(queued, 2) == [[0, 1], [2, 3, 4, 5]]
-    assert verifier._shares(queued, 3) == [[1], [2], [0, 3, 4, 5]]
+    assert verifier._shares(queued, 1) == [[0, 1, 2]]
+    assert verifier._shares(queued, 2) == [[0, 1], [2]]
+    assert verifier._shares(queued, 3) == [[1], [2], [0]]
+    # DEALT's queue: its two window-2 contexts go to the children
+    queued = [(context, [None] * 8) for context in DEALT.param_sets]
+    assert verifier._shares(queued, 2) == [[2], [0, 1]]
+    assert verifier._shares(queued, 3) == [[2], [0], [1]]
 
 
-def _fail_in_child(monkeypatch, failure, workers=2, where=(GENERIC, 4)):
+def _fail_in_child(monkeypatch, failure, workers=2, where=GENERIC):
     """``failure()`` runs where a child builds the context of parameter
-    set and rank ``where``; every other context builds normally."""
+    set ``where``; every other context builds normally."""
     parent, build = os.getpid(), verifier.OperatorContext
 
-    def context(params, window, rank):
-        if (params, rank) == where:
+    def context(params, window):
+        if params == where:
             assert os.getpid() != parent
             failure()
-        return build(params, window, rank)
+        return build(params, window)
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     monkeypatch.setattr(verifier, "_workers", lambda: workers)
@@ -474,29 +474,29 @@ def test_an_exception_that_cannot_cross_arrives_as_its_repr(monkeypatch, exc):
         raise exc
 
     _fail_in_child(monkeypatch, failure)
-    with pytest.raises(RuntimeError, match=r"generic \(window 2, rank 4\)"
+    with pytest.raises(RuntimeError, match=r"generic \(window 2\)"
                        rf" raised {type(exc).__name__}\('lost in transit'\)"):
         run_suite(DEALT)
     _no_children()
 
 
 def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
-    # the first child dies on its first context; the second child, still
-    # running when that death raises, is killed and reaped too
+    # the first child dies on its context; the second child, still running
+    # when that death raises, is killed and reaped too
     _fail_in_child(monkeypatch, lambda: os._exit(7), workers=3,
-                   where=(INTEGER, 3))
+                   where=INTEGER)
     build = verifier.OperatorContext
 
-    def context(params, window, rank):
-        if params is RANDOMIZED and rank == 4:
+    def context(params, window):
+        if params == GENERIC:
             time.sleep(60)
-        return build(params, window, rank)
+        return build(params, window)
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"integer \(window 4, rank 3\),"
-                       r" generic \(window 2, rank 3\) ended without its"
-                       r" verdicts \(exit status 7\)"):
+    with pytest.raises(RuntimeError, match=r"^the worker for integer"
+                       r" \(window 2\) ended without its verdicts"
+                       r" \(exit status 7\)$"):
         run_suite(DEALT)
     assert time.monotonic() - start < 30
     _no_children()
@@ -505,9 +505,9 @@ def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
 def test_a_message_larger_than_a_pipe_arrives_whole(monkeypatch):
     # the runner reads each pipe to its end before it waits for the child,
     # which would otherwise block on a full pipe; the alarm ends a hang
-    witness = "x" * (1 << 20)
-    monkeypatch.setattr(verifier, "_verdict",
-                        lambda op, check: (verifier.FAILED, witness))
+    witness, verdicts = "x" * (1 << 20), verifier._verdicts
+    monkeypatch.setattr(verifier, "_verdicts", lambda context, jobs: [
+        (verifier.FAILED, witness) for _ in verdicts(context, jobs)])
     monkeypatch.setattr(verifier, "_workers", lambda: 2)
 
     def hung(signum, frame):
@@ -531,18 +531,19 @@ def test_a_message_larger_than_a_pipe_arrives_whole(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_first_failing_context_in_queue_order_raises(monkeypatch,
                                                          workers):
-    # the generic window (a child's, with two workers) fails before the
-    # generic chain (this process's), whichever worker finishes first
+    # the generic set (a child's, with two workers) fails before the
+    # randomized set (this process's), whichever worker finishes first
     build = verifier.OperatorContext
+    failing = {GENERIC: "generic", RANDOMIZED: "randomized"}
 
-    def context(params, window, rank):
-        if params is GENERIC:
-            raise AlgebraError(f"generic at rank {rank}")
-        return build(params, window, rank)
+    def context(params, window):
+        if params in failing:
+            raise AlgebraError(f"{failing[params]} fails")
+        return build(params, window)
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     monkeypatch.setattr(verifier, "_workers", lambda: workers)
-    with pytest.raises(AlgebraError, match="^generic at rank 4$"):
+    with pytest.raises(AlgebraError, match="^generic fails$"):
         run_suite(DEALT)
     _no_children()
 
