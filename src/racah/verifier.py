@@ -41,7 +41,6 @@ from .representation import (
     _contiguous_words,
     chain_part,
     commutator_op,
-    triangle_states,
     validate_params,
 )
 
@@ -141,11 +140,12 @@ class _Runner:
 
     A representation context is a parameter set ``(name, params, window)``
     of ``cfg.param_sets``, built only after every suite has run, and every
-    context evaluates every queued verdict.  ``run`` deals the contexts,
-    largest first, to ``w`` workers, this process and w - 1 forked
-    children (``_evaluate``); each worker evaluates its contexts one at a
-    time, so one context's operators are alive per worker process, and the
-    verdicts are added in queue order whatever ``w`` is."""
+    context evaluates every queued verdict.  ``run`` evaluates them on
+    ``w`` workers (``_evaluate``): a pool of w - 1 forked processes takes
+    every context but the last, and this process evaluates the last.  Each
+    worker evaluates its contexts one at a time, so one context's
+    operators are alive per worker process, and the verdicts are added in
+    queue order whatever ``w`` is."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
@@ -304,124 +304,54 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(queued: list, w: int) -> list[list[int]]:
-    """The queue positions each of ``w`` workers evaluates, each list in
-    queue order.  The contexts share their jobs, so a context's size is its
-    number of states; they are dealt largest first, each to the worker with
-    the least size so far (the lowest such worker on a tie), so the workers
-    finish close together: on ``verify --rank 4`` the two window-12
-    contexts go to different workers, the small ones to the less loaded."""
-    sizes = [len(triangle_states(window)) for (_, _, window), _ in queued]
-    loads, shares = [0] * w, [[] for _ in range(w)]
-    for i in sorted(range(len(queued)), key=sizes.__getitem__, reverse=True):
-        k = loads.index(min(loads))
-        loads[k] += sizes[i]
-        shares[k].append(i)
-    return [sorted(share) for share in shares]
+# the (context, jobs) pairs of the run being evaluated: forked workers
+# inherit them, functions included, so a task is only a queue position
+_queue: list = []
 
 
-def _work(share: list) -> tuple[list, Exception | None]:
-    """The verdict lists of ``share``'s contexts up to the first that
-    raises, and that exception (None when every context ran)."""
-    done = []
-    try:
-        for context, jobs in share:
-            done.append(_verdicts(context, jobs))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-def _child(share: list, sink):
-    """A forked worker: writes ``_work(share)``, pickled, to the binary
-    file ``sink`` and exits without returning into the caller's stack.  An
-    exception that does not survive pickling is sent as its ``repr``."""
-    import pickle
-
-    code = 1
-    try:
-        done, exc = _work(share)
-        if exc is not None:
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = repr(exc)
-        sink.write(pickle.dumps((done, exc)))
-        sink.close()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _names(share: list) -> str:
-    return ", ".join(f"{name} (window {w})" for (name, _, w), _ in share)
+def _verdicts_at(i: int) -> list[tuple[str, str]]:
+    return _verdicts(*_queue[i])
 
 
 def _evaluate(queued: list) -> list:
     """The verdict lists of the queued ``(context, jobs)`` pairs, in queue
-    order.  With ``w = min(len(queued), _workers())`` workers (one when
-    nothing is queued), worker ``k`` evaluates ``_shares(queued, w)[k]``
-    in queue order: worker 0 is this process, and the others are forked
-    children that inherit the jobs (functions included) and send back
-    only their verdicts.  The first context in queue order that raised
-    raises here, as it would in one process.  With one worker nothing
-    forks.
+    order.  With ``w = min(len(queued), _workers())`` workers, a pool of
+    w - 1 forked processes evaluates every context but the last, in queue
+    order, and this process evaluates the last.  The pool's workers
+    inherit the jobs (functions included) and send back only their
+    verdicts.  The first context in queue order that raised raises here,
+    as it would in one process.  With fewer than two workers this process
+    evaluates every context in queue order and nothing forks.
 
-    Every queued polynomial is rewritten (``_contiguous_words``) before the
-    contexts are dealt, so forked children inherit the rewrites and a run
-    rewrites each polynomial once, whatever ``w`` is."""
+    Every queued polynomial is rewritten (``_contiguous_words``) first, so
+    forked workers inherit the rewrites and a run rewrites each polynomial
+    once, whatever ``w`` is."""
+    global _queue
     for _, jobs in queued:
         for _, value, _ in jobs:
             if not callable(value):
                 _contiguous_words(value.key())
-    w = max(1, min(len(queued), _workers()))
-    dealt = _shares(queued, w)
-    shares = [[queued[i] for i in share] for share in dealt]
-    pipes, running = [], []     # read ends; children not yet reaped
+    w = min(len(queued), _workers())
+    if w < 2:
+        return [_verdicts(context, jobs) for context, jobs in queued]
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    _queue = queued
+    pool = ProcessPoolExecutor(w - 1,
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        for share in shares[1:]:
-            r, fd = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
-            with os.fdopen(fd, "wb") as sink:
-                pid = os.fork()
-                if pid == 0:
-                    _child(share, sink)
-            running.append(pid)
-        outcomes = [_work(shares[0])]
-        for share, pipe in zip(shares[1:], pipes):
-            import pickle   # here and in _child: only a run that forks loads it
-            data = pipe.read()
-            status = os.waitpid(running[0], 0)[1]
-            del running[0]
-            try:
-                outcomes.append(pickle.loads(data))
-            except Exception:
-                raise RuntimeError(
-                    f"the worker for {_names(share)} ended without its"
-                    f" verdicts (exit status"
-                    f" {os.waitstatus_to_exitcode(status)})") from None
+        futures = [pool.submit(_verdicts_at, i)
+                   for i in range(len(queued) - 1)]
+        own = Future()
+        try:
+            own.set_result(_verdicts_at(len(queued) - 1))
+        except Exception as exc:
+            own.set_exception(exc)
+        return [f.result() for f in (*futures, own)]
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in running:     # unreaped, so the pid is still this child's
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    # each worker stops at its first failure, and its share is in queue
-    # order, so the first unevaluated context met in queue order raised
-    place = {i: (k, n) for k, share in enumerate(dealt)
-             for n, i in enumerate(share)}
-    verdicts = []
-    for i in range(len(queued)):
-        k, n = place[i]
-        done, exc = outcomes[k]
-        if n == len(done):
-            if isinstance(exc, str):
-                raise RuntimeError(f"evaluating {_names(queued[i:i + 1])}"
-                                   f" raised {exc}")
-            raise exc
-        verdicts.append(done[n])
-    return verdicts
+        pool.shutdown(cancel_futures=True)
+        _queue = []
 
 
 # every suite with the runner method that runs it, in report order

@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import signal
 import threading
 import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -325,34 +327,37 @@ def test_one_contiguous_rewrite_per_polynomial(monkeypatch):
 def test_rewrites_do_not_outlive_the_run(monkeypatch):
     cfg = SuiteConfig(rank=4, param_sets=rep.default_param_sets(2),
                       suites=("definitions",))
-    # every context queues these, and its plan rewrites them all before
-    # its first evaluation
+    # the runner rewrites every queued polynomial before the first context
+    # evaluates
     queued = {relation(rid).key() for family in _SUITE_FAMILIES["definitions"]
               for rid in enumerate_relations(4, family)}
-    run_suite(cfg)
-    assert rep._contiguous_words.cache_info().currsize == 0
-    # and when an evaluation raises, with rewrites already cached
-    evaluate, cached = rep.OperatorContext.eval, []
+    evaluate = rep.OperatorContext.eval
 
     def failing(self, p):
         evaluate(self, p)
         cached.append(rep._contiguous_words.cache_info().currsize)
         raise RuntimeError("evaluation failed")
 
-    monkeypatch.setattr(rep.OperatorContext, "eval", failing)
-    with pytest.raises(RuntimeError, match="evaluation failed"):
+    for workers in (1, 2):
+        monkeypatch.setattr(verifier, "_workers", lambda: workers)
         run_suite(cfg)
-    assert cached == [len(queued)]
-    assert rep._contiguous_words.cache_info().currsize == 0
+        assert rep._contiguous_words.cache_info().currsize == 0
+        # and when an evaluation raises, with rewrites already cached: with
+        # two workers this process's own context is the last one
+        cached = []
+        with monkeypatch.context() as m:
+            m.setattr(rep.OperatorContext, "eval", failing)
+            with pytest.raises(RuntimeError, match="evaluation failed"):
+                run_suite(cfg)
+        assert cached == [len(queued)]
+        assert rep._contiguous_words.cache_info().currsize == 0
 
 
 # Three contexts: the integer and generic sets on window 2, the randomized
-# set on window 3, of sizes (jobs times states) in the ratio 6 : 6 : 10.
-# Dealt largest first to the least loaded worker, two workers take the
-# randomized set here and the integer and generic sets in one child; three
-# take the randomized set here, the integer set in the first child and the
-# generic set in the second.  Either way a child holds a context that comes
-# before this process's in queue order.
+# set on window 3.  With two or three workers the pool's forked workers
+# take the integer and generic sets and this process the randomized set,
+# so a child holds a context that comes before this process's in queue
+# order.
 DEALT = SuiteConfig(rank=3, param_sets=(
     ("integer", rep.integer_params(), 2), ("generic", rep.generic_params(), 2),
     ("randomized", rep.randomized_params(3), 3)), suites=("rank1",))
@@ -378,8 +383,8 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(rep.OperatorContext, "__init__", tracked_init)
     monkeypatch.setattr(rep.OperatorContext, "eval", tracked_eval)
-    # with two workers this process builds the randomized set, the child
-    # the rest (see DEALT)
+    # with two workers this process builds the randomized set, the pool's
+    # one worker the rest (see DEALT)
     for workers, mine in ((1, [INTEGER, GENERIC, RANDOMIZED]),
                           (2, [RANDOMIZED])):
         monkeypatch.setattr(verifier, "_workers", lambda: workers)
@@ -390,7 +395,7 @@ def test_contexts_are_evaluated_one_at_a_time(monkeypatch):
         assert not report.failed
 
 
-# -- contexts dealt to forked worker processes -------------------------------
+# -- contexts evaluated in forked worker processes ---------------------------
 
 def _no_children():
     with pytest.raises(ChildProcessError):
@@ -399,10 +404,15 @@ def _no_children():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
-    # the three rank-4 contexts dealt to 1, 2 or 3 workers give one report
+    # the three rank-4 contexts evaluated on 1, 2 or 3 workers give one
+    # report.  Every fork happens while this is the only thread: a thread
+    # would not exist in the child, so the pool must fork before it starts
+    # its manager thread.  (Python 3.12 and later warn on such a fork, but
+    # os.fork swallows the warning even when it is made an error.)
     forks, fork = [], os.fork
 
     def counted():
+        assert threading.active_count() == 1
         forks.append(workers)
         return fork()
 
@@ -415,22 +425,6 @@ def test_worker_count_keeps_the_report(monkeypatch, capsysbinary, workers):
         "b0ccb103e2c5bde72160b0b6777803947a3755ddf5ae3c79e8ff55e8537f3d0c")
     assert len(forks) == workers - 1
     _no_children()
-
-
-def test_contexts_are_dealt_largest_first():
-    # the queue of verify --rank 4: 546 jobs on each of the integer window
-    # 4 and the generic and randomized window 12.  The two window-12
-    # contexts go to different workers, and each share stays in queue order
-    queued = [((name, None, window), [None] * 546)
-              for name, window in (("integer", 4), ("generic", 12),
-                                   ("randomized", 12))]
-    assert verifier._shares(queued, 1) == [[0, 1, 2]]
-    assert verifier._shares(queued, 2) == [[0, 1], [2]]
-    assert verifier._shares(queued, 3) == [[1], [2], [0]]
-    # DEALT's queue: its two window-2 contexts go to the children
-    queued = [(context, [None] * 8) for context in DEALT.param_sets]
-    assert verifier._shares(queued, 2) == [[2], [0, 1]]
-    assert verifier._shares(queued, 3) == [[2], [0], [1]]
 
 
 def _fail_in_child(monkeypatch, failure, workers=2, where=GENERIC):
@@ -469,20 +463,21 @@ class TwoArguments(Exception):
     TwoArguments("lost in transit", 2),
     type("NotAtModuleLevel", (Exception,), {})("lost in transit"),
 ], ids=["does-not-unpickle", "does-not-pickle"])
-def test_an_exception_that_cannot_cross_arrives_as_its_repr(monkeypatch, exc):
+def test_an_exception_that_cannot_cross_still_raises_here(monkeypatch, exc):
+    # every exception racah raises pickles; one that does not still ends
+    # the run here, as the pool's own error
     def failure():
         raise exc
 
     _fail_in_child(monkeypatch, failure)
-    with pytest.raises(RuntimeError, match=r"generic \(window 2\)"
-                       rf" raised {type(exc).__name__}\('lost in transit'\)"):
+    with pytest.raises((pickle.PicklingError, BrokenProcessPool)):
         run_suite(DEALT)
     _no_children()
 
 
-def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
+def test_a_child_that_dies_breaks_the_pool(monkeypatch):
     # the first child dies on its context; the second child, still running
-    # when that death raises, is killed and reaped too
+    # when that death raises, is stopped and reaped too
     _fail_in_child(monkeypatch, lambda: os._exit(7), workers=3,
                    where=INTEGER)
     build = verifier.OperatorContext
@@ -494,17 +489,15 @@ def test_a_child_that_dies_is_named_with_its_status(monkeypatch):
 
     monkeypatch.setattr(verifier, "OperatorContext", context)
     start = time.monotonic()
-    with pytest.raises(RuntimeError, match=r"^the worker for integer"
-                       r" \(window 2\) ended without its verdicts"
-                       r" \(exit status 7\)$"):
+    with pytest.raises(BrokenProcessPool):
         run_suite(DEALT)
     assert time.monotonic() - start < 30
     _no_children()
 
 
 def test_a_message_larger_than_a_pipe_arrives_whole(monkeypatch):
-    # the runner reads each pipe to its end before it waits for the child,
-    # which would otherwise block on a full pipe; the alarm ends a hang
+    # a child's verdicts, each a megabyte, arrive whole; the alarm ends a
+    # hang
     witness, verdicts = "x" * (1 << 20), verifier._verdicts
     monkeypatch.setattr(verifier, "_verdicts", lambda context, jobs: [
         (verifier.FAILED, witness) for _ in verdicts(context, jobs)])
